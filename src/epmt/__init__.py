@@ -2,11 +2,13 @@
 
 The package covers four layers:
 
-* `core`: hypothesis records, validation, rejection results, error metrics.
+* `core`: input validation, rejection results (a boolean mask plus the
+  adjusted statistic), false-discovery accounting and error metrics.
 * `calib`: calibrators between the p-value and e-value scales, plus
   combiners that merge a (p, e) pair into a single summary.
-* `procedures`: step-up and thresholding procedures (BH and its weighted,
-  e-value, hybrid, and adaptive variants) behind a name registry.
+* `procedures`: BH and its weighted, e-value, hybrid, and adaptive
+  variants, each a map onto one shared step-up kernel, plus Bonferroni
+  thresholding, behind a name registry.
 * `constructors` / `sim`: ways to build e-values from data (soft-rank
   permutation statistics, moderated t, chi-square likelihood ratios) and
   simulation scenarios with a seeded, parallel replication driver.
@@ -42,12 +44,10 @@ from .constructors import (
 from .core import (
     EmptyInput,
     ErrorMetrics,
-    HypothesisRecord,
     LengthMismatch,
     MalformedValue,
     RejectionResult,
     fdp_and_power,
-    validate_inputs,
 )
 from .procedures import (
     REGISTRY,
@@ -89,7 +89,6 @@ __all__ = [
     "DEFAULT_CALIBRATOR",
     "EmptyInput",
     "ErrorMetrics",
-    "HypothesisRecord",
     "LengthMismatch",
     "MalformedValue",
     "MicroarrayScenario",
@@ -132,7 +131,6 @@ __all__ = [
     "soft_rank_evalue",
     "sqrt_calibrator",
     "storey_pi0",
-    "validate_inputs",
     "wbh_storey_normalized",
     "weighted_p_bh",
     "weighted_p_bh_normalized",

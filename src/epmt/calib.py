@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_evalue, check_pvalue
+from .core import as_evector, as_pair, as_pvector, check_evalue, check_pvalue
 
 
 class BadLambda(ValueError):
@@ -101,7 +101,7 @@ def calibrate_p_to_e(p, calibrator: Calibrator = DEFAULT_CALIBRATOR):
     """Turn p-values into e-values through a calibrator. p = 0 gives +inf."""
     if np.ndim(p) == 0:
         return calibrator(check_pvalue(p))
-    return calibrator(_pvalues(p))
+    return calibrator(as_pvector(p))
 
 
 def calibrate_e_to_p(e):
@@ -109,7 +109,7 @@ def calibrate_e_to_p(e):
     if np.ndim(e) == 0:
         e = check_evalue(e)
         return 0.0 if np.isinf(e) else min(1.0 / e, 1.0) if e > 0.0 else 1.0
-    arr = _evalues(e)
+    arr = as_evector(e)
     with np.errstate(divide="ignore"):
         return np.where(np.isinf(arr), 0.0, np.minimum(1.0, np.where(arr > 0, 1.0 / arr, np.inf)))
 
@@ -134,10 +134,17 @@ def combine_quotient(p, e):
     zero e-value pushes any positive p-value to 1.
     """
     p_arr, e_arr, scalar = _paired(p, e)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(p_arr == 0.0, 0.0, p_arr / e_arr)
-    out = np.minimum(q, 1.0)
+    out = np.minimum(p_over_e(p_arr, e_arr), 1.0)
     return float(out[0]) if scalar else out
+
+
+def p_over_e(p: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Uncapped quotient p / e of validated vectors, with 0 / 0 = 0.
+
+    A positive p-value over a zero e-value gives +inf.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(p == 0.0, 0.0, p / e)
 
 
 def combine_mean(p, e, calibrator: Calibrator = DEFAULT_CALIBRATOR, weight: float = 0.5):
@@ -157,24 +164,6 @@ def combine_bonferroni(p, e):
     return float(out[0]) if scalar else out
 
 
-def _pvalues(p) -> np.ndarray:
-    from .core import as_pvector
-
-    return as_pvector(p)
-
-
-def _evalues(e) -> np.ndarray:
-    from .core import as_evector
-
-    return as_evector(e)
-
-
 def _paired(p, e) -> tuple[np.ndarray, np.ndarray, bool]:
     scalar = np.ndim(p) == 0 and np.ndim(e) == 0
-    p_arr = _pvalues(p)
-    e_arr = _evalues(e)
-    if p_arr.shape != e_arr.shape:
-        from .core import LengthMismatch
-
-        raise LengthMismatch(f"p and e vectors disagree in length: {p_arr.size} vs {e_arr.size}")
-    return p_arr, e_arr, scalar
+    return (*as_pair(p, e), scalar)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -38,7 +39,7 @@ from .calib import (
 from .constructors import fit_moderated_model, moderated_t, moderated_t_evalue, shift_evalue
 from .core import MalformedValue, check_evalue, check_pvalue
 from .procedures import REGISTRY, ProcedureSpec
-from .sim import run_campaign, scenario_from_dict, scenario_to_dict
+from .sim import AdversarialScenario, run_campaign, scenario_from_dict, scenario_to_dict
 
 
 class CliInputError(Exception):
@@ -59,7 +60,8 @@ def _parse_cell(text: str, line_no: int, column: str) -> float:
 def _read_rows(path: str, columns: tuple) -> list:
     """Read a CSV with the given header; returns (line_no, dict) rows."""
     try:
-        handle = open(path, newline="")
+        # utf-8-sig drops the byte-order mark spreadsheet exports put first
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise CliInputError(f"cannot open {path}: {exc}") from None
     with handle:
@@ -111,6 +113,7 @@ def _load_hypotheses(path: str):
                 e_vals.append(check_evalue(value, row["id"]))
             except MalformedValue as exc:
                 raise CliInputError(f"line {line_no}: {exc}") from None
+    _check_unique(ids, lines)
     return (
         ids,
         np.array(p_vals, dtype=float),
@@ -118,6 +121,18 @@ def _load_hypotheses(path: str):
         np.array(p_missing, dtype=bool),
         lines,
     )
+
+
+def _check_unique(ids: list, lines: list):
+    """Refuse a repeated id, naming the line of its second occurrence."""
+    # a sorted copy holds only references, far less memory than a set of ids
+    if all(a != b for a, b in itertools.pairwise(sorted(ids))):
+        return
+    first_line = {}
+    for row_id, line_no in zip(ids, lines):
+        first = first_line.setdefault(row_id, line_no)
+        if first != line_no:
+            raise CliInputError(f"line {line_no}: duplicate id {row_id!r} (first seen on line {first})")
 
 
 def _summary_path(out_path: str) -> str:
@@ -146,8 +161,6 @@ def cmd_adjust(args) -> int:
         except BadLambda as exc:
             _usage_error(str(exc))
     result = spec.build()(p, e)
-    rejected = np.zeros(len(ids), dtype=int)
-    rejected[list(result.rejected)] = 1
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["id", "p", "e", "adjusted", "rejected"])
@@ -158,7 +171,7 @@ def cmd_adjust(args) -> int:
                     "" if p_missing[i] else _fmt(p[i]),
                     _fmt(e[i]),
                     _fmt(result.adjusted[i]),
-                    str(int(rejected[i])),
+                    "1" if result.mask[i] else "0",
                 ]
             )
     _write_json(
@@ -167,7 +180,7 @@ def cmd_adjust(args) -> int:
             "procedure": spec.name,
             "alpha": spec.alpha,
             "k_star": result.threshold_index,
-            "n_rejected": len(result.rejected),
+            "n_rejected": result.threshold_index,
         },
     )
     return 0
@@ -249,6 +262,13 @@ def cmd_simulate(args) -> int:
             message = exc.args[0] if exc.args else str(exc)
             raise CliInputError(f"scenario config: {message}") from None
     specs = _procedures_from_config(config)
+    labels = [f"{scenario_to_dict(s)['kind']}-{index}" for index, s in enumerate(scenarios)]
+    needs_p = [spec.name for spec in specs if spec.needs_p]
+    for label, scenario in zip(labels, scenarios):
+        if needs_p and isinstance(scenario, AdversarialScenario):
+            raise CliInputError(
+                f"scenario {label} generates no p-values, but procedure {needs_p[0]} needs them"
+            )
     campaign = run_campaign(
         scenarios,
         specs,
@@ -256,9 +276,6 @@ def cmd_simulate(args) -> int:
         master_seed=args.seed,
         parallelism=args.parallelism,
     )
-    labels = {}
-    for index, scenario in enumerate(scenarios):
-        labels[index] = f"{scenario_to_dict(scenario)['kind']}-{index}"
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(

@@ -1,4 +1,4 @@
-"""Domain types, input validation, and error accounting.
+"""Input validation, rejection results, and error accounting.
 
 p-values live in [0, 1]; e-values live in [0, +inf] with infinity allowed
 and meaningful (conclusive evidence). NaN is rejected everywhere.
@@ -50,44 +50,6 @@ def check_evalue(value, record_id=None) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class HypothesisRecord:
-    """One hypothesis with its observed evidence.
-
-    At least one of p and e must be present. A missing e-value is treated
-    downstream as 1.0 (a neutral weight); a missing p-value restricts the
-    record to e-value-only procedures.
-    """
-
-    id: str
-    p: float | None = None
-    e: float | None = None
-    is_null: bool | None = None
-
-    def __post_init__(self):
-        if self.p is None and self.e is None:
-            raise MalformedValue("record carries neither a p-value nor an e-value", self.id)
-        if self.p is not None:
-            object.__setattr__(self, "p", check_pvalue(self.p, self.id))
-        if self.e is not None:
-            object.__setattr__(self, "e", check_evalue(self.e, self.id))
-
-
-def validate_inputs(records) -> tuple[np.ndarray, np.ndarray, int]:
-    """Normalize a list of HypothesisRecord into aligned (p, e, K).
-
-    Input order is preserved. Missing e-values become 1.0; missing p-values
-    become NaN and are only acceptable to e-value-only callers (enforced by
-    the procedures, not here).
-    """
-    records = list(records)
-    if not records:
-        raise EmptyInput("no hypotheses given")
-    p = np.array([np.nan if r.p is None else r.p for r in records], dtype=float)
-    e = np.array([1.0 if r.e is None else r.e for r in records], dtype=float)
-    return p, e, len(records)
-
-
 def as_pvector(p) -> np.ndarray:
     """Coerce to a 1-d float array of valid p-values."""
     arr = np.atleast_1d(np.asarray(p, dtype=float))
@@ -123,45 +85,57 @@ def check_same_length(*arrays) -> int:
     return sizes.pop()
 
 
+def as_pair(p, e) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce paired p- and e-values to valid vectors of one length."""
+    p = as_pvector(p)
+    e = as_evector(e)
+    check_same_length(p, e)
+    return p, e
+
+
 @dataclass(frozen=True)
 class RejectionResult:
     """Outcome of a multiple-testing procedure.
 
-    rejected holds input-order indices; threshold_index is the step-up k*
-    (0 means no rejections) and always equals the number of rejections;
-    adjusted is the per-hypothesis statistic the decision was made on.
+    mask flags the rejected hypotheses in input order; adjusted is the
+    per-hypothesis statistic the decision was made on. The step-up index
+    k* always equals the number of rejections, so both are read off the
+    mask.
     """
 
-    rejected: frozenset
-    threshold_index: int
+    mask: np.ndarray
     adjusted: np.ndarray
 
-    def __post_init__(self):
-        if len(self.rejected) != self.threshold_index:
-            raise ValueError(
-                f"rejection count {len(self.rejected)} != threshold index {self.threshold_index}"
-            )
+    @property
+    def threshold_index(self) -> int:
+        """The step-up k*, 0 when nothing is rejected."""
+        return int(np.count_nonzero(self.mask))
+
+    @property
+    def rejected(self) -> frozenset:
+        """Input-order indices of the rejected hypotheses."""
+        return frozenset(np.flatnonzero(self.mask).tolist())
 
 
-def fdp_and_power(rejected, truth) -> tuple[float, float]:
-    """False discovery proportion and power of one rejection set.
+def fdp_and_power(mask, truth) -> tuple[float, float, int]:
+    """False discovery proportion, power and false rejections of one mask.
 
     truth flags nulls (True = null hypothesis). Both ratios use the
     0/0 = 0 convention: no rejections means FDP 0, no non-nulls means
     power 0.
     """
+    mask = np.asarray(mask)
+    if mask.dtype != bool:
+        raise TypeError(f"rejection mask must be boolean, got dtype {mask.dtype}")
     truth = np.asarray(truth, dtype=bool)
-    if truth.ndim != 1:
-        raise LengthMismatch("truth must be a 1-d boolean vector")
-    idx = np.fromiter(rejected, dtype=int, count=len(rejected))
-    if idx.size and (idx.min() < 0 or idx.max() >= truth.size):
-        raise LengthMismatch("rejected index outside the truth vector")
-    n_rej = idx.size
-    n_false = int(truth[idx].sum()) if n_rej else 0
-    n_alt = int((~truth).sum())
+    if truth.ndim != 1 or mask.shape != truth.shape:
+        raise LengthMismatch("rejection mask and truth must be 1-d vectors of one length")
+    n_rej = int(np.count_nonzero(mask))
+    n_false = int(np.count_nonzero(mask & truth))
+    n_alt = truth.size - int(np.count_nonzero(truth))
     fdp = n_false / n_rej if n_rej else 0.0
     power = (n_rej - n_false) / n_alt if n_alt else 0.0
-    return fdp, power
+    return fdp, power, n_false
 
 
 @dataclass(frozen=True)

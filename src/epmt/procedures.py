@@ -1,5 +1,17 @@
 """Step-up multiple testing procedures on p-values, e-values, and both.
 
+Every procedure maps its input onto one small-is-significant statistic
+and runs the same step-up kernel on it (weighted BH after Genovese,
+Roeder & Wasserman 2006; e-BH after Wang & Ramdas 2022):
+
+* p-BH steps up on p and weighted BH on min(p/w, 1); ep-BH is weighted
+  BH with the raw e-values as unnormalized weights, and the normalized
+  and Storey variants change only the weights;
+* e-BH steps up on -e, testing each rank in the e scale, which is p-BH
+  on 1/e up to rounding at exact ties; pe-BH is e-BH on h(p) * e, and
+  adaptive e-BH is e-BH behind a merged-evidence gate;
+* ep-Bonferroni thresholds p/e at alpha/K without a step-up.
+
 All procedures return a RejectionResult whose `adjusted` field is the
 per-hypothesis vector the decision was thresholded on, in input order.
 Ties at the rejection boundary are always rejected together; the step-up
@@ -15,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calib import DEFAULT_CALIBRATOR, Calibrator, combine_product, combine_quotient, parse_calibrator
-from .core import RejectionResult, as_evector, as_pvector, check_same_length
+from .calib import DEFAULT_CALIBRATOR, Calibrator, combine_product, p_over_e, parse_calibrator
+from .core import RejectionResult, as_evector, as_pair, as_pvector
 
 
 class SingleHypothesis(UserWarning):
@@ -42,38 +54,23 @@ def harmonic_number(k: int) -> float:
     return math.fsum(1.0 / j for j in range(1, k + 1))
 
 
-def _step_up_small(adjusted: np.ndarray, alpha: float) -> RejectionResult:
-    """Step-up on small-is-significant statistics.
+def _step_up(stat: np.ndarray, passes, adjusted: np.ndarray) -> RejectionResult:
+    """The one step-up kernel, on small-is-significant statistics.
 
-    k* = max{k : K * a_(k) / k <= alpha}; rejects every a_i <= a_(k*).
+    passes(ranked, ranks) tests each rank k of the ascending statistic
+    s_(k) in the caller's own scale; k* is the last rank that passes, and
+    every s_i <= s_(k*) is rejected.
     """
-    k_total = adjusted.size
-    ranked = np.sort(adjusted)
-    ranks = np.arange(1, k_total + 1, dtype=float)
-    ok = k_total * ranked <= alpha * ranks
-    if not ok.any():
-        return RejectionResult(frozenset(), 0, adjusted)
-    k_star = int(np.nonzero(ok)[0][-1]) + 1
-    rejected = frozenset(np.nonzero(adjusted <= ranked[k_star - 1])[0].tolist())
-    return RejectionResult(rejected, k_star, adjusted)
+    ranked = np.sort(stat)
+    ok = np.flatnonzero(passes(ranked, np.arange(1, stat.size + 1, dtype=float)))
+    mask = stat <= ranked[ok[-1]] if ok.size else np.zeros(stat.size, dtype=bool)
+    return RejectionResult(mask, adjusted)
 
 
-def _step_up_large(evalues: np.ndarray, alpha: float) -> RejectionResult:
-    """Step-up on large-is-significant statistics.
-
-    k* = max{k : k * e_[k] / K >= 1/alpha} with e_[k] the k-th largest;
-    rejects every e_i >= e_[k*].
-    """
-    k_total = evalues.size
-    ranked = np.sort(evalues)[::-1]
-    ranks = np.arange(1, k_total + 1, dtype=float)
-    with np.errstate(invalid="ignore"):
-        ok = ranks * ranked / k_total >= 1.0 / alpha
-    if not ok.any():
-        return RejectionResult(frozenset(), 0, evalues)
-    k_star = int(np.nonzero(ok)[0][-1]) + 1
-    rejected = frozenset(np.nonzero(evalues >= ranked[k_star - 1])[0].tolist())
-    return RejectionResult(rejected, k_star, evalues)
+def _bh(stat: np.ndarray, alpha: float, adjusted: np.ndarray) -> RejectionResult:
+    # k* = max{k : K * s_(k) <= alpha * k}
+    k_total = stat.size
+    return _step_up(stat, lambda ranked, ranks: k_total * ranked <= alpha * ranks, adjusted)
 
 
 def p_bh(p, alpha: float, by_correction: bool = False) -> RejectionResult:
@@ -86,23 +83,29 @@ def p_bh(p, alpha: float, by_correction: bool = False) -> RejectionResult:
     alpha = _check_alpha(alpha)
     if by_correction:
         alpha = alpha / harmonic_number(p.size)
-    return _step_up_small(p, alpha)
+    return _bh(p, alpha, p)
+
+
+def _e_bh(e: np.ndarray, alpha: float) -> RejectionResult:
+    # steps up on -e (exact, so s_(k) = -e_[k] with e_[k] the k-th largest)
+    # and tests k* = max{k : k * e_[k] / K >= 1/alpha} in the e scale
+    k_total = e.size
+    return _step_up(-e, lambda ranked, ranks: ranks * -ranked / k_total >= 1.0 / alpha, e)
 
 
 def e_bh(e, alpha: float) -> RejectionResult:
     """Step-up procedure on e-values; valid under arbitrary dependence.
 
-    Equivalent to running p_bh on the reciprocals 1/e at the same level.
+    This is p_bh on min(1/e, 1) at the same level, except at exact
+    step-up ties, which are decided in the e scale; adjusted reports the
+    e-values.
     """
-    e = as_evector(e)
-    return _step_up_large(e, _check_alpha(alpha))
+    return _e_bh(as_evector(e), _check_alpha(alpha))
 
 
-def _divide_p_by_w(p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # p = 0 stays 0 whatever the weight (0/0 = 0); positive p with zero
-    # weight becomes +inf and is capped to 1 by the caller.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(p == 0.0, 0.0, p / w)
+def _weighted_p_bh(p: np.ndarray, w: np.ndarray, alpha: float) -> RejectionResult:
+    adjusted = np.minimum(p_over_e(p, w), 1.0)
+    return _bh(adjusted, alpha, adjusted)
 
 
 def weighted_p_bh(p, w, alpha: float) -> RejectionResult:
@@ -111,20 +114,11 @@ def weighted_p_bh(p, w, alpha: float) -> RejectionResult:
     Weights are nonnegative and need not be normalized; a zero weight
     removes a hypothesis (positive p) from contention.
     """
-    p = as_pvector(p)
-    w = as_evector(w)
-    check_same_length(p, w)
-    adjusted = np.minimum(_divide_p_by_w(p, w), 1.0)
-    return _step_up_small(adjusted, _check_alpha(alpha))
+    p, w = as_pair(p, w)
+    return _weighted_p_bh(p, w, _check_alpha(alpha))
 
 
-def normalized_weights(e) -> np.ndarray:
-    """Rescale raw e-values to weights averaging 1 (summing to K).
-
-    An all-zero vector yields all-zero weights. If any e-value is +inf,
-    the infinite coordinates take all the weight and the rest get 0.
-    """
-    e = as_evector(e)
+def _normalized_weights(e: np.ndarray) -> np.ndarray:
     if np.isinf(e).any():
         return np.where(np.isinf(e), np.inf, 0.0)
     total = e.sum()
@@ -133,44 +127,46 @@ def normalized_weights(e) -> np.ndarray:
     return e.size * e / total
 
 
+def normalized_weights(e) -> np.ndarray:
+    """Rescale raw e-values to weights averaging 1 (summing to K).
+
+    An all-zero vector yields all-zero weights. If any e-value is +inf,
+    the infinite coordinates take all the weight and the rest get 0.
+    """
+    return _normalized_weights(as_evector(e))
+
+
 def weighted_p_bh_normalized(p, e, alpha: float) -> RejectionResult:
     """weighted_p_bh with raw e-values rescaled to average-1 weights."""
-    p = as_pvector(p)
-    w = normalized_weights(e)
-    check_same_length(p, w)
-    return weighted_p_bh(p, w, alpha)
+    p, e = as_pair(p, e)
+    return _weighted_p_bh(p, _normalized_weights(e), _check_alpha(alpha))
 
 
 def ep_bh(p, e, alpha: float) -> RejectionResult:
     """Step-up on the quotients min(p/e, 1).
 
-    Identical by construction to weighted_p_bh with the raw e-values as
-    weights: e-values act as unnormalized weights without any rescaling.
+    This is weighted_p_bh with the raw e-values as weights: e-values act
+    as unnormalized weights without any rescaling.
     """
-    p = as_pvector(p)
-    e = as_evector(e)
-    check_same_length(p, e)
     return weighted_p_bh(p, e, alpha)
 
 
 def pe_bh(p, e, alpha: float, calibrator: Calibrator = DEFAULT_CALIBRATOR) -> RejectionResult:
-    """Step-up on the product e-values h(p) * e.
+    """e-BH on the product e-values h(p) * e.
 
     Valid under arbitrary dependence between and across the two vectors,
     at the price of never rejecting more than ep_bh does.
     """
-    p = as_pvector(p)
-    e = as_evector(e)
-    check_same_length(p, e)
-    merged = combine_product(p, e, calibrator)
-    return _step_up_large(np.asarray(merged, dtype=float), _check_alpha(alpha))
+    return e_bh(combine_product(p, e, calibrator), alpha)
+
+
+def _storey_pi0(p: np.ndarray, tau: float) -> float:
+    return (1.0 + int((p > tau).sum())) / (p.size * (1.0 - tau))
 
 
 def storey_pi0(p, tau: float = 0.5) -> float:
     """Conservative null-proportion estimate (1 + #{p > tau}) / (K(1-tau))."""
-    p = as_pvector(p)
-    tau = _check_tau(tau)
-    return (1.0 + int((p > tau).sum())) / (p.size * (1.0 - tau))
+    return _storey_pi0(as_pvector(p), _check_tau(tau))
 
 
 def ep_storey(p, e, alpha: float, tau: float = 0.5) -> RejectionResult:
@@ -179,12 +175,10 @@ def ep_storey(p, e, alpha: float, tau: float = 0.5) -> RejectionResult:
     Hypotheses with p > tau get weight 0; the rest keep their e-values
     scaled up by the estimated null proportion.
     """
-    p = as_pvector(p)
-    e = as_evector(e)
-    check_same_length(p, e)
-    pi0 = storey_pi0(p, tau)
-    w = np.where(p <= tau, e / pi0, 0.0)
-    return weighted_p_bh(p, w, alpha)
+    p, e = as_pair(p, e)
+    tau = _check_tau(tau)
+    w = np.where(p <= tau, e / _storey_pi0(p, tau), 0.0)
+    return _weighted_p_bh(p, w, _check_alpha(alpha))
 
 
 def wbh_storey_normalized(p, e, alpha: float, tau: float = 0.5) -> RejectionResult:
@@ -196,12 +190,10 @@ def wbh_storey_normalized(p, e, alpha: float, tau: float = 0.5) -> RejectionResu
     weight on a few hypotheses, this estimate can sit far below 1 and
     recover much of the power that normalization gives up.
     """
-    p = as_pvector(p)
+    p, e = as_pair(p, e)
     tau = _check_tau(tau)
-    w = normalized_weights(e)
-    check_same_length(p, w)
-    finite = np.isfinite(w)
-    if finite.all():
+    w = _normalized_weights(e)
+    if np.isfinite(w).all():
         pi0 = (1.0 + float((w * (p > tau)).sum())) / (p.size * (1.0 - tau))
     else:
         # all weight sits on the infinite coordinates; the estimate keeps
@@ -209,7 +201,7 @@ def wbh_storey_normalized(p, e, alpha: float, tau: float = 0.5) -> RejectionResu
         pi0 = 1.0 / (p.size * (1.0 - tau))
     with np.errstate(invalid="ignore"):
         w_adaptive = np.where(p <= tau, w / pi0, 0.0)
-    return weighted_p_bh(p, w_adaptive, alpha)
+    return _weighted_p_bh(p, w_adaptive, _check_alpha(alpha))
 
 
 def ep_bonferroni(p, e, alpha: float) -> RejectionResult:
@@ -218,23 +210,23 @@ def ep_bonferroni(p, e, alpha: float) -> RejectionResult:
     Controls both PFER and FWER at alpha * K0 / K. The adjusted vector is
     the uncapped quotient.
     """
-    p = as_pvector(p)
-    e = as_evector(e)
-    check_same_length(p, e)
+    p, e = as_pair(p, e)
     alpha = _check_alpha(alpha)
-    adjusted = _divide_p_by_w(p, e)
-    rejected = frozenset(np.nonzero(adjusted <= alpha / p.size)[0].tolist())
-    return RejectionResult(rejected, len(rejected), adjusted)
+    adjusted = p_over_e(p, e)
+    return RejectionResult(adjusted <= alpha / p.size, adjusted)
 
 
-def simes_evalue(e) -> float:
-    """The e-value analogue of the Simes statistic: max_k k * e_[k] / K."""
-    e = as_evector(e)
+def _simes_evalue(e: np.ndarray) -> float:
     ranked = np.sort(e)[::-1]
     ranks = np.arange(1, e.size + 1, dtype=float)
     with np.errstate(invalid="ignore"):
         stats = ranks * ranked / e.size
     return float(np.max(stats))
+
+
+def simes_evalue(e) -> float:
+    """The e-value analogue of the Simes statistic: max_k k * e_[k] / K."""
+    return _simes_evalue(as_evector(e))
 
 
 def adaptive_e_bh(e, alpha: float, merging: str = "mean") -> RejectionResult:
@@ -256,11 +248,11 @@ def adaptive_e_bh(e, alpha: float, merging: str = "mean") -> RejectionResult:
             SingleHypothesis,
             stacklevel=2,
         )
-        return e_bh(e, alpha)
-    merged = float(e.mean()) if merging == "mean" else simes_evalue(e)
+        return _e_bh(e, alpha)
+    merged = float(e.mean()) if merging == "mean" else _simes_evalue(e)
     if merged < 1.0 / alpha:
-        return RejectionResult(frozenset(), 0, e)
-    return e_bh(e, k_total * alpha / (k_total - 1.0))
+        return RejectionResult(np.zeros(k_total, dtype=bool), e)
+    return _e_bh(e, k_total * alpha / (k_total - 1.0))
 
 
 @dataclass(frozen=True)

@@ -271,15 +271,12 @@ def child_rng(master_seed: int, scenario_index: int, replicate_index: int) -> np
 class CampaignResult:
     """Aggregated error rates of a simulation campaign.
 
-    rows is a list of (scenario, procedure name, ErrorMetrics), one per
-    scenario/procedure pair in input order; metrics indexes the same
-    objects by (scenario index, procedure name). replicate_stats, kept
-    only on request, maps (scenario index, procedure name) to an array of
-    shape (replicates, 4) holding per-replicate (fdp, power,
-    false rejections, any false rejection).
+    metrics maps (scenario index, procedure name) to the ErrorMetrics of
+    that pair, in input order. replicate_stats, kept only on request, maps
+    the same keys to an array of shape (replicates, 4) holding
+    per-replicate (fdp, power, false rejections, any false rejection).
     """
 
-    rows: list
     metrics: dict
     replicates: int
     master_seed: int
@@ -289,7 +286,7 @@ class CampaignResult:
 
 def _replicate_batch(args):
     scenario, specs, master_seed, scenario_index, rep_indices = args
-    runners = [(spec.name, spec.build()) for spec in specs]
+    runners = [spec.build() for spec in specs]
     out = np.empty((len(rep_indices), len(runners), 4))
     for row, rep in enumerate(rep_indices):
         rng = child_rng(master_seed, scenario_index, rep)
@@ -299,15 +296,8 @@ def _replicate_batch(args):
             raise RuntimeError(
                 f"scenario {scenario_index} replicate {rep} failed during generation"
             ) from exc
-        n_null = int(np.asarray(is_null).sum())
-        for col, (_, run) in enumerate(runners):
-            result = run(p, e)
-            fdp, power = fdp_and_power(result.rejected, is_null)
-            if n_null:
-                idx = np.fromiter(result.rejected, dtype=int, count=len(result.rejected))
-                n_false = int(np.asarray(is_null)[idx].sum()) if idx.size else 0
-            else:
-                n_false = 0
+        for col, run in enumerate(runners):
+            fdp, power, n_false = fdp_and_power(run(p, e).mask, is_null)
             out[row, col] = (fdp, power, float(n_false), float(n_false > 0))
     return out
 
@@ -341,7 +331,6 @@ def run_campaign(
         raise ValueError("parallelism must be >= 1")
 
     started = time.perf_counter()
-    rows = []
     metrics = {}
     replicate_stats = {}
     for scenario_index, scenario in enumerate(scenarios):
@@ -363,13 +352,11 @@ def run_campaign(
                 offset += block.shape[0]
         for col, spec in enumerate(specs):
             per_rep = stats_array[:, col, :]
-            metric = _aggregate(per_rep, replicates)
-            rows.append((scenario, spec.name, metric))
-            metrics[(scenario_index, spec.name)] = metric
+            metrics[(scenario_index, spec.name)] = _aggregate(per_rep, replicates)
             if keep_replicates:
                 replicate_stats[(scenario_index, spec.name)] = per_rep.copy()
     elapsed = time.perf_counter() - started
-    return CampaignResult(rows, metrics, replicates, master_seed, elapsed, replicate_stats)
+    return CampaignResult(metrics, replicates, master_seed, elapsed, replicate_stats)
 
 
 def _chunk_indices(replicates: int, parallelism: int):
@@ -407,6 +394,9 @@ SCENARIO_KINDS = {
     "adversarial": AdversarialScenario,
 }
 
+# scenario field annotation -> (accepted JSON value types, name in messages)
+_FIELD_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"), "bool": (bool, "true or false")}
+
 
 def scenario_from_dict(mapping: dict) -> Scenario:
     """Build a scenario from config keys; keys mirror the dataclass fields."""
@@ -416,11 +406,17 @@ def scenario_from_dict(mapping: dict) -> Scenario:
     if kind not in SCENARIO_KINDS:
         raise KeyError(f"unknown scenario kind {kind!r}; known: {', '.join(sorted(SCENARIO_KINDS))}")
     cls = SCENARIO_KINDS[kind]
-    fields_allowed = {f for f in cls.__dataclass_fields__}
-    extra = set(mapping) - fields_allowed - {"kind"}
+    fields = cls.__dataclass_fields__
+    values = {k: v for k, v in mapping.items() if k != "kind"}
+    extra = set(values) - set(fields)
     if extra:
         raise KeyError(f"unknown scenario key {sorted(extra)[0]!r} for kind {kind!r}")
-    return cls(**{k: v for k, v in mapping.items() if k != "kind"})
+    for key, value in values.items():
+        types, type_name = _FIELD_TYPES[fields[key].type]
+        # bool subclasses int, but true is neither a count nor a number
+        if not isinstance(value, types) or isinstance(value, bool) != (types is bool):
+            raise TypeError(f"scenario key {key!r} for kind {kind!r} must be {type_name}, got {value!r}")
+    return cls(**values)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

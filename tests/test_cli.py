@@ -167,6 +167,28 @@ def test_adjust_infinite_evalue_round_trips(tmp_path):
     assert rows[0]["rejected"] == "1"  # p/inf = 0
 
 
+def test_adjust_accepts_utf8_bom(tmp_path):
+    """A spreadsheet export's byte-order mark before the header is not data."""
+    plain = write(tmp_path / "plain.csv", HYP)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + HYP.encode())
+    for inp, out in ((plain, "plain-out.csv"), (str(bom), "bom-out.csv")):
+        assert cli.main(["adjust", "--input", inp, "--procedure", "ep-bh",
+                         "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "bom-out.csv").read_bytes() == (tmp_path / "plain-out.csv").read_bytes()
+
+
+def test_adjust_duplicate_id_exits_2_with_line(tmp_path, capsys):
+    body = "id,p,e\ng1,0.01,2\ng2,0.2,1\ng1,0.03,4\n"
+    inp = write(tmp_path / "hyp.csv", body)
+    code = cli.main(["adjust", "--input", inp, "--procedure", "ep-bh",
+                     "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 4" in err and "'g1'" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 # ---------------------------------------------------------------- combine
 
 
@@ -267,6 +289,29 @@ def test_simulate_unknown_scenario_key_exits_2(tmp_path, capsys):
                      "--out", str(tmp_path / "o.csv")])
     assert code == 2
     assert "effect_size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [True, "100"])
+def test_simulate_mistyped_scenario_field_exits_2(tmp_path, capsys, value):
+    cfg = write(tmp_path / "cfg.json", config_text(
+        scenarios=[{"kind": "ttest", "n_hypotheses": value}]))
+    code = cli.main(["simulate", "--config", cfg, "--reps", "2",
+                     "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'n_hypotheses'" in err and "integer" in err
+
+
+def test_simulate_adversarial_with_p_procedure_exits_2(tmp_path, capsys):
+    """The adversarial scenario makes no p-values; refuse before any replicate."""
+    cfg = write(tmp_path / "cfg.json", config_text(
+        scenarios=[{"kind": "adversarial"}], procedures=["e-bh", "p-bh"]))
+    code = cli.main(["simulate", "--config", cfg, "--reps", "2",
+                     "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "adversarial-0" in err and "p-bh" in err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_simulate_unknown_procedure_exits_2(tmp_path, capsys):

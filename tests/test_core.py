@@ -1,4 +1,4 @@
-"""Tests for domain types, validation, and error accounting."""
+"""Tests for validation, rejection results, and error accounting."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from epmt.core import (
     EmptyInput,
     ErrorMetrics,
-    HypothesisRecord,
     LengthMismatch,
     MalformedValue,
     RejectionResult,
@@ -16,7 +15,6 @@ from epmt.core import (
     check_pvalue,
     check_same_length,
     fdp_and_power,
-    validate_inputs,
 )
 
 
@@ -50,48 +48,6 @@ def test_malformed_value_carries_record_id():
     assert info.value.record_id == "gene-7"
 
 
-def test_record_requires_some_evidence():
-    with pytest.raises(MalformedValue):
-        HypothesisRecord(id="h1")
-
-
-def test_record_validates_fields():
-    rec = HypothesisRecord(id="h1", p=0.01, e=2.0, is_null=False)
-    assert rec.p == 0.01 and rec.e == 2.0
-    with pytest.raises(MalformedValue):
-        HypothesisRecord(id="h2", p=1.5)
-    with pytest.raises(MalformedValue):
-        HypothesisRecord(id="h3", e=-1.0)
-
-
-def test_record_allows_one_sided_evidence():
-    assert HypothesisRecord(id="a", p=0.2).e is None
-    assert HypothesisRecord(id="b", e=4.0).p is None
-
-
-def test_validate_inputs_fills_missing():
-    records = [
-        HypothesisRecord(id="a", p=0.1, e=3.0),
-        HypothesisRecord(id="b", p=0.2),
-        HypothesisRecord(id="c", e=5.0),
-    ]
-    p, e, k = validate_inputs(records)
-    assert k == 3
-    np.testing.assert_array_equal(e, [3.0, 1.0, 5.0])
-    assert p[0] == 0.1 and p[1] == 0.2 and np.isnan(p[2])
-
-
-def test_validate_inputs_preserves_order():
-    records = [HypothesisRecord(id=str(i), p=x) for i, x in enumerate([0.9, 0.1, 0.5])]
-    p, _, _ = validate_inputs(records)
-    np.testing.assert_array_equal(p, [0.9, 0.1, 0.5])
-
-
-def test_validate_inputs_empty():
-    with pytest.raises(EmptyInput):
-        validate_inputs([])
-
-
 def test_as_pvector_reports_position():
     with pytest.raises(MalformedValue) as info:
         as_pvector([0.1, 0.2, 1.3])
@@ -122,31 +78,41 @@ def test_check_same_length():
 
 
 def test_rejection_result_consistency_enforced():
-    with pytest.raises(ValueError):
-        RejectionResult(frozenset({0, 1}), 3, np.zeros(4))
-    r = RejectionResult(frozenset({0, 1}), 2, np.zeros(4))
-    assert r.threshold_index == len(r.rejected)
+    # k* and the rejected set are both read off the mask, so they cannot disagree
+    r = RejectionResult(np.array([True, False, True, False]), np.zeros(4))
+    assert r.threshold_index == len(r.rejected) == 2
+    assert r.rejected == frozenset({0, 2})
+    none = RejectionResult(np.zeros(3, dtype=bool), np.zeros(3))
+    assert none.threshold_index == 0 and none.rejected == frozenset()
 
 
 def test_fdp_and_power_basic():
     truth = np.array([True, True, False, False])  # 2 nulls, 2 non-nulls
-    fdp, power = fdp_and_power({0, 2, 3}, truth)
+    fdp, power, n_false = fdp_and_power(np.array([True, False, True, True]), truth)
     assert fdp == pytest.approx(1.0 / 3.0)
     assert power == pytest.approx(1.0)
+    assert n_false == 1
 
 
 def test_fdp_and_power_zero_conventions():
     truth = np.array([True, True])
-    fdp, power = fdp_and_power(set(), truth)
+    fdp, power, n_false = fdp_and_power(np.array([False, False]), truth)
     assert fdp == 0.0  # no rejections -> FDP 0
     assert power == 0.0  # no non-nulls -> power 0
-    fdp, power = fdp_and_power({0}, truth)
-    assert fdp == 1.0 and power == 0.0
+    assert n_false == 0
+    fdp, power, n_false = fdp_and_power(np.array([True, False]), truth)
+    assert fdp == 1.0 and power == 0.0 and n_false == 1
 
 
 def test_fdp_and_power_range_checked():
+    # a mask must cover exactly the hypotheses the truth vector flags
     with pytest.raises(LengthMismatch):
-        fdp_and_power({5}, np.array([True, False]))
+        fdp_and_power(np.array([False, False, True]), np.array([True, False]))
+    with pytest.raises(LengthMismatch):
+        fdp_and_power(np.array([True]), np.array([True, False]))
+    # an index list is not a mask, even when its length matches truth
+    with pytest.raises(TypeError):
+        fdp_and_power([0, 1], np.array([True, False]))
 
 
 def test_error_metrics_is_frozen():

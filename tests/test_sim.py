@@ -264,7 +264,6 @@ def test_run_campaign_basic_metrics():
         assert 0.0 <= m.power <= 1.0
         assert m.fwer <= 1.0 and m.pfer >= m.fwer
         assert m.replicates == 40
-    assert len(res.rows) == 2
 
 
 def test_run_campaign_parallelism_invariant():
