@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from operator import itemgetter
 
 import numpy as np
 
@@ -37,108 +38,157 @@ from .calib import (
     parse_calibrator,
 )
 from .constructors import fit_moderated_model, moderated_t, moderated_t_evalue, shift_evalue
-from .core import MalformedValue, check_evalue, check_pvalue
+from .core import MalformedValue, as_evector, as_pvector
 from .procedures import REGISTRY, ProcedureSpec
-from .sim import AdversarialScenario, run_campaign, scenario_from_dict, scenario_to_dict
+from .sim import AdversarialScenario, check_field_types, run_campaign, scenario_from_dict, scenario_to_dict
 
 
 class CliInputError(Exception):
     """Malformed input file or config; maps to exit code 2."""
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _parse_cell(text: str, line_no: int, column: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise CliInputError(f"line {line_no}: cannot parse {column}={text!r} as a number") from None
-
-
-def _read_rows(path: str, columns: tuple) -> list:
-    """Read a CSV with the given header; returns (line_no, dict) rows."""
+def _open_csv(path: str):
     try:
         # utf-8-sig drops the byte-order mark spreadsheet exports put first
-        handle = open(path, newline="", encoding="utf-8-sig")
+        return open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise CliInputError(f"cannot open {path}: {exc}") from None
-    with handle:
+
+
+def _read_columns(path: str, columns: tuple) -> list:
+    """The stripped cells of a CSV with the given header, one list per column.
+
+    Blank rows are skipped; every other row must have one field per column.
+    """
+    with _open_csv(path) as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CliInputError("line 1: empty file, expected a header row") from None
+        header = next(reader, None)
+        if header is None:
+            raise CliInputError("line 1: empty file, expected a header row")
         if [h.strip() for h in header] != list(columns):
             raise CliInputError(
                 f"line 1: expected header {','.join(columns)}, got {','.join(header)}"
             )
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(columns):
-                raise CliInputError(
-                    f"line {line_no}: expected {len(columns)} fields, got {len(row)}"
-                )
-            rows.append((line_no, dict(zip(columns, (cell.strip() for cell in row)))))
-        if not rows:
-            raise CliInputError("line 2: no data rows")
-    return rows
+        rows = [row for row in reader if row]
+    if set(map(len, rows)) - {len(columns)}:
+        row = next(i for i, cells in enumerate(rows) if len(cells) != len(columns))
+        _fail(path, [(row, f"expected {len(columns)} fields, got {len(rows[row])}")])
+    if not rows:
+        raise CliInputError("line 2: no data rows")
+    # not zip(*rows): an iterator per row sets off the cyclic collector
+    return [list(map(str.strip, map(itemgetter(i), rows))) for i in range(len(columns))]
+
+
+def _data_lines(path: str) -> list:
+    """The physical line on which each data row ends.
+
+    Only the error path re-reads the file for this; counting physical
+    lines keeps the number right after a quoted cell that spans lines.
+    """
+    with _open_csv(path) as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        return [reader.line_num for row in reader if row]
+
+
+def _fail(path: str, errors: list):
+    """Raise for the earliest data row among (row, message) errors.
+
+    On a tie the first listed wins, so callers list them in checking order.
+    """
+    found = [error for error in errors if error is not None]
+    if found:
+        row, message = min(found, key=lambda error: error[0])
+        raise CliInputError(f"line {_data_lines(path)[row]}: {message}")
+
+
+def _parse_column(cells: list, name: str, fill: str = ""):
+    """Floats of a column of cells, empty cells reading as fill.
+
+    Returns (values, error): error is None, or the (row, message) of the
+    first unparsable cell, and then values stop before that row.
+    """
+    if fill and "" in cells:
+        cells = [cell or fill for cell in cells]
+    try:
+        return np.array(cells, dtype=float), None
+    except ValueError:
+        values = []
+        for text in cells:
+            try:
+                values.append(float(text))
+            except ValueError:
+                return np.array(values), (len(values), f"cannot parse {name}={text!r} as a number")
+
+
+def _refused(check, values: np.ndarray, requirement: str):
+    """(row, message) of the first value a core vector check refuses, or None."""
+    try:
+        if values.size:
+            check(values)
+    except MalformedValue as exc:
+        return exc.record_id, f"{requirement}, got {values[exc.record_id].item()!r}"
+    return None
+
+
+def _flagged(bad: np.ndarray, message: str):
+    """(row, message) of the first flagged value, or None."""
+    return (int(np.argmax(bad)), message) if bad.any() else None
 
 
 def _load_hypotheses(path: str):
-    """Parse an id,p,e file: returns (ids, p, e, p_missing, line_numbers)."""
-    rows = _read_rows(path, ("id", "p", "e"))
-    ids, p_vals, e_vals, p_missing, lines = [], [], [], [], []
-    for line_no, row in rows:
-        ids.append(row["id"])
-        lines.append(line_no)
-        if row["p"] == "":
-            p_vals.append(np.nan)
-            p_missing.append(True)
-        else:
-            value = _parse_cell(row["p"], line_no, "p")
-            try:
-                p_vals.append(check_pvalue(value, row["id"]))
-            except MalformedValue as exc:
-                raise CliInputError(f"line {line_no}: {exc}") from None
-            p_missing.append(False)
-        if row["e"] == "":
-            e_vals.append(1.0)
-        else:
-            value = _parse_cell(row["e"], line_no, "e")
-            try:
-                e_vals.append(check_evalue(value, row["id"]))
-            except MalformedValue as exc:
-                raise CliInputError(f"line {line_no}: {exc}") from None
-    _check_unique(ids, lines)
-    return (
-        ids,
-        np.array(p_vals, dtype=float),
-        np.array(e_vals, dtype=float),
-        np.array(p_missing, dtype=bool),
-        lines,
-    )
+    """Parse an id,p,e file: returns (ids, p, e, p_missing).
+
+    A missing p reads as NaN (as 0 for the range check), a missing e as 1.
+    """
+    ids, p_cells, e_cells = _read_columns(path, ("id", "p", "e"))
+    p_missing = np.array([not cell for cell in p_cells], dtype=bool)
+    p, p_error = _parse_column(p_cells, "p", fill="0")
+    e, e_error = _parse_column(e_cells, "e", fill="1")
+    p_error = _refused(as_pvector, p, "p-value must lie in [0, 1]") or p_error
+    e_error = _refused(as_evector, e, "e-value must lie in [0, +inf]") or e_error
+    _fail(path, [p_error, e_error])
+    p[p_missing] = np.nan
+    _check_unique(path, ids)
+    return ids, p, e, p_missing
 
 
-def _check_unique(ids: list, lines: list):
+def _check_unique(path: str, ids: list):
     """Refuse a repeated id, naming the line of its second occurrence."""
     # a sorted copy holds only references, far less memory than a set of ids
     if all(a != b for a, b in itertools.pairwise(sorted(ids))):
         return
-    first_line = {}
-    for row_id, line_no in zip(ids, lines):
-        first = first_line.setdefault(row_id, line_no)
-        if first != line_no:
-            raise CliInputError(f"line {line_no}: duplicate id {row_id!r} (first seen on line {first})")
+    first_row = {}
+    for row, row_id in enumerate(ids):
+        first = first_row.setdefault(row_id, row)
+        if first != row:
+            lines = _data_lines(path)
+            raise CliInputError(
+                f"line {lines[row]}: duplicate id {row_id!r} (first seen on line {lines[first]})"
+            )
 
 
-def _summary_path(out_path: str) -> str:
-    if out_path.endswith(".csv"):
-        return out_path[:-4] + ".json"
-    return out_path + ".json"
+def _fmt(values, blank=None):
+    """Cells of a float column at repr precision, made lazily.
+
+    Rows flagged in blank are left empty.
+    """
+    cells = map(repr, np.asarray(values, dtype=float).tolist())
+    if blank is None:
+        return cells
+    return ("" if empty else cell for cell, empty in zip(cells, blank.tolist()))
+
+
+def _write_csv(path: str, header: list, rows):
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _next_to(out_path: str, suffix: str) -> str:
+    """A file written beside the output CSV: its stem plus suffix."""
+    return (out_path[:-4] if out_path.endswith(".csv") else out_path) + suffix
 
 
 def _write_json(path: str, payload: dict):
@@ -148,34 +198,23 @@ def _write_json(path: str, payload: dict):
 
 
 def cmd_adjust(args) -> int:
-    ids, p, e, p_missing, lines = _load_hypotheses(args.input)
+    ids, p, e, p_missing = _load_hypotheses(args.input)
     spec = _spec_from_args(args)
-    if spec.needs_p and p_missing.any():
-        first = lines[int(np.argmax(p_missing))]
-        raise CliInputError(
-            f"line {first}: procedure {spec.name} needs a p-value but the cell is empty"
-        )
+    if spec.needs_p:
+        _fail(args.input, [_flagged(p_missing, f"procedure {spec.name} needs a p-value but the cell is empty")])
     if args.lambda_shift is not None:
         try:
             e = shift_evalue(e, args.lambda_shift)
         except BadLambda as exc:
             _usage_error(str(exc))
     result = spec.build()(p, e)
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "p", "e", "adjusted", "rejected"])
-        for i, row_id in enumerate(ids):
-            writer.writerow(
-                [
-                    row_id,
-                    "" if p_missing[i] else _fmt(p[i]),
-                    _fmt(e[i]),
-                    _fmt(result.adjusted[i]),
-                    "1" if result.mask[i] else "0",
-                ]
-            )
+    _write_csv(
+        args.out,
+        ["id", "p", "e", "adjusted", "rejected"],
+        zip(ids, _fmt(p, blank=p_missing), _fmt(e), _fmt(result.adjusted), result.mask.astype(int).tolist()),
+    )
     _write_json(
-        _summary_path(args.out),
+        _next_to(args.out, ".json"),
         {
             "procedure": spec.name,
             "alpha": spec.alpha,
@@ -205,8 +244,12 @@ def _usage_error(message: str):
 
 
 def _procedures_from_config(config: dict) -> list:
-    alpha = config.get("alpha", 0.1)
-    tau = config.get("tau", 0.5)
+    # top-level alpha and tau are defaults for every procedure entry
+    defaults = {key: config[key] for key in ("alpha", "tau") if key in config}
+    try:
+        check_field_types(ProcedureSpec, defaults, lambda key: f"config key {key!r}")
+    except TypeError as exc:
+        raise CliInputError(str(exc)) from None
     entries = config.get("procedures")
     if not entries:
         raise CliInputError("config key 'procedures' is missing or empty")
@@ -216,23 +259,15 @@ def _procedures_from_config(config: dict) -> list:
             entry = {"name": entry}
         if not isinstance(entry, dict) or "name" not in entry:
             raise CliInputError("each procedure entry must be a name or an object with 'name'")
-        allowed = {"name", "alpha", "tau", "calibrator", "merging"}
-        extra = set(entry) - allowed
+        extra = set(entry) - set(ProcedureSpec.__dataclass_fields__)
         if extra:
             raise CliInputError(f"unknown procedure key {sorted(extra)[0]!r}")
         try:
-            specs.append(
-                ProcedureSpec(
-                    name=entry["name"],
-                    alpha=entry.get("alpha", alpha),
-                    tau=entry.get("tau", tau),
-                    calibrator=entry.get("calibrator", "sqrt"),
-                    merging=entry.get("merging", "mean"),
-                )
-            )
+            check_field_types(ProcedureSpec, entry, lambda key: f"key {key!r}")
+            specs.append(ProcedureSpec(**{**defaults, **entry}))
         except KeyError:
             raise CliInputError(f"unknown procedure name {entry['name']!r}") from None
-        except (ValueError, BadCalibrator) as exc:
+        except (TypeError, ValueError, BadCalibrator) as exc:
             raise CliInputError(f"procedure {entry['name']!r}: {exc}") from None
     return specs
 
@@ -276,41 +311,13 @@ def cmd_simulate(args) -> int:
         master_seed=args.seed,
         parallelism=args.parallelism,
     )
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            [
-                "scenario",
-                "procedure",
-                "fdr",
-                "se_fdr",
-                "power",
-                "se_power",
-                "fwer",
-                "se_fwer",
-                "pfer",
-                "se_pfer",
-                "replicates",
-            ]
-        )
-        for index, scenario in enumerate(scenarios):
-            for spec in specs:
-                metric = campaign.metrics[(index, spec.name)]
-                writer.writerow(
-                    [
-                        labels[index],
-                        spec.name,
-                        _fmt(metric.fdr),
-                        _fmt(metric.se_fdr),
-                        _fmt(metric.power),
-                        _fmt(metric.se_power),
-                        _fmt(metric.fwer),
-                        _fmt(metric.se_fwer),
-                        _fmt(metric.pfer),
-                        _fmt(metric.se_pfer),
-                        str(metric.replicates),
-                    ]
-                )
+    rates = ["fdr", "se_fdr", "power", "se_power", "fwer", "se_fwer", "pfer", "se_pfer"]
+    rows = []
+    for index, label in enumerate(labels):
+        for spec in specs:
+            metric = campaign.metrics[(index, spec.name)]
+            rows.append([label, spec.name, *_fmt([getattr(metric, rate) for rate in rates]), metric.replicates])
+    _write_csv(args.out, ["scenario", "procedure", *rates, "replicates"], rows)
     manifest = {
         "master_seed": args.seed,
         "replicates": args.reps,
@@ -318,8 +325,7 @@ def cmd_simulate(args) -> int:
         "scenarios": [scenario_to_dict(s) for s in scenarios],
         "procedures": [asdict(spec) for spec in specs],
     }
-    stem = args.out[:-4] if args.out.endswith(".csv") else args.out
-    _write_json(stem + ".manifest.json", manifest)
+    _write_json(_next_to(args.out, ".manifest.json"), manifest)
     return 0
 
 
@@ -335,10 +341,8 @@ def cmd_combine(args) -> int:
             calibrator = parse_calibrator(args.calibrator)
         except BadCalibrator as exc:
             _usage_error(str(exc))
-    ids, p, e, p_missing, lines = _load_hypotheses(args.input)
-    if p_missing.any():
-        first = lines[int(np.argmax(p_missing))]
-        raise CliInputError(f"line {first}: combiners need a p-value but the cell is empty")
+    ids, p, e, p_missing = _load_hypotheses(args.input)
+    _fail(args.input, [_flagged(p_missing, "combiners need a p-value but the cell is empty")])
     if args.mode == "quotient":
         combined = combine_quotient(p, e)
     elif args.mode == "bonferroni":
@@ -350,49 +354,37 @@ def cmd_combine(args) -> int:
             combined = combine_mean(p, e, calibrator, weight=args.mean_weight)
         except BadLambda as exc:
             _usage_error(str(exc))
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "combined"])
-        for row_id, value in zip(ids, np.atleast_1d(combined)):
-            writer.writerow([row_id, _fmt(value)])
+    _write_csv(args.out, ["id", "combined"], zip(ids, _fmt(combined)))
     return 0
 
 
+_MODERATE_COLUMNS = ("id", "beta_hat", "s_sq", "v", "nu")
+
+
 def cmd_moderate(args) -> int:
-    rows = _read_rows(args.input, ("id", "beta_hat", "s_sq", "v", "nu"))
-    ids = []
-    beta_hat, s_sq, v, nu = [], [], [], []
-    for line_no, row in rows:
-        ids.append(row["id"])
-        beta_hat.append(_parse_cell(row["beta_hat"], line_no, "beta_hat"))
-        s_val = _parse_cell(row["s_sq"], line_no, "s_sq")
-        if not s_val > 0 or math.isnan(s_val):
-            raise CliInputError(f"line {line_no}: s_sq must be strictly positive")
-        s_sq.append(s_val)
-        v_val = _parse_cell(row["v"], line_no, "v")
-        if not v_val > 0 or math.isinf(v_val):
-            raise CliInputError(f"line {line_no}: v must be positive and finite")
-        v.append(v_val)
-        nu_val = _parse_cell(row["nu"], line_no, "nu")
-        if not nu_val > 0 or math.isinf(nu_val):
-            raise CliInputError(f"line {line_no}: nu must be positive and finite")
-        nu.append(nu_val)
+    ids, *cells = _read_columns(args.input, _MODERATE_COLUMNS)
+    (beta_hat, beta_error), (s_sq, s_error), (v, v_error), (nu, nu_error) = (
+        _parse_column(column, name) for column, name in zip(cells, _MODERATE_COLUMNS[1:])
+    )
+    _fail(
+        args.input,
+        [
+            beta_error,
+            _flagged(~(s_sq > 0), "s_sq must be strictly positive") or s_error,
+            _flagged(~((v > 0) & (v < np.inf)), "v must be positive and finite") or v_error,
+            _flagged(~((nu > 0) & (nu < np.inf)), "nu must be positive and finite") or nu_error,
+        ],
+    )
     try:
-        model, t_tilde = fit_moderated_model(
-            np.array(beta_hat), np.array(s_sq), np.array(v), np.array(nu)
-        )
+        model, t_tilde = fit_moderated_model(beta_hat, s_sq, v, nu)
     except MalformedValue as exc:
         raise CliInputError(str(exc)) from None
-    _, p = moderated_t(np.array(beta_hat), np.array(s_sq), model)
+    _, p = moderated_t(beta_hat, s_sq, model)
     e = moderated_t_evalue(t_tilde, model)
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "t_tilde", "p", "e"])
-        for i, row_id in enumerate(ids):
-            writer.writerow([row_id, _fmt(t_tilde[i]), _fmt(p[i]), _fmt(e[i])])
+    _write_csv(args.out, ["id", "t_tilde", "p", "e"], zip(ids, _fmt(t_tilde), _fmt(p), _fmt(e)))
     df_prior = np.asarray(model.df_prior, dtype=float).max()
     _write_json(
-        _summary_path(args.out),
+        _next_to(args.out, ".json"),
         {
             "df_prior": "inf" if math.isinf(float(df_prior)) else float(df_prior),
             "s2_prior": float(np.asarray(model.s2_prior, dtype=float).max()),

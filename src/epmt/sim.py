@@ -9,6 +9,7 @@ parallelism level.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -331,25 +332,19 @@ def run_campaign(
         raise ValueError("parallelism must be >= 1")
 
     started = time.perf_counter()
+    # each scenario's replicates split into parallelism contiguous ranges
+    size = -(-replicates // parallelism)
+    chunks = [range(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
+    tasks = [(scenario, specs, master_seed, index, reps) for index, scenario in enumerate(scenarios) for reps in chunks]
+    if parallelism == 1:
+        blocks = list(map(_replicate_batch, tasks))
+    else:
+        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+            blocks = list(pool.map(_replicate_batch, tasks))
     metrics = {}
     replicate_stats = {}
-    for scenario_index, scenario in enumerate(scenarios):
-        stats_array = np.empty((replicates, len(specs), 4))
-        if parallelism == 1:
-            stats_array[:] = _replicate_batch(
-                (scenario, specs, master_seed, scenario_index, range(replicates))
-            )
-        else:
-            chunks = [
-                (scenario, specs, master_seed, scenario_index, rep_slice)
-                for rep_slice in _chunk_indices(replicates, parallelism)
-            ]
-            with ProcessPoolExecutor(max_workers=parallelism) as pool:
-                results = list(pool.map(_replicate_batch, chunks))
-            offset = 0
-            for block in results:
-                stats_array[offset : offset + block.shape[0]] = block
-                offset += block.shape[0]
+    # blocks come back in task order: each scenario's replicates in order
+    for scenario_index, stats_array in enumerate(np.split(np.concatenate(blocks), len(scenarios))):
         for col, spec in enumerate(specs):
             per_rep = stats_array[:, col, :]
             metrics[(scenario_index, spec.name)] = _aggregate(per_rep, replicates)
@@ -357,12 +352,6 @@ def run_campaign(
                 replicate_stats[(scenario_index, spec.name)] = per_rep.copy()
     elapsed = time.perf_counter() - started
     return CampaignResult(metrics, replicates, master_seed, elapsed, replicate_stats)
-
-
-def _chunk_indices(replicates: int, parallelism: int):
-    """Contiguous replicate index ranges, one per worker task."""
-    chunk = -(-replicates // parallelism)
-    return [range(lo, min(lo + chunk, replicates)) for lo in range(0, replicates, chunk)]
 
 
 def _aggregate(per_rep: np.ndarray, replicates: int) -> ErrorMetrics:
@@ -394,8 +383,28 @@ SCENARIO_KINDS = {
     "adversarial": AdversarialScenario,
 }
 
-# scenario field annotation -> (accepted JSON value types, name in messages)
-_FIELD_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"), "bool": (bool, "true or false")}
+# config field annotation -> (accepted JSON value types, name in messages)
+_FIELD_TYPES = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a finite number"),
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+}
+
+
+def check_field_types(cls, values: dict, describe):
+    """Refuse a config value whose JSON type does not fit its field of cls.
+
+    describe(key) names the key in the message. bool subclasses int, but
+    true is neither a count nor a number; json reads NaN and Infinity,
+    which pass every range check, so a number must also be finite.
+    """
+    fields = cls.__dataclass_fields__
+    for key, value in values.items():
+        types, type_name = _FIELD_TYPES[fields[key].type]
+        typed = isinstance(value, types) and isinstance(value, bool) == (types is bool)
+        if not typed or (isinstance(value, float) and not math.isfinite(value)):
+            raise TypeError(f"{describe(key)} must be {type_name}, got {value!r}")
 
 
 def scenario_from_dict(mapping: dict) -> Scenario:
@@ -411,11 +420,7 @@ def scenario_from_dict(mapping: dict) -> Scenario:
     extra = set(values) - set(fields)
     if extra:
         raise KeyError(f"unknown scenario key {sorted(extra)[0]!r} for kind {kind!r}")
-    for key, value in values.items():
-        types, type_name = _FIELD_TYPES[fields[key].type]
-        # bool subclasses int, but true is neither a count nor a number
-        if not isinstance(value, types) or isinstance(value, bool) != (types is bool):
-            raise TypeError(f"scenario key {key!r} for kind {kind!r} must be {type_name}, got {value!r}")
+    check_field_types(cls, values, lambda key: f"scenario key {key!r} for kind {kind!r}")
     return cls(**values)
 
 

@@ -189,6 +189,21 @@ def test_adjust_duplicate_id_exits_2_with_line(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("body, line, message", [
+    # a quoted id spanning lines 2-3: lines are physical lines, not rows
+    ('"g\n1",0.1,2\ng2,1.7,5\n', 4, "p-value must lie in [0, 1], got 1.7"),
+    ("g1,0.1,2\n\ng2,1.7,5\n", 4, "p-value must lie in [0, 1], got 1.7"),
+    # the earliest offending line wins, whichever column it is in
+    ("g1,0.1,-1\ng2,1.7,5\n", 2, "e-value must lie in [0, +inf], got -1.0"),
+], ids=["quoted-multiline-id", "blank-line", "earliest-column"])
+def test_adjust_error_names_physical_line(tmp_path, capsys, body, line, message):
+    inp = write(tmp_path / "hyp.csv", "id,p,e\n" + body)
+    code = cli.main(["adjust", "--input", inp, "--procedure", "p-bh",
+                     "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+
+
 # ---------------------------------------------------------------- combine
 
 
@@ -300,6 +315,31 @@ def test_simulate_mistyped_scenario_field_exits_2(tmp_path, capsys, value):
     assert code == 2
     err = capsys.readouterr().err
     assert "'n_hypotheses'" in err and "integer" in err
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"procedures": [{"name": "p-bh", "alpha": "0.1"}]}, "'alpha'"),
+    ({"alpha": "0.1"}, "'alpha'"),
+    ({"procedures": [{"name": "pe-bh", "calibrator": 5}]}, "'calibrator'"),
+], ids=["procedure-alpha", "default-alpha", "calibrator"])
+def test_simulate_mistyped_procedure_field_exits_2(tmp_path, capsys, overrides, key):
+    cfg = write(tmp_path / "cfg.json", config_text(**overrides))
+    code = cli.main(["simulate", "--config", cfg, "--reps", "2",
+                     "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_simulate_non_finite_number_exits_2(tmp_path, capsys, value):
+    """json reads NaN and Infinity; no scenario field accepts them."""
+    cfg = write(tmp_path / "cfg.json", config_text(
+        scenarios=[{"kind": "ttest", "n_hypotheses": 100, "effect": value}]))
+    code = cli.main(["simulate", "--config", cfg, "--reps", "2",
+                     "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'effect'" in err and "finite" in err
 
 
 def test_simulate_adversarial_with_p_procedure_exits_2(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Invariants of the step-up procedures over generated inputs.
+"""Invariants of the procedures, combiners and CSV cells over generated inputs.
 
 The inputs mix continuous values with tie-heavy grids (p in k/20, integer
 e-values, e = 0 and e = inf) and e-values built to sit on e-BH's step-up
@@ -7,12 +7,17 @@ positions. Runs are derandomized: every run checks the
 same examples.
 """
 
+import csv
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from epmt import cli
+from epmt.calib import combine_product, combine_quotient, p_over_e, power_calibrator, sqrt_calibrator
 from epmt.procedures import (
     REGISTRY,
     ProcedureSpec,
@@ -131,3 +136,61 @@ def test_step_up_index_counts_tied_rejections(pe, alpha):
     assert result.threshold_index == k_star == int(result.mask.sum())
     if k_star:
         np.testing.assert_array_equal(result.mask, p <= ranked[k_star - 1])
+
+
+@FIXED
+@example((np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.0, np.inf, np.inf, 0.0])), sqrt_calibrator())
+@given(instances(), st.sampled_from([sqrt_calibrator(), power_calibrator(0.5)]))
+def test_combine_product_zero_times_inf_is_inf(pe, calibrator):
+    """h(p) * e is +inf wherever p = 0 (h = inf) or e = inf, even against a 0."""
+    p, e = pe
+    combined = combine_product(p, e, calibrator)
+    conclusive = (p == 0.0) | np.isinf(e)
+    assert np.isposinf(combined[conclusive]).all()
+    with np.errstate(over="ignore"):
+        np.testing.assert_array_equal(combined[~conclusive], calibrator(p[~conclusive]) * e[~conclusive])
+
+
+@FIXED
+@example((np.array([0.0, 0.0, 0.5, 0.5]), np.array([0.0, np.inf, 0.0, np.inf])))
+@given(instances())
+def test_quotient_zero_over_zero_is_zero(pe):
+    """p / e is 0 wherever p = 0, even over e = 0; a positive p over 0 is +inf."""
+    p, e = pe
+    ratio = p_over_e(p, e)
+    assert (ratio[p == 0.0] == 0.0).all()
+    assert np.isposinf(ratio[(p > 0.0) & (e == 0.0)]).all()
+    rest = (p > 0.0) & (e > 0.0)
+    with np.errstate(over="ignore"):
+        np.testing.assert_array_equal(ratio[rest], p[rest] / e[rest])
+    np.testing.assert_array_equal(combine_quotient(p, e), np.minimum(ratio, 1.0))
+
+
+# the cells a CSV must carry exactly: zero, the smallest subnormal, one, inf
+P_CELL = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 1.0]))
+E_CELL = st.one_of(st.floats(0.0, 1e308), st.sampled_from([0.0, 5e-324, 1.0, np.inf]))
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@FIXED
+@given(st.lists(st.tuples(P_CELL, E_CELL), min_size=1, max_size=20), st.sampled_from(sorted(REGISTRY)))
+def test_adjust_csv_round_trips_float_bits(rows, name):
+    """The p, e and adjusted cells `epmt adjust` writes parse back bit for bit."""
+    p = np.array([row[0] for row in rows])
+    e = np.array([row[1] for row in rows])
+    with tempfile.TemporaryDirectory() as work:
+        inp, out = Path(work) / "in.csv", Path(work) / "out.csv"
+        inp.write_text("id,p,e\n" + "".join(f"h{i},{pi!r},{ei!r}\n" for i, (pi, ei) in enumerate(rows)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # adaptive-e-bh at K = 1
+            code = cli.main(["adjust", "--input", str(inp), "--procedure", name, "--out", str(out)])
+            expected = ProcedureSpec(name, alpha=0.05).build()(p, e)
+        assert code == 0
+        with open(out, newline="") as handle:
+            written = list(csv.DictReader(handle))
+    for column, values in (("p", p), ("e", e), ("adjusted", expected.adjusted)):
+        np.testing.assert_array_equal(_bits([float(row[column]) for row in written]), _bits(values))
+    assert [row["rejected"] for row in written] == ["1" if r else "0" for r in expected.mask]
