@@ -62,14 +62,17 @@ def _read_columns(path: str, columns: tuple) -> list:
     """
     with _open_csv(path) as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise CliInputError("line 1: empty file, expected a header row")
-        if [h.strip() for h in header] != list(columns):
-            raise CliInputError(
-                f"line 1: expected header {','.join(columns)}, got {','.join(header)}"
-            )
-        rows = [row for row in reader if row]
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise CliInputError("line 1: empty file, expected a header row")
+            if [h.strip() for h in header] != list(columns):
+                raise CliInputError(
+                    f"line 1: expected header {','.join(columns)}, got {','.join(header)}"
+                )
+            rows = [row for row in reader if row]
+        except UnicodeDecodeError:
+            _fail_undecodable(path)
     if set(map(len, rows)) - {len(columns)}:
         row = next(i for i, cells in enumerate(rows) if len(cells) != len(columns))
         _fail(path, [(row, f"expected {len(columns)} fields, got {len(rows[row])}")])
@@ -77,6 +80,23 @@ def _read_columns(path: str, columns: tuple) -> list:
         raise CliInputError("line 2: no data rows")
     # not zip(*rows): an iterator per row sets off the cyclic collector
     return [list(map(str.strip, map(itemgetter(i), rows))) for i in range(len(columns))]
+
+
+def _fail_undecodable(path: str):
+    """Raise naming the physical line of the first byte that is not UTF-8.
+
+    The text reader decodes ahead of the csv parser, so the error it
+    raises cannot say where the byte is; the raw bytes can.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the sentinel makes the line holding the bad byte count even when
+        # the byte starts it; splitlines breaks at \n, \r and \r\n as csv does
+        line = len((data[: exc.start] + b"?").splitlines())
+        raise CliInputError(f"line {line}: byte 0x{data[exc.start]:02x} is not valid UTF-8") from None
 
 
 def _data_lines(path: str) -> list:
@@ -243,6 +263,16 @@ def _usage_error(message: str):
     raise SystemExit(3)
 
 
+def _config_list(config: dict, key: str, kinds, described: str) -> list:
+    """The nonempty list under a config key, each item one of kinds."""
+    value = config.get(key)
+    if value is None or value == []:
+        raise CliInputError(f"config key {key!r} is missing or empty")
+    if not isinstance(value, list) or not all(isinstance(item, kinds) for item in value):
+        raise CliInputError(f"config key {key!r} must be a list of {described}")
+    return value
+
+
 def _procedures_from_config(config: dict) -> list:
     # top-level alpha and tau are defaults for every procedure entry
     defaults = {key: config[key] for key in ("alpha", "tau") if key in config}
@@ -250,14 +280,11 @@ def _procedures_from_config(config: dict) -> list:
         check_field_types(ProcedureSpec, defaults, lambda key: f"config key {key!r}")
     except TypeError as exc:
         raise CliInputError(str(exc)) from None
-    entries = config.get("procedures")
-    if not entries:
-        raise CliInputError("config key 'procedures' is missing or empty")
     specs = []
-    for entry in entries:
+    for entry in _config_list(config, "procedures", (str, dict), "names or objects"):
         if isinstance(entry, str):
             entry = {"name": entry}
-        if not isinstance(entry, dict) or "name" not in entry:
+        if "name" not in entry:
             raise CliInputError("each procedure entry must be a name or an object with 'name'")
         extra = set(entry) - set(ProcedureSpec.__dataclass_fields__)
         if extra:
@@ -274,23 +301,22 @@ def _procedures_from_config(config: dict) -> list:
 
 def cmd_simulate(args) -> int:
     try:
-        with open(args.config) as handle:
+        with open(args.config, encoding="utf-8") as handle:
             config = json.load(handle)
     except OSError as exc:
         raise CliInputError(f"cannot open {args.config}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliInputError(f"config is not valid JSON: {exc}") from None
+    except UnicodeDecodeError:
+        _fail_undecodable(args.config)
     if not isinstance(config, dict):
         raise CliInputError("config must be a JSON object")
     allowed = {"alpha", "tau", "scenarios", "procedures"}
     extra = set(config) - allowed
     if extra:
         raise CliInputError(f"unknown config key {sorted(extra)[0]!r}")
-    scenario_dicts = config.get("scenarios")
-    if not scenario_dicts:
-        raise CliInputError("config key 'scenarios' is missing or empty")
     scenarios = []
-    for entry in scenario_dicts:
+    for entry in _config_list(config, "scenarios", dict, "objects"):
         try:
             scenarios.append(scenario_from_dict(entry))
         except (KeyError, TypeError, ValueError) as exc:

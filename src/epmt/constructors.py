@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import special
 
 from .calib import BadLambda
 from .core import MalformedValue
@@ -145,7 +145,7 @@ def moderated_t(beta_hat, s_sq, model: ModeratedTModel):
         )
     t_tilde = beta_hat / np.sqrt(s2_post * model.var_factor)
     df_total = dfp + df
-    p = 2.0 * stats.t.sf(np.abs(t_tilde), df_total)
+    p = 2.0 * special.stdtr(df_total, -np.abs(t_tilde))
     return t_tilde, p
 
 
@@ -178,13 +178,23 @@ def moderated_t_evalue(t_tilde, model: ModeratedTModel):
 
 
 def _trigamma_inverse(x: float) -> float:
-    """Solve trigamma(y) = x for y > 0; trigamma decreases from inf to 0."""
+    """Solve trigamma(y) = x for y > 0; trigamma decreases from inf to 0.
+
+    Newton's method on 1/trigamma, which is nearly linear, as in limma.
+    """
     lo, hi = 1e-9, 1e9
     if x >= special.polygamma(1, lo):
         return lo
     if x <= special.polygamma(1, hi):
         return hi
-    return optimize.brentq(lambda y: special.polygamma(1, y) - x, lo, hi, xtol=1e-12, rtol=1e-14)
+    y = 0.5 + 1.0 / x
+    for _ in range(100):  # convergence takes at most about 35 steps
+        tri = special.polygamma(1, y)
+        step = tri * (1.0 - tri / x) / special.polygamma(2, y)
+        y += step
+        if abs(step) <= 1e-14 * y:
+            break
+    return float(y)
 
 
 def fit_limma_hyperparameters(s_sq, df) -> tuple[float, float]:
@@ -220,6 +230,15 @@ def fit_limma_hyperparameters(s_sq, df) -> tuple[float, float]:
 
 
 GAMMA_GRID = np.logspace(-3.0, 3.0, 41)
+_LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
+
+
+def _t_logpdf(x, d):
+    """Log density of Student's t on d df (normal at d = inf), bit for bit as scipy computes it."""
+    with np.errstate(invalid="ignore"):
+        log_norm = np.log(special.poch(0.5 * d, 0.5)) - 0.5 * (np.log(d) + np.log(np.pi))
+        student = log_norm - (d + 1) / 2 * np.log1p(x * x / d)
+    return np.where(np.isinf(d), -x**2 / 2.0 - _LOG_SQRT_2PI, student)
 
 
 def fit_gamma(t_tilde, model: ModeratedTModel) -> float:
@@ -235,13 +254,13 @@ def fit_gamma(t_tilde, model: ModeratedTModel) -> float:
     """
     t = np.atleast_1d(np.asarray(t_tilde, dtype=float))
     d = np.asarray(model.df_prior, dtype=float) + np.asarray(model.df, dtype=float)
-    null_logpdf = stats.t.logpdf(t, d)
+    null_logpdf = _t_logpdf(t, d)
     null_only = float(null_logpdf.sum())
     log_half = math.log(0.5)
     best_gamma, best_ll = 0.0, null_only
     for gamma in GAMMA_GRID:
         scale = np.sqrt(1.0 + gamma / np.asarray(model.var_factor, dtype=float))
-        alt_logpdf = stats.t.logpdf(t / scale, d) - np.log(scale)
+        alt_logpdf = _t_logpdf(t / scale, d) - np.log(scale)
         ll = float(np.logaddexp(log_half + null_logpdf, log_half + alt_logpdf).sum())
         if ll > best_ll:
             best_gamma, best_ll = float(gamma), ll
@@ -266,9 +285,9 @@ def chisq_lr_evalue(s, df: float, ncp: float):
     """Likelihood ratio of a noncentral over a central chi-square density.
 
     Valid e-value for a statistic that is chisq(df) under the null;
-    ncp = 0 returns 1 exactly. Densities are evaluated on the log scale
-    so extreme statistics do not overflow. s = 0 returns the analytic
-    limit exp(-ncp/2).
+    ncp = 0 returns 1 exactly. The noncentral density is a Poisson(ncp/2)
+    mixture of chisq(df + 2j) densities, so the ratio is the series
+    exp(-ncp/2) * 0F1(; df/2; ncp*s/4), which is exp(-ncp/2) at s = 0.
     """
     s_arr = np.asarray(s, dtype=float)
     if (s_arr < 0).any() or np.isnan(s_arr).any():
@@ -280,10 +299,7 @@ def chisq_lr_evalue(s, df: float, ncp: float):
     if ncp == 0.0:
         out = np.ones_like(s_arr)
         return float(out) if np.ndim(s) == 0 else out
-    positive = s_arr > 0.0
-    safe = np.where(positive, s_arr, 1.0)
-    log_ratio = stats.ncx2.logpdf(safe, df, ncp) - stats.chi2.logpdf(safe, df)
-    out = np.where(positive, np.exp(log_ratio), math.exp(-ncp / 2.0))
+    out = math.exp(-ncp / 2.0) * special.hyp0f1(df / 2.0, ncp * s_arr / 4.0)
     return float(out) if np.ndim(s) == 0 else out
 
 

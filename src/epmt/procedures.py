@@ -121,6 +121,9 @@ def weighted_p_bh(p, w, alpha: float) -> RejectionResult:
 def _normalized_weights(e: np.ndarray) -> np.ndarray:
     if np.isinf(e).any():
         return np.where(np.isinf(e), np.inf, 0.0)
+    # scaling by the power of two at the largest e-value keeps the sum
+    # finite and is exact, so weights that did not overflow keep their bits
+    e = np.ldexp(e, -np.frexp(e.max())[1])
     total = e.sum()
     if total == 0.0:
         return np.zeros_like(e)

@@ -204,6 +204,28 @@ def test_adjust_error_names_physical_line(tmp_path, capsys, body, line, message)
     assert capsys.readouterr().err == f"error: line {line}: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["adjust", "combine", "moderate", "simulate"])
+def test_non_utf8_input_exits_2_naming_line(tmp_path, capsys, command):
+    if command == "moderate":
+        body = b"id,beta_hat,s_sq,v,nu\ng1,1,1,0.1,38\ng\xff2,1,1,0.1,38\n"
+    elif command == "simulate":
+        body = b'{"procedures": ["p-bh"],\n "scenarios": [{"kind": "ttest\xff"}]}'
+    else:
+        body = b"id,p,e\ng1,0.01,2\ng\xff2,0.2,1\n"
+    inp = tmp_path / "in"
+    inp.write_bytes(body)
+    flags = {
+        "adjust": ["--input", str(inp), "--procedure", "p-bh"],
+        "combine": ["--input", str(inp), "--mode", "quotient"],
+        "moderate": ["--input", str(inp)],
+        "simulate": ["--config", str(inp), "--reps", "2"],
+    }[command]
+    code = cli.main([command, *flags, "--out", str(tmp_path / "o.csv")])
+    line = 2 if command == "simulate" else 3
+    assert code == 2
+    assert capsys.readouterr().err == f"error: line {line}: byte 0xff is not valid UTF-8\n"
+
+
 # ---------------------------------------------------------------- combine
 
 
@@ -342,6 +364,23 @@ def test_simulate_non_finite_number_exits_2(tmp_path, capsys, value):
     assert "'effect'" in err and "finite" in err
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"procedures": 5}, "'procedures' must be a list of names or objects"),
+    ({"procedures": "p-bh"}, "'procedures' must be a list of names or objects"),
+    ({"procedures": [5]}, "'procedures' must be a list of names or objects"),
+    ({"scenarios": 5}, "'scenarios' must be a list of objects"),
+    ({"scenarios": "ttest"}, "'scenarios' must be a list of objects"),
+    ({"scenarios": [5]}, "'scenarios' must be a list of objects"),
+], ids=["procedures-int", "procedures-str", "procedures-int-item",
+        "scenarios-int", "scenarios-str", "scenarios-int-item"])
+def test_simulate_config_list_type_exits_2(tmp_path, capsys, overrides, message):
+    cfg = write(tmp_path / "cfg.json", config_text(**overrides))
+    code = cli.main(["simulate", "--config", cfg, "--reps", "2",
+                     "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: config key {message}\n"
+
+
 def test_simulate_adversarial_with_p_procedure_exits_2(tmp_path, capsys):
     """The adversarial scenario makes no p-values; refuse before any replicate."""
     cfg = write(tmp_path / "cfg.json", config_text(
@@ -439,6 +478,14 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_cli_import_loads_no_scipy_stats_or_optimize():
+    """Startup needs scipy.special only; scipy.stats alone costs most of a second."""
+    code = "import epmt.cli, sys; print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_help_exits_zero(capsys):

@@ -5,13 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import optimize, special, stats
 
 from epmt.calib import BadLambda, sqrt_calibrator
 from epmt.constructors import (
     GAMMA_GRID,
     ModeratedTModel,
     PermutationStatistics,
+    _t_logpdf,
+    _trigamma_inverse,
     chisq_lr_evalue,
     fit_gamma,
     fit_limma_hyperparameters,
@@ -141,6 +143,16 @@ def test_moderated_t_infinite_prior_collapses():
     assert p[0] == pytest.approx(2.0 * stats.norm.sf(2.0 / np.sqrt(2.0)), rel=1e-12)
 
 
+@pytest.mark.parametrize("df_prior", [3.64, np.inf])
+def test_moderated_t_pvalue_matches_scipy_stats(df_prior):
+    rng = np.random.default_rng(12)
+    model = ModeratedTModel(0.1, 38.0, df_prior, 0.0144)
+    beta_hat = np.append(rng.standard_normal(2000) * 0.1, [0.0, 3.0, -40.0])
+    s_sq = 0.0144 * rng.chisquare(38.0, beta_hat.size) / 38.0
+    t, p = moderated_t(beta_hat, s_sq, model)
+    np.testing.assert_allclose(p, 2.0 * stats.t.sf(np.abs(t), df_prior + 38.0), rtol=1e-14, atol=0.0)
+
+
 def test_moderated_t_evalue_at_zero():
     model = ModeratedTModel(1.0, 4.0, 4.0, 1.0, gamma=1.0)
     assert moderated_t_evalue(0.0, model) == pytest.approx(1.0 / np.sqrt(2.0))
@@ -244,6 +256,17 @@ def test_fit_limma_degenerate_constant_variances():
     assert s2_hat == pytest.approx(expected, rel=1e-12)
 
 
+def test_trigamma_inverse_matches_brentq():
+    for x in np.logspace(-8.0, 17.0, 200):
+        want = optimize.brentq(
+            lambda y: special.polygamma(1, y) - x, 1e-9, 1e9, xtol=1e-300, rtol=4 * np.finfo(float).eps
+        )
+        assert _trigamma_inverse(x) == pytest.approx(want, rel=1e-14, abs=0.0)
+    # outside trigamma's range on [1e-9, 1e9] the root is clamped to an end
+    assert _trigamma_inverse(2.0 * special.polygamma(1, 1e-9)) == 1e-9
+    assert _trigamma_inverse(0.5 * special.polygamma(1, 1e9)) == 1e9
+
+
 def test_fit_limma_validation():
     with pytest.raises(MalformedValue):
         fit_limma_hyperparameters([0.5], 10.0)
@@ -276,6 +299,38 @@ def test_fit_gamma_recovers_signal():
     t[:5000] *= np.sqrt(1.0 + 0.5 / 0.1)  # gamma = 0.5 at var_factor 0.1
     g = fit_gamma(t, model)
     assert 0.25 <= g <= 1.0  # within a factor of two of the truth
+
+
+def fit_gamma_reference(t, model):
+    """fit_gamma's grid search, scored with scipy.stats' t density."""
+    d = model.df_prior + model.df
+    null_logpdf = stats.t.logpdf(t, d)
+    best_gamma, best_ll = 0.0, null_logpdf.sum()
+    for gamma in GAMMA_GRID:
+        scale = np.sqrt(1.0 + gamma / model.var_factor)
+        alt_logpdf = stats.t.logpdf(t / scale, d) - np.log(scale)
+        ll = np.logaddexp(math.log(0.5) + null_logpdf, math.log(0.5) + alt_logpdf).sum()
+        if ll > best_ll:
+            best_gamma, best_ll = float(gamma), ll
+    return best_gamma
+
+
+@pytest.mark.parametrize("df_prior, signal_fraction, seed", [
+    (3.64, 0.5, 1), (3.64, 0.1, 2), (3.64, 0.02, 3), (3.64, 0.0, 4), (np.inf, 0.2, 5), (np.inf, 0.0, 6),
+])
+def test_fit_gamma_matches_scipy_stats_reference(df_prior, signal_fraction, seed):
+    rng = np.random.default_rng(seed)
+    model = ModeratedTModel(0.1, 38.0, df_prior, 0.0144, gamma=0.0)
+    t = rng.standard_normal(3000) if np.isinf(df_prior) else rng.standard_t(df_prior + 38.0, 3000)
+    n_signal = int(signal_fraction * t.size)
+    t[:n_signal] *= np.sqrt(1.0 + 0.5 / 0.1)
+    assert fit_gamma(t, model) == fit_gamma_reference(t, model)
+
+
+@pytest.mark.parametrize("d", [3.0, 38.0, 41.6, np.inf])
+def test_t_logpdf_equals_scipy_stats(d):
+    x = np.append(np.random.default_rng(13).standard_cauchy(20_000), [0.0, -0.0, 1e150, np.inf])
+    np.testing.assert_array_equal(_t_logpdf(x, d), stats.t.logpdf(x, d))
 
 
 def test_gamma_grid_shape():
@@ -316,8 +371,25 @@ def test_chisq_lr_matches_density_ratio():
     np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
+@pytest.mark.parametrize("df, ncp", [(9.0, 10.0), (3.0, 0.5), (1.0, 3.0), (20.0, 50.0)])
+def test_chisq_lr_matches_log_density_ratio(df, ncp):
+    s = np.array([1e-300, 1e-200, 1e-100, 1e-10, 1e-3, 0.5, 3.0, 9.0, 25.0, 80.0, 400.0, 4000.0, 4e4])
+    got = chisq_lr_evalue(s, df, ncp)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_ratio = stats.ncx2.logpdf(s, df, ncp) - stats.chi2.logpdf(s, df)
+        ratio = np.exp(log_ratio)
+    assert not np.isinf(got[np.isfinite(ratio)]).any()
+    # scipy's noncentral log density is -inf at tiny s for df > 2, where the
+    # series is exp(-ncp/2) to double precision
+    tiny = log_ratio == -np.inf
+    assert (s[tiny] <= 1e-10).all()
+    np.testing.assert_allclose(got[~tiny], ratio[~tiny], rtol=1e-10)
+    np.testing.assert_allclose(got[tiny], math.exp(-ncp / 2.0), rtol=1e-15)
+    assert chisq_lr_evalue(0.0, df, ncp) == math.exp(-ncp / 2.0)
+
+
 def test_chisq_lr_handles_extreme_statistics():
-    # the direct pdf ratio would be 0/0 out here; the log-scale version is finite
+    # the direct pdf ratio would be 0/0 out here; the 0F1 series is finite
     e = chisq_lr_evalue(4000.0, 9.0, 10.0)
     assert np.isfinite(e) and e > 1e60
 

@@ -192,6 +192,17 @@ def test_weighted_p_bh_normalized_scale_invariant():
     assert a == b
 
 
+def test_normalized_weights_survive_an_overflowing_sum():
+    np.testing.assert_allclose(normalized_weights([1e308, 1.0]), [2.0, 2e-308], rtol=1e-15)
+    # equal weights reduce both normalized procedures to p-BH here
+    p, e = [0.001, 0.2], [1e308, 1e308]
+    want = p_bh(p, 0.1)
+    for procedure in (weighted_p_bh_normalized, wbh_storey_normalized):
+        got = procedure(p, e, 0.1)
+        np.testing.assert_array_equal(got.mask, want.mask)
+        np.testing.assert_array_equal(got.adjusted, want.adjusted)
+
+
 # ---------------------------------------------------------------- ep-BH / pe-BH
 
 

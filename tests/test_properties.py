@@ -13,7 +13,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epmt import cli
@@ -24,6 +24,7 @@ from epmt.procedures import (
     adaptive_e_bh,
     e_bh,
     ep_bh,
+    normalized_weights,
     p_bh,
     pe_bh,
     weighted_p_bh,
@@ -194,3 +195,28 @@ def test_adjust_csv_round_trips_float_bits(rows, name):
     for column, values in (("p", p), ("e", e), ("adjusted", expected.adjusted)):
         np.testing.assert_array_equal(_bits([float(row[column]) for row in written]), _bits(values))
     assert [row["rejected"] for row in written] == ["1" if r else "0" for r in expected.mask]
+
+
+FLOAT_MAX = np.finfo(float).max
+
+
+@FIXED
+@given(
+    st.lists(
+        st.one_of(st.floats(0.0, FLOAT_MAX, allow_subnormal=False), st.floats(1e300, FLOAT_MAX)),
+        min_size=1,
+        max_size=30,
+    ),
+    st.floats(1e-6, 1.0),
+)
+@example([1e308, 1e308], 0.5)
+def test_normalized_weights_scale_invariant(e, c):
+    """Weights depend on the ratios of the e-values only, up to the float maximum.
+
+    c <= 1 keeps c * e finite; c > 1 is the same statement read backwards.
+    """
+    e = np.array(e)
+    scaled = c * e
+    # a subnormal c * e carries fewer significant bits than e
+    assume(((scaled == 0.0) | (scaled >= np.finfo(float).tiny)).all())
+    np.testing.assert_allclose(normalized_weights(scaled), normalized_weights(e), rtol=1e-13, atol=1e-300)
