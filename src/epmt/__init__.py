@@ -4,8 +4,8 @@ The package covers four layers:
 
 * `core`: input validation, rejection results (a boolean mask plus the
   adjusted statistic), false-discovery accounting and error metrics.
-* `calib`: calibrators between the p-value and e-value scales, plus
-  combiners that merge a (p, e) pair into a single summary.
+* `calib`: calibrators between the p-value and e-value scales, (p, e)
+  combiners, and the lambda shift that discounts an e-value toward 1.
 * `procedures`: BH and its weighted, e-value, hybrid, and adaptive
   variants, each a map onto one shared step-up kernel, plus Bonferroni
   thresholding, behind a name registry.
@@ -27,6 +27,7 @@ from .calib import (
     combine_quotient,
     parse_calibrator,
     power_calibrator,
+    shift_evalue,
     sqrt_calibrator,
 )
 from .constructors import (
@@ -38,7 +39,6 @@ from .constructors import (
     fit_moderated_model,
     moderated_t,
     moderated_t_evalue,
-    shift_evalue,
     soft_rank_evalue,
 )
 from .core import (

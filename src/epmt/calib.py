@@ -6,7 +6,8 @@ p-value. The reverse direction admits a single admissible calibrator,
 e -> min(1/e, 1).
 
 The combiners merge one p-value and one e-value into a single p-value
-(quotient, bonferroni) or e-value (product, mean).
+(quotient, bonferroni) or e-value (product, mean). The lambda shift
+discounts any e-value toward 1.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_evector, as_pair, as_pvector, check_evalue, check_pvalue
+from .core import MalformedValue, as_evector, as_pair, as_pvector, check_evalue, check_pvalue
 
 
 class BadLambda(ValueError):
@@ -162,6 +163,26 @@ def combine_bonferroni(p, e):
     recip = calibrate_e_to_p(e_arr) if e_arr.size else e_arr
     out = np.minimum(2.0 * np.minimum(p_arr, recip), 1.0)
     return float(out[0]) if scalar else out
+
+
+def shift_evalue(e, lam: float):
+    """Discount an e-value toward 1: lam + (1 - lam) * e, lam in [0, 1].
+
+    Preserves validity (null mean stays <= 1) while flooring the result
+    at lam, which protects downstream weighted procedures from zero
+    weights. lam = 1 discards the evidence entirely, returning exactly 1
+    even at e = +inf.
+    """
+    if not 0.0 <= lam <= 1.0:  # also refuses NaN
+        raise BadLambda(f"shift lambda must lie in [0, 1], got {lam!r}")
+    e_arr = np.asarray(e, dtype=float)
+    if (e_arr < 0).any() or np.isnan(e_arr).any():
+        raise MalformedValue("e-values must lie in [0, +inf]")
+    if lam == 1.0:
+        out = np.ones_like(e_arr)
+    else:
+        out = lam + (1.0 - lam) * e_arr
+    return float(out) if np.ndim(e) == 0 else out
 
 
 def _paired(p, e) -> tuple[np.ndarray, np.ndarray, bool]:

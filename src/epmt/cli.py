@@ -36,8 +36,9 @@ from .calib import (
     combine_product,
     combine_quotient,
     parse_calibrator,
+    shift_evalue,
 )
-from .constructors import fit_moderated_model, moderated_t, moderated_t_evalue, shift_evalue
+from .constructors import fit_moderated_model, moderated_t_evalue
 from .core import MalformedValue, as_evector, as_pvector
 from .procedures import REGISTRY, ProcedureSpec
 from .sim import AdversarialScenario, check_field_types, run_campaign, scenario_from_dict, scenario_to_dict
@@ -402,19 +403,17 @@ def cmd_moderate(args) -> int:
         ],
     )
     try:
-        model, t_tilde = fit_moderated_model(beta_hat, s_sq, v, nu)
+        model, t_tilde, p = fit_moderated_model(beta_hat, s_sq, v, nu)
     except MalformedValue as exc:
         raise CliInputError(str(exc)) from None
-    _, p = moderated_t(beta_hat, s_sq, model)
     e = moderated_t_evalue(t_tilde, model)
     _write_csv(args.out, ["id", "t_tilde", "p", "e"], zip(ids, _fmt(t_tilde), _fmt(p), _fmt(e)))
-    df_prior = np.asarray(model.df_prior, dtype=float).max()
     _write_json(
         _next_to(args.out, ".json"),
         {
-            "df_prior": "inf" if math.isinf(float(df_prior)) else float(df_prior),
-            "s2_prior": float(np.asarray(model.s2_prior, dtype=float).max()),
-            "gamma": float(np.asarray(model.gamma, dtype=float).max()),
+            "df_prior": "inf" if math.isinf(model.df_prior) else model.df_prior,
+            "s2_prior": model.s2_prior,
+            "gamma": model.gamma,
         },
     )
     return 0

@@ -10,8 +10,6 @@ Three constructions are provided:
   alternative against the point null;
 * the likelihood ratio of a noncentral to a central chi-square density,
   for variance-like side statistics.
-
-Plus the lambda-shift transform that discounts any e-value toward 1.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special
 
-from .calib import BadLambda
 from .core import MalformedValue
 
 
@@ -95,8 +92,10 @@ class ModeratedTModel:
     coefficient variance (1/n1 + 1/n2 for a two-group mean difference).
     df_prior may be +inf, meaning no variance heterogeneity: the
     posterior variance collapses to s2_prior. gamma = 0 is the
-    uninformative sentinel (e-values identically 1). Fields accept
-    arrays broadcastable against the data for per-hypothesis designs.
+    uninformative sentinel (e-values identically 1). var_factor and df
+    may be per-hypothesis arrays broadcastable against the data; the
+    hyperparameters df_prior, s2_prior and gamma are single numbers,
+    stored as floats, and an array raises MalformedValue.
     """
 
     var_factor: float
@@ -106,15 +105,17 @@ class ModeratedTModel:
     gamma: float = 1.0
 
     def __post_init__(self):
+        for name in ("df_prior", "s2_prior", "gamma"):
+            if np.ndim(getattr(self, name)) != 0:
+                raise MalformedValue(f"{name} must be a single number, not an array")
+            object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("var_factor", "df", "s2_prior"):
             value = np.asarray(getattr(self, name), dtype=float)
             if not (np.isfinite(value).all() and (value > 0.0).all()):
                 raise MalformedValue(f"{name} must be positive and finite")
-        dfp = np.asarray(self.df_prior, dtype=float)
-        if np.isnan(dfp).any() or (dfp <= 0.0).any():
+        if math.isnan(self.df_prior) or self.df_prior <= 0.0:
             raise MalformedValue("df_prior must be positive (+inf allowed)")
-        g = np.asarray(self.gamma, dtype=float)
-        if not (np.isfinite(g).all() and (g >= 0.0).all()):
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise MalformedValue("gamma must be finite and >= 0")
 
 
@@ -130,22 +131,15 @@ def moderated_t(beta_hat, s_sq, model: ModeratedTModel):
     """
     beta_hat = np.asarray(beta_hat, dtype=float)
     s_sq = np.asarray(s_sq, dtype=float)
-    if (np.asarray(s_sq) < 0).any() or np.isnan(s_sq).any():
+    if (s_sq < 0).any() or np.isnan(s_sq).any():
         raise MalformedValue("sample variances must be >= 0")
-    dfp = np.asarray(model.df_prior, dtype=float)
     df = np.asarray(model.df, dtype=float)
-    infinite = np.isinf(dfp)
-    if infinite.all():
-        s2_post = np.broadcast_to(np.asarray(model.s2_prior, float), s_sq.shape).copy()
+    if math.isinf(model.df_prior):
+        s2_post = np.broadcast_to(model.s2_prior, s_sq.shape)
     else:
-        s2_post = np.where(
-            infinite,
-            model.s2_prior,
-            (dfp * model.s2_prior + df * s_sq) / np.where(infinite, 1.0, dfp + df),
-        )
+        s2_post = (model.df_prior * model.s2_prior + df * s_sq) / (model.df_prior + df)
     t_tilde = beta_hat / np.sqrt(s2_post * model.var_factor)
-    df_total = dfp + df
-    p = 2.0 * special.stdtr(df_total, -np.abs(t_tilde))
+    p = 2.0 * special.stdtr(model.df_prior + df, -np.abs(t_tilde))
     return t_tilde, p
 
 
@@ -164,17 +158,18 @@ def moderated_t_evalue(t_tilde, model: ModeratedTModel):
     (1 + gamma_k)^(-1/2) * exp(gamma_k * t^2 / (2 * (1 + gamma_k))).
     """
     t = np.asarray(t_tilde, dtype=float)
-    g = np.asarray(model.gamma, dtype=float) / np.asarray(model.var_factor, dtype=float)
-    d = np.asarray(model.df_prior, dtype=float) + np.asarray(model.df, dtype=float)
+    g = model.gamma / np.asarray(model.var_factor, dtype=float)
+    d = model.df_prior + np.asarray(model.df, dtype=float)
     tsq = t * t
     with np.errstate(over="ignore"):
-        gaussian = np.exp(g * tsq / (2.0 * (1.0 + g)))
-        finite_d = np.where(np.isinf(d), 1.0, d)
-        base = 1.0 - g * tsq / ((1.0 + g) * (finite_d + tsq))
-        student = base ** (-(finite_d + 1.0) / 2.0)
-        out = np.where(np.isinf(d), gaussian, student) / np.sqrt(1.0 + g)
-    out = np.where(np.asarray(model.gamma) == 0.0, 1.0, out)
-    return float(out) if np.ndim(t_tilde) == 0 and out.ndim == 0 else out
+        if model.gamma == 0.0:
+            ratio = np.ones(np.broadcast(t, g, d).shape)
+        elif math.isinf(model.df_prior):
+            ratio = np.exp(g * tsq / (2.0 * (1.0 + g)))
+        else:
+            ratio = (1.0 - g * tsq / ((1.0 + g) * (d + tsq))) ** (-(d + 1.0) / 2.0)
+    out = ratio / np.sqrt(1.0 + g)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _trigamma_inverse(x: float) -> float:
@@ -233,12 +228,16 @@ GAMMA_GRID = np.logspace(-3.0, 3.0, 41)
 _LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
 
 
-def _t_logpdf(x, d):
-    """Log density of Student's t on d df (normal at d = inf), bit for bit as scipy computes it."""
-    with np.errstate(invalid="ignore"):
-        log_norm = np.log(special.poch(0.5 * d, 0.5)) - 0.5 * (np.log(d) + np.log(np.pi))
-        student = log_norm - (d + 1) / 2 * np.log1p(x * x / d)
-    return np.where(np.isinf(d), -x**2 / 2.0 - _LOG_SQRT_2PI, student)
+def _t_logpdf(d):
+    """Student's t log density on d df as a function of x, bit for bit as scipy computes it.
+
+    d is finite throughout (it may vary per hypothesis) or infinite, which gives the normal.
+    """
+    if np.isinf(d).all():
+        return lambda x: -x**2 / 2.0 - _LOG_SQRT_2PI
+    log_norm = np.log(special.poch(0.5 * d, 0.5)) - 0.5 * (np.log(d) + np.log(np.pi))
+    half_d1 = (d + 1) / 2
+    return lambda x: log_norm - half_d1 * np.log1p(x * x / d)
 
 
 def fit_gamma(t_tilde, model: ModeratedTModel) -> float:
@@ -253,32 +252,32 @@ def fit_gamma(t_tilde, model: ModeratedTModel) -> float:
     null-only model beats every grid point.
     """
     t = np.atleast_1d(np.asarray(t_tilde, dtype=float))
-    d = np.asarray(model.df_prior, dtype=float) + np.asarray(model.df, dtype=float)
-    null_logpdf = _t_logpdf(t, d)
-    null_only = float(null_logpdf.sum())
-    log_half = math.log(0.5)
-    best_gamma, best_ll = 0.0, null_only
+    t_logpdf = _t_logpdf(model.df_prior + np.asarray(model.df, dtype=float))
+    var_factor = np.asarray(model.var_factor, dtype=float)
+    null_logpdf = t_logpdf(t)
+    half_null = math.log(0.5) + null_logpdf
+    best_gamma, best_ll = 0.0, float(null_logpdf.sum())
     for gamma in GAMMA_GRID:
-        scale = np.sqrt(1.0 + gamma / np.asarray(model.var_factor, dtype=float))
-        alt_logpdf = _t_logpdf(t / scale, d) - np.log(scale)
-        ll = float(np.logaddexp(log_half + null_logpdf, log_half + alt_logpdf).sum())
+        scale = np.sqrt(1.0 + gamma / var_factor)
+        alt_logpdf = t_logpdf(t / scale) - np.log(scale)
+        ll = float(np.logaddexp(half_null, math.log(0.5) + alt_logpdf).sum())
         if ll > best_ll:
             best_gamma, best_ll = float(gamma), ll
     return best_gamma
 
 
-def fit_moderated_model(beta_hat, s_sq, var_factor, df) -> tuple[ModeratedTModel, np.ndarray]:
+def fit_moderated_model(beta_hat, s_sq, var_factor, df) -> tuple[ModeratedTModel, np.ndarray, np.ndarray]:
     """Fit the full moderated-t pipeline from summary statistics.
 
-    Estimates (df_prior, s2_prior) from the sample variances, forms the
-    moderated t-statistics, then estimates gamma on them. Returns the
-    fitted model and the t-statistics.
+    Estimates the scalars (df_prior, s2_prior) from the sample variances,
+    forms the moderated t-statistics and their p-values, then estimates
+    the scalar gamma on the t-statistics. Returns (model, t_tilde, p);
+    t_tilde and p do not depend on gamma.
     """
     df_prior, s2_prior = fit_limma_hyperparameters(s_sq, df)
     model = ModeratedTModel(var_factor, df, df_prior, s2_prior, gamma=0.0)
-    t_tilde, _ = moderated_t(beta_hat, s_sq, model)
-    gamma = fit_gamma(t_tilde, model)
-    return replace(model, gamma=gamma), t_tilde
+    t_tilde, p = moderated_t(beta_hat, s_sq, model)
+    return replace(model, gamma=fit_gamma(t_tilde, model)), t_tilde, p
 
 
 def chisq_lr_evalue(s, df: float, ncp: float):
@@ -288,6 +287,10 @@ def chisq_lr_evalue(s, df: float, ncp: float):
     ncp = 0 returns 1 exactly. The noncentral density is a Poisson(ncp/2)
     mixture of chisq(df + 2j) densities, so the ratio is the series
     exp(-ncp/2) * 0F1(; df/2; ncp*s/4), which is exp(-ncp/2) at s = 0.
+    Where that product is not a positive finite number (exp(-ncp/2)
+    underflows or 0F1 overflows), the entry is evaluated in log space
+    through the exponentially scaled Bessel function I_{df/2-1}. The
+    result is never NaN for finite s.
     """
     s_arr = np.asarray(s, dtype=float)
     if (s_arr < 0).any() or np.isnan(s_arr).any():
@@ -299,25 +302,20 @@ def chisq_lr_evalue(s, df: float, ncp: float):
     if ncp == 0.0:
         out = np.ones_like(s_arr)
         return float(out) if np.ndim(s) == 0 else out
-    out = math.exp(-ncp / 2.0) * special.hyp0f1(df / 2.0, ncp * s_arr / 4.0)
+    b = df / 2.0
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        out = math.exp(-ncp / 2.0) * special.hyp0f1(b, ncp * s_arr / 4.0)
+        # scipy's asymptotic 0F1 also returns 0 wrongly at b = 1
+        redo = ~((out > 0.0) & (out < np.inf)) & (s_arr > 0.0)
+        if redo.any():
+            # log 0F1(;b;z) = gammaln(b) + (1-b) log(sqrt z) + log I_{b-1}(2 sqrt z),
+            # with 2 sqrt z = sqrt(ncp s) formed so that it stays finite
+            root = math.sqrt(ncp) * np.sqrt(s_arr)
+            log_bessel = np.log(special.ive(b - 1.0, root))
+            # past the Bessel routine's range (root above about 1e9), two terms
+            # of its large-argument expansion, with error of order (b-1)^4 / root^2
+            expansion = -0.5 * np.log(2.0 * np.pi * root) - (4.0 * (b - 1.0) ** 2 - 1.0) / (8.0 * root)
+            log_bessel = np.where(np.isnan(log_bessel), expansion, log_bessel)
+            log_0f1 = special.gammaln(b) + (1.0 - b) * np.log(root / 2.0) + log_bessel + root
+            out = np.where(redo, np.exp(log_0f1 - ncp / 2.0), out)
     return float(out) if np.ndim(s) == 0 else out
-
-
-def shift_evalue(e, lam: float):
-    """Discount an e-value toward 1: lam + (1 - lam) * e, lam in [0, 1].
-
-    Preserves validity (null mean stays <= 1) while flooring the result
-    at lam, which protects downstream weighted procedures from zero
-    weights. lam = 1 discards the evidence entirely, returning exactly 1
-    even at e = +inf.
-    """
-    if math.isnan(lam) or not 0.0 <= lam <= 1.0:
-        raise BadLambda(f"shift lambda must lie in [0, 1], got {lam!r}")
-    e_arr = np.asarray(e, dtype=float)
-    if (e_arr < 0).any() or np.isnan(e_arr).any():
-        raise MalformedValue("e-values must lie in [0, +inf]")
-    if lam == 1.0:
-        out = np.ones_like(e_arr)
-    else:
-        out = lam + (1.0 - lam) * e_arr
-    return float(out) if np.ndim(e) == 0 else out

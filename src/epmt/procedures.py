@@ -262,9 +262,9 @@ def adaptive_e_bh(e, alpha: float, merging: str = "mean") -> RejectionResult:
 class ProcedureSpec:
     """A registry name plus the knobs needed to run it.
 
-    calibrator is a spec string ("sqrt" or "kappa:<value>") so the whole
-    object stays picklable for process-parallel campaigns. merging only
-    matters for adaptive-e-bh; tau only for the Storey variants.
+    calibrator is a spec string ("sqrt" or "kappa:<value>"), not a
+    Calibrator, since the simulate manifest records asdict(spec) as JSON.
+    merging only matters for adaptive-e-bh; tau only for Storey variants.
     """
 
     name: str

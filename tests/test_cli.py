@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from epmt import cli
 from epmt.calib import sqrt_calibrator
@@ -444,7 +445,7 @@ def test_moderate_matches_library(tmp_path):
     out = tmp_path / "out.csv"
     assert cli.main(["moderate", "--input", inp, "--out", str(out)]) == 0
 
-    model, t = fit_moderated_model(beta_hat, s_sq, np.full(k, 0.1), np.full(k, 38.0))
+    model, t, _ = fit_moderated_model(beta_hat, s_sq, np.full(k, 0.1), np.full(k, 38.0))
     _, p = moderated_t(beta_hat, s_sq, model)
     e = moderated_t_evalue(t, model)
     rows = read_rows(out)
@@ -456,6 +457,35 @@ def test_moderate_matches_library(tmp_path):
     np.testing.assert_allclose(got_e, e, rtol=1e-12)
     summary = json.loads((tmp_path / "out.json").read_text())
     assert summary["gamma"] == pytest.approx(model.gamma)
+
+
+def test_moderate_homogeneous_variances_take_gaussian_limit(tmp_path):
+    # equal sample variances carry no heterogeneity, so the prior df is
+    # infinite; the planted signal makes the fitted gamma positive
+    rng = np.random.default_rng(21)
+    k = 400
+    v = np.where(np.arange(k) % 2 == 0, 0.1, 0.2)
+    nu = np.where(np.arange(k) % 3 == 0, 10.0, 38.0)
+    beta_hat = rng.standard_normal(k) * np.sqrt(v * 0.02)
+    beta_hat[:40] += rng.standard_normal(40) * np.sqrt(2.0 * 0.02)
+    lines = ["id,beta_hat,s_sq,v,nu"]
+    for i in range(k):
+        lines.append(f"g{i},{float(beta_hat[i])!r},0.02,{float(v[i])!r},{float(nu[i])!r}")
+    inp = write(tmp_path / "m.csv", "\n".join(lines) + "\n")
+    out = tmp_path / "out.csv"
+    assert cli.main(["moderate", "--input", inp, "--out", str(out)]) == 0
+
+    summary = json.loads((tmp_path / "out.json").read_text())
+    assert summary["df_prior"] == "inf"
+    assert summary["gamma"] > 0.0
+    rows = read_rows(out)
+    t = np.array([float(r["t_tilde"]) for r in rows])
+    p = np.array([float(r["p"]) for r in rows])
+    e = np.array([float(r["e"]) for r in rows])
+    np.testing.assert_allclose(t, beta_hat / np.sqrt(summary["s2_prior"] * v), rtol=1e-12)
+    np.testing.assert_allclose(p, 2.0 * stats.norm.sf(np.abs(t)), rtol=1e-12)
+    g = summary["gamma"] / v
+    np.testing.assert_allclose(e, np.exp(g * t * t / (2.0 * (1.0 + g))) / np.sqrt(1.0 + g), rtol=1e-12)
 
 
 def test_moderate_rejects_bad_variance(tmp_path, capsys):

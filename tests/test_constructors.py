@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import optimize, special, stats
 
-from epmt.calib import BadLambda, sqrt_calibrator
+from epmt.calib import BadLambda, shift_evalue, sqrt_calibrator
 from epmt.constructors import (
     GAMMA_GRID,
     ModeratedTModel,
@@ -20,7 +20,6 @@ from epmt.constructors import (
     fit_moderated_model,
     moderated_t,
     moderated_t_evalue,
-    shift_evalue,
     soft_rank_evalue,
 )
 from epmt.core import MalformedValue
@@ -223,6 +222,18 @@ def test_model_validation():
     ModeratedTModel(1.0, 4.0, np.inf, 1.0)
 
 
+def test_model_hyperparameters_are_scalars():
+    fields = {"var_factor": 1.0, "df": 4.0, "df_prior": 4.0, "s2_prior": 1.0, "gamma": 1.0}
+    for name in ("df_prior", "s2_prior", "gamma"):
+        with pytest.raises(MalformedValue, match=name):
+            ModeratedTModel(**{**fields, name: np.array([fields[name]])})
+    # the design constant and residual df stay per-hypothesis
+    model = ModeratedTModel(np.array([0.1, 0.2]), np.array([10.0, 38.0]), np.float64(3.64), 0.0144, gamma=0.5)
+    assert type(model.df_prior) is float
+    t, p = moderated_t([0.1, -0.2], [0.01, 0.02], model)
+    assert t.shape == p.shape == moderated_t_evalue(t, model).shape == (2,)
+
+
 # ---------------------------------------------------------------- limma fit
 
 
@@ -330,7 +341,7 @@ def test_fit_gamma_matches_scipy_stats_reference(df_prior, signal_fraction, seed
 @pytest.mark.parametrize("d", [3.0, 38.0, 41.6, np.inf])
 def test_t_logpdf_equals_scipy_stats(d):
     x = np.append(np.random.default_rng(13).standard_cauchy(20_000), [0.0, -0.0, 1e150, np.inf])
-    np.testing.assert_array_equal(_t_logpdf(x, d), stats.t.logpdf(x, d))
+    np.testing.assert_array_equal(_t_logpdf(d)(x), stats.t.logpdf(x, d))
 
 
 def test_gamma_grid_shape():
@@ -348,7 +359,7 @@ def test_fit_moderated_model_pipeline():
     beta[:400] = rng.standard_normal(400) * np.sqrt(0.5 * sigma2[:400])
     beta_hat = beta + rng.standard_normal(k) * np.sqrt(v * sigma2)
     s_sq = sigma2 * rng.chisquare(df, k) / df
-    model, t = fit_moderated_model(beta_hat, s_sq, v, df)
+    model, t, _ = fit_moderated_model(beta_hat, s_sq, v, df)
     assert t.shape == (k,)
     assert 2.0 < model.df_prior < 6.0
     assert model.gamma > 0.0
@@ -371,9 +382,15 @@ def test_chisq_lr_matches_density_ratio():
     np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
-@pytest.mark.parametrize("df, ncp", [(9.0, 10.0), (3.0, 0.5), (1.0, 3.0), (20.0, 50.0)])
+@pytest.mark.parametrize(
+    "df, ncp", [(9.0, 10.0), (3.0, 0.5), (1.0, 3.0), (20.0, 50.0), (9.0, 1000.0), (9.0, 1500.0), (2.0, 1000.0)]
+)
 def test_chisq_lr_matches_log_density_ratio(df, ncp):
-    s = np.array([1e-300, 1e-200, 1e-100, 1e-10, 1e-3, 0.5, 3.0, 9.0, 25.0, 80.0, 400.0, 4000.0, 4e4])
+    # exp(-ncp/2) * 0F1 overflows or underflows at (9, 1000, 1000), (9, 1500, 1509)
+    # and (9, 10, 54000); at df = 2 scipy's asymptotic 0F1 returns 0 from s = 1000
+    s = np.array(
+        [1e-300, 1e-200, 1e-100, 1e-10, 1e-3, 0.5, 3.0, 9.0, 25.0, 80.0, 400.0, 1000.0, 1509.0, 4000.0, 4e4, 54000.0]
+    )
     got = chisq_lr_evalue(s, df, ncp)
     with np.errstate(divide="ignore", over="ignore"):
         log_ratio = stats.ncx2.logpdf(s, df, ncp) - stats.chi2.logpdf(s, df)
@@ -386,6 +403,14 @@ def test_chisq_lr_matches_log_density_ratio(df, ncp):
     np.testing.assert_allclose(got[~tiny], ratio[~tiny], rtol=1e-10)
     np.testing.assert_allclose(got[tiny], math.exp(-ncp / 2.0), rtol=1e-15)
     assert chisq_lr_evalue(0.0, df, ncp) == math.exp(-ncp / 2.0)
+
+
+def test_chisq_lr_is_never_nan():
+    s = np.concatenate(([0.0, 5e-324], np.logspace(-300.0, 308.0, 305), [np.finfo(float).max]))
+    for df in (0.5, 1.0, 2.0, 9.0, 300.0):
+        for ncp in (1e-8, 10.0, 1000.0, 1500.0, 1e10):
+            e = chisq_lr_evalue(s, df, ncp)
+            assert not np.isnan(e).any() and (e >= 0.0).all(), (df, ncp)
 
 
 def test_chisq_lr_handles_extreme_statistics():
