@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MalformedValue, as_evector, as_pair, as_pvector, check_evalue, check_pvalue
+from .core import as_evector, as_pair, as_pvector
 
 
 class BadLambda(ValueError):
@@ -99,20 +99,24 @@ def parse_calibrator(spec: str) -> Calibrator:
 
 
 def calibrate_p_to_e(p, calibrator: Calibrator = DEFAULT_CALIBRATOR):
-    """Turn p-values into e-values through a calibrator. p = 0 gives +inf."""
-    if np.ndim(p) == 0:
-        return calibrator(check_pvalue(p))
-    return calibrator(as_pvector(p))
+    """Turn p-values into e-values through a calibrator. p = 0 gives +inf.
+
+    p is a scalar or a non-empty 1-d vector; a scalar gives a float.
+    """
+    out = calibrator(as_pvector(p))
+    return float(out[0]) if np.ndim(p) == 0 else out
 
 
 def calibrate_e_to_p(e):
-    """The unique admissible e-to-p calibrator: min(1/e, 1); +inf gives 0."""
-    if np.ndim(e) == 0:
-        e = check_evalue(e)
-        return 0.0 if np.isinf(e) else min(1.0 / e, 1.0) if e > 0.0 else 1.0
+    """The unique admissible e-to-p calibrator: min(1/e, 1); +inf gives 0.
+
+    e is a scalar or a non-empty 1-d vector; a scalar gives a float.
+    """
     arr = as_evector(e)
-    with np.errstate(divide="ignore"):
-        return np.where(np.isinf(arr), 0.0, np.minimum(1.0, np.where(arr > 0, 1.0 / arr, np.inf)))
+    with np.errstate(divide="ignore", over="ignore"):
+        # e = 0 of either sign gives 1, e = +inf gives 1/inf = 0
+        out = np.where(arr > 0.0, np.minimum(1.0, 1.0 / arr), 1.0)
+    return float(out[0]) if np.ndim(e) == 0 else out
 
 
 def combine_product(p, e, calibrator: Calibrator = DEFAULT_CALIBRATOR):
@@ -160,8 +164,7 @@ def combine_mean(p, e, calibrator: Calibrator = DEFAULT_CALIBRATOR, weight: floa
 def combine_bonferroni(p, e):
     """p-value min(2 * min(p, 1/e), 1): a two-way union bound."""
     p_arr, e_arr, scalar = _paired(p, e)
-    recip = calibrate_e_to_p(e_arr) if e_arr.size else e_arr
-    out = np.minimum(2.0 * np.minimum(p_arr, recip), 1.0)
+    out = np.minimum(2.0 * np.minimum(p_arr, calibrate_e_to_p(e_arr)), 1.0)
     return float(out[0]) if scalar else out
 
 
@@ -171,18 +174,17 @@ def shift_evalue(e, lam: float):
     Preserves validity (null mean stays <= 1) while flooring the result
     at lam, which protects downstream weighted procedures from zero
     weights. lam = 1 discards the evidence entirely, returning exactly 1
-    even at e = +inf.
+    even at e = +inf. e is a scalar or a non-empty 1-d vector; a scalar
+    gives a float.
     """
     if not 0.0 <= lam <= 1.0:  # also refuses NaN
         raise BadLambda(f"shift lambda must lie in [0, 1], got {lam!r}")
-    e_arr = np.asarray(e, dtype=float)
-    if (e_arr < 0).any() or np.isnan(e_arr).any():
-        raise MalformedValue("e-values must lie in [0, +inf]")
+    e_arr = as_evector(e)
     if lam == 1.0:
         out = np.ones_like(e_arr)
     else:
         out = lam + (1.0 - lam) * e_arr
-    return float(out) if np.ndim(e) == 0 else out
+    return float(out[0]) if np.ndim(e) == 0 else out
 
 
 def _paired(p, e) -> tuple[np.ndarray, np.ndarray, bool]:

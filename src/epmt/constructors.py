@@ -289,8 +289,10 @@ def chisq_lr_evalue(s, df: float, ncp: float):
     exp(-ncp/2) * 0F1(; df/2; ncp*s/4), which is exp(-ncp/2) at s = 0.
     Where that product is not a positive finite number (exp(-ncp/2)
     underflows or 0F1 overflows), the entry is evaluated in log space
-    through the exponentially scaled Bessel function I_{df/2-1}. The
-    result is never NaN for finite s.
+    through the exponentially scaled Bessel function I_{df/2-1}, and so
+    is every entry with sqrt(ncp * s) > 700, where scipy's 0F1 would
+    switch to an asymptotic branch that divides by zero at df = 2. For
+    ncp > 0, s = +inf gives +inf; for finite df and ncp, no s gives NaN.
     """
     s_arr = np.asarray(s, dtype=float)
     if (s_arr < 0).any() or np.isnan(s_arr).any():
@@ -304,13 +306,13 @@ def chisq_lr_evalue(s, df: float, ncp: float):
         return float(out) if np.ndim(s) == 0 else out
     b = df / 2.0
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        out = math.exp(-ncp / 2.0) * special.hyp0f1(b, ncp * s_arr / 4.0)
-        # scipy's asymptotic 0F1 also returns 0 wrongly at b = 1
-        redo = ~((out > 0.0) & (out < np.inf)) & (s_arr > 0.0)
+        # 2 sqrt z for z = ncp s / 4, formed so that it stays finite
+        root = math.sqrt(ncp) * np.sqrt(s_arr)
+        direct = root <= 700.0
+        out = math.exp(-ncp / 2.0) * special.hyp0f1(b, np.where(direct, ncp * s_arr / 4.0, 0.0))
+        redo = ~(direct & (out > 0.0) & (out < np.inf)) & (s_arr > 0.0)
         if redo.any():
-            # log 0F1(;b;z) = gammaln(b) + (1-b) log(sqrt z) + log I_{b-1}(2 sqrt z),
-            # with 2 sqrt z = sqrt(ncp s) formed so that it stays finite
-            root = math.sqrt(ncp) * np.sqrt(s_arr)
+            # log 0F1(;b;z) = gammaln(b) + (1-b) log(sqrt z) + log I_{b-1}(2 sqrt z)
             log_bessel = np.log(special.ive(b - 1.0, root))
             # past the Bessel routine's range (root above about 1e9), two terms
             # of its large-argument expansion, with error of order (b-1)^4 / root^2
@@ -318,4 +320,5 @@ def chisq_lr_evalue(s, df: float, ncp: float):
             log_bessel = np.where(np.isnan(log_bessel), expansion, log_bessel)
             log_0f1 = special.gammaln(b) + (1.0 - b) * np.log(root / 2.0) + log_bessel + root
             out = np.where(redo, np.exp(log_0f1 - ncp / 2.0), out)
+    out = np.where(np.isinf(s_arr), np.inf, out)
     return float(out) if np.ndim(s) == 0 else out

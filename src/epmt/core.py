@@ -6,7 +6,6 @@ and meaningful (conclusive evidence). NaN is rejected everywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,25 +28,6 @@ class MalformedValue(ValueError):
     def __init__(self, message: str, record_id=None):
         super().__init__(message)
         self.record_id = record_id
-
-
-def check_pvalue(value, record_id=None) -> float:
-    """Validate a single p-value: a float in [0, 1], never NaN."""
-    v = float(value)
-    if math.isnan(v) or v < 0.0 or v > 1.0:
-        raise MalformedValue(f"p-value must lie in [0, 1], got {value!r}", record_id)
-    return v
-
-
-def check_evalue(value, record_id=None) -> float:
-    """Validate a single e-value: a float in [0, +inf], never NaN.
-
-    +inf is legal and means conclusive evidence against the null.
-    """
-    v = float(value)
-    if math.isnan(v) or v < 0.0:
-        raise MalformedValue(f"e-value must lie in [0, +inf], got {value!r}", record_id)
-    return v
 
 
 def as_pvector(p) -> np.ndarray:

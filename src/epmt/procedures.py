@@ -86,13 +86,6 @@ def p_bh(p, alpha: float, by_correction: bool = False) -> RejectionResult:
     return _bh(p, alpha, p)
 
 
-def _e_bh(e: np.ndarray, alpha: float) -> RejectionResult:
-    # steps up on -e (exact, so s_(k) = -e_[k] with e_[k] the k-th largest)
-    # and tests k* = max{k : k * e_[k] / K >= 1/alpha} in the e scale
-    k_total = e.size
-    return _step_up(-e, lambda ranked, ranks: ranks * -ranked / k_total >= 1.0 / alpha, e)
-
-
 def e_bh(e, alpha: float) -> RejectionResult:
     """Step-up procedure on e-values; valid under arbitrary dependence.
 
@@ -100,12 +93,12 @@ def e_bh(e, alpha: float) -> RejectionResult:
     step-up ties, which are decided in the e scale; adjusted reports the
     e-values.
     """
-    return _e_bh(as_evector(e), _check_alpha(alpha))
-
-
-def _weighted_p_bh(p: np.ndarray, w: np.ndarray, alpha: float) -> RejectionResult:
-    adjusted = np.minimum(p_over_e(p, w), 1.0)
-    return _bh(adjusted, alpha, adjusted)
+    e = as_evector(e)
+    alpha = _check_alpha(alpha)
+    # steps up on -e (exact, so s_(k) = -e_[k] with e_[k] the k-th largest)
+    # and tests k* = max{k : k * e_[k] / K >= 1/alpha} in the e scale
+    k_total = e.size
+    return _step_up(-e, lambda ranked, ranks: ranks * -ranked / k_total >= 1.0 / alpha, e)
 
 
 def weighted_p_bh(p, w, alpha: float) -> RejectionResult:
@@ -115,10 +108,18 @@ def weighted_p_bh(p, w, alpha: float) -> RejectionResult:
     removes a hypothesis (positive p) from contention.
     """
     p, w = as_pair(p, w)
-    return _weighted_p_bh(p, w, _check_alpha(alpha))
+    alpha = _check_alpha(alpha)
+    adjusted = np.minimum(p_over_e(p, w), 1.0)
+    return _bh(adjusted, alpha, adjusted)
 
 
-def _normalized_weights(e: np.ndarray) -> np.ndarray:
+def normalized_weights(e) -> np.ndarray:
+    """Rescale raw e-values to weights averaging 1 (summing to K).
+
+    An all-zero vector yields all-zero weights. If any e-value is +inf,
+    the infinite coordinates take all the weight and the rest get 0.
+    """
+    e = as_evector(e)
     if np.isinf(e).any():
         return np.where(np.isinf(e), np.inf, 0.0)
     # scaling by the power of two at the largest e-value keeps the sum
@@ -130,19 +131,10 @@ def _normalized_weights(e: np.ndarray) -> np.ndarray:
     return e.size * e / total
 
 
-def normalized_weights(e) -> np.ndarray:
-    """Rescale raw e-values to weights averaging 1 (summing to K).
-
-    An all-zero vector yields all-zero weights. If any e-value is +inf,
-    the infinite coordinates take all the weight and the rest get 0.
-    """
-    return _normalized_weights(as_evector(e))
-
-
 def weighted_p_bh_normalized(p, e, alpha: float) -> RejectionResult:
     """weighted_p_bh with raw e-values rescaled to average-1 weights."""
     p, e = as_pair(p, e)
-    return _weighted_p_bh(p, _normalized_weights(e), _check_alpha(alpha))
+    return weighted_p_bh(p, normalized_weights(e), alpha)
 
 
 def ep_bh(p, e, alpha: float) -> RejectionResult:
@@ -163,13 +155,11 @@ def pe_bh(p, e, alpha: float, calibrator: Calibrator = DEFAULT_CALIBRATOR) -> Re
     return e_bh(combine_product(p, e, calibrator), alpha)
 
 
-def _storey_pi0(p: np.ndarray, tau: float) -> float:
-    return (1.0 + int((p > tau).sum())) / (p.size * (1.0 - tau))
-
-
 def storey_pi0(p, tau: float = 0.5) -> float:
     """Conservative null-proportion estimate (1 + #{p > tau}) / (K(1-tau))."""
-    return _storey_pi0(as_pvector(p), _check_tau(tau))
+    p = as_pvector(p)
+    tau = _check_tau(tau)
+    return (1.0 + int((p > tau).sum())) / (p.size * (1.0 - tau))
 
 
 def ep_storey(p, e, alpha: float, tau: float = 0.5) -> RejectionResult:
@@ -180,8 +170,8 @@ def ep_storey(p, e, alpha: float, tau: float = 0.5) -> RejectionResult:
     """
     p, e = as_pair(p, e)
     tau = _check_tau(tau)
-    w = np.where(p <= tau, e / _storey_pi0(p, tau), 0.0)
-    return _weighted_p_bh(p, w, _check_alpha(alpha))
+    w = np.where(p <= tau, e / storey_pi0(p, tau), 0.0)
+    return weighted_p_bh(p, w, alpha)
 
 
 def wbh_storey_normalized(p, e, alpha: float, tau: float = 0.5) -> RejectionResult:
@@ -195,7 +185,7 @@ def wbh_storey_normalized(p, e, alpha: float, tau: float = 0.5) -> RejectionResu
     """
     p, e = as_pair(p, e)
     tau = _check_tau(tau)
-    w = _normalized_weights(e)
+    w = normalized_weights(e)
     if np.isfinite(w).all():
         pi0 = (1.0 + float((w * (p > tau)).sum())) / (p.size * (1.0 - tau))
     else:
@@ -204,7 +194,7 @@ def wbh_storey_normalized(p, e, alpha: float, tau: float = 0.5) -> RejectionResu
         pi0 = 1.0 / (p.size * (1.0 - tau))
     with np.errstate(invalid="ignore"):
         w_adaptive = np.where(p <= tau, w / pi0, 0.0)
-    return _weighted_p_bh(p, w_adaptive, _check_alpha(alpha))
+    return weighted_p_bh(p, w_adaptive, alpha)
 
 
 def ep_bonferroni(p, e, alpha: float) -> RejectionResult:
@@ -219,17 +209,14 @@ def ep_bonferroni(p, e, alpha: float) -> RejectionResult:
     return RejectionResult(adjusted <= alpha / p.size, adjusted)
 
 
-def _simes_evalue(e: np.ndarray) -> float:
+def simes_evalue(e) -> float:
+    """The e-value analogue of the Simes statistic: max_k k * e_[k] / K."""
+    e = as_evector(e)
     ranked = np.sort(e)[::-1]
     ranks = np.arange(1, e.size + 1, dtype=float)
     with np.errstate(invalid="ignore"):
         stats = ranks * ranked / e.size
     return float(np.max(stats))
-
-
-def simes_evalue(e) -> float:
-    """The e-value analogue of the Simes statistic: max_k k * e_[k] / K."""
-    return _simes_evalue(as_evector(e))
 
 
 def adaptive_e_bh(e, alpha: float, merging: str = "mean") -> RejectionResult:
@@ -251,11 +238,11 @@ def adaptive_e_bh(e, alpha: float, merging: str = "mean") -> RejectionResult:
             SingleHypothesis,
             stacklevel=2,
         )
-        return _e_bh(e, alpha)
-    merged = float(e.mean()) if merging == "mean" else _simes_evalue(e)
+        return e_bh(e, alpha)
+    merged = float(e.mean()) if merging == "mean" else simes_evalue(e)
     if merged < 1.0 / alpha:
         return RejectionResult(np.zeros(k_total, dtype=bool), e)
-    return _e_bh(e, k_total * alpha / (k_total - 1.0))
+    return e_bh(e, k_total * alpha / (k_total - 1.0))
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,13 @@ def test_calibrate_e_to_p_closed_form():
     assert calibrate_e_to_p(0.0) == 1.0
 
 
+def test_negative_zero_evalue_reads_as_zero():
+    # -0.0 is a valid e-value; its reciprocal is -inf, which must not leak out
+    assert calibrate_e_to_p(-0.0) == 1.0
+    assert calibrate_e_to_p(np.array([-0.0, 2.0])).tolist() == [1.0, 0.5]
+    assert combine_bonferroni(0.3, -0.0) == 0.6
+
+
 def test_combine_product_conventions():
     assert combine_product(0.25, 3.0) == pytest.approx(3.0)  # h = 1
     assert np.isinf(combine_product(0.0, 0.0))  # inf * 0 = inf

@@ -22,7 +22,7 @@ from epmt.constructors import (
     moderated_t_evalue,
     soft_rank_evalue,
 )
-from epmt.core import MalformedValue
+from epmt.core import EmptyInput, MalformedValue
 
 
 def laguerre_density_ratio(t, d, gamma_k, n_nodes=200):
@@ -406,11 +406,13 @@ def test_chisq_lr_matches_log_density_ratio(df, ncp):
 
 
 def test_chisq_lr_is_never_nan():
-    s = np.concatenate(([0.0, 5e-324], np.logspace(-300.0, 308.0, 305), [np.finfo(float).max]))
+    s = np.concatenate(([0.0, 5e-324], np.logspace(-300.0, 308.0, 305), [np.finfo(float).max, np.inf]))
     for df in (0.5, 1.0, 2.0, 9.0, 300.0):
         for ncp in (1e-8, 10.0, 1000.0, 1500.0, 1e10):
             e = chisq_lr_evalue(s, df, ncp)
             assert not np.isnan(e).any() and (e >= 0.0).all(), (df, ncp)
+            assert e[-1] == np.inf, (df, ncp)
+    assert chisq_lr_evalue(np.inf, 9.0, 10.0) == np.inf
 
 
 def test_chisq_lr_handles_extreme_statistics():
@@ -466,6 +468,14 @@ def test_shift_evalue_validation():
         shift_evalue(2.0, 1.1)
     with pytest.raises(MalformedValue):
         shift_evalue(-1.0, 0.5)
+
+
+def test_shift_evalue_refuses_empty_and_matrix():
+    # the same vector check as every other calib function
+    with pytest.raises(EmptyInput):
+        shift_evalue([], 0.5)
+    with pytest.raises(MalformedValue):
+        shift_evalue(np.ones((2, 2)), 0.5)
 
 
 def test_shift_evalue_preserves_validity():

@@ -11,41 +11,47 @@ from epmt.core import (
     RejectionResult,
     as_evector,
     as_pvector,
-    check_evalue,
-    check_pvalue,
     check_same_length,
     fdp_and_power,
 )
 
 
 def test_check_pvalue_accepts_boundaries():
-    assert check_pvalue(0.0) == 0.0
-    assert check_pvalue(1.0) == 1.0
-    assert check_pvalue(0.5) == 0.5
+    assert as_pvector([0.0, 1.0, 0.5]).tolist() == [0.0, 1.0, 0.5]
+    for value in (0.0, 1.0, 0.5):
+        assert as_pvector(value).tolist() == [value]
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.1, np.nan, float("inf")])
 def test_check_pvalue_rejects(bad):
     with pytest.raises(MalformedValue):
-        check_pvalue(bad)
+        as_pvector(bad)
+    with pytest.raises(MalformedValue):
+        as_pvector([0.5, bad])
 
 
 def test_check_evalue_allows_infinity():
-    assert check_evalue(0.0) == 0.0
-    assert np.isinf(check_evalue(np.inf))
-    assert check_evalue(3.5) == 3.5
+    arr = as_evector([0.0, np.inf, 3.5])
+    assert arr[0] == 0.0 and np.isinf(arr[1]) and arr[2] == 3.5
+    assert np.isinf(as_evector(np.inf)).all()
 
 
 @pytest.mark.parametrize("bad", [-1e-9, np.nan])
 def test_check_evalue_rejects(bad):
     with pytest.raises(MalformedValue):
-        check_evalue(bad)
+        as_evector(bad)
+    with pytest.raises(MalformedValue):
+        as_evector([2.0, bad])
 
 
 def test_malformed_value_carries_record_id():
+    # the record id is the position of the first refused value
     with pytest.raises(MalformedValue) as info:
-        check_pvalue(2.0, record_id="gene-7")
-    assert info.value.record_id == "gene-7"
+        as_pvector([0.2, 0.4, 2.0, -1.0])
+    assert info.value.record_id == 2
+    with pytest.raises(MalformedValue) as info:
+        as_evector(-1.0)
+    assert info.value.record_id == 0
 
 
 def test_as_pvector_reports_position():

@@ -1,8 +1,10 @@
-"""The numpy-only layers import neither scipy nor the modules built on it.
+"""The numpy-only layers import neither scipy nor the modules built on it,
+and keep one function per computation.
 
 core, calib and procedures serve `adjust` and `combine`, which never call
 into scipy; keeping these layers free of it lets the command line defer
-scipy to the subcommands that use it.
+scipy to the subcommands that use it. Their public functions validate and
+compute in one place, so none has a private `_name` twin beside it.
 """
 
 import ast
@@ -37,3 +39,21 @@ def test_numpy_only_layers_import_no_scipy_constructors_or_sim():
     assert "epmt.sim" in forbidden_imports(PACKAGE / "cli.py")
     for module in ("core", "calib", "procedures"):
         assert forbidden_imports(PACKAGE / f"{module}.py") == [], module
+
+
+def private_twins(source: str) -> list:
+    """Module-level `_name` definitions beside a public `name`."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return sorted(name for name in names if name.startswith("_") and name[1:] in names)
+
+
+def test_numpy_only_layers_have_no_private_twins():
+    # the scan sees a twin when there is one
+    assert private_twins("def _f(x):\n    pass\n\n\ndef f(x):\n    return _f(x)\n") == ["_f"]
+    for module in ("core", "calib", "procedures"):
+        assert private_twins((PACKAGE / f"{module}.py").read_text()) == [], module

@@ -263,10 +263,12 @@ def test_pe_bh_known_case():
     assert r.adjusted[0] == pytest.approx(99.0)
 
 
-@pytest.mark.parametrize("cal", ALL_CALIBRATORS, ids=lambda c: c.label())
-def test_pe_bh_subset_of_ep_bh(cal):
+@pytest.mark.parametrize(
+    "cal, seed", zip(ALL_CALIBRATORS, (71, 72, 73, 74)), ids=[c.label() for c in ALL_CALIBRATORS]
+)
+def test_pe_bh_subset_of_ep_bh(cal, seed):
     """pe-BH never rejects a hypothesis that ep-BH keeps."""
-    rng = np.random.default_rng(abs(hash(cal.label())) % 2**32)
+    rng = np.random.default_rng(seed)
     for _ in range(1000):
         p, e = random_instance(rng)
         alpha = float(rng.uniform(0.01, 0.4))

@@ -17,7 +17,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epmt import cli
-from epmt.calib import combine_product, combine_quotient, p_over_e, power_calibrator, sqrt_calibrator
+from epmt.calib import (
+    calibrate_e_to_p,
+    calibrate_p_to_e,
+    combine_bonferroni,
+    combine_mean,
+    combine_product,
+    combine_quotient,
+    p_over_e,
+    power_calibrator,
+    shift_evalue,
+    sqrt_calibrator,
+)
 from epmt.procedures import (
     REGISTRY,
     ProcedureSpec,
@@ -220,3 +231,25 @@ def test_normalized_weights_scale_invariant(e, c):
     # a subnormal c * e carries fewer significant bits than e
     assume(((scaled == 0.0) | (scaled >= np.finfo(float).tiny)).all())
     np.testing.assert_allclose(normalized_weights(scaled), normalized_weights(e), rtol=1e-13, atol=1e-300)
+
+
+@FIXED
+@given(P_CELL, E_CELL, st.floats(0.0, 1.0), st.floats(0.01, 0.99))
+def test_scalar_call_returns_the_vector_bits(p, e, lam, weight):
+    """A scalar call gives a Python float with the bits of the 1-element vector call."""
+    calls = {
+        "calibrate_p_to_e": lambda p, e: calibrate_p_to_e(p),
+        "calibrate_p_to_e kappa": lambda p, e: calibrate_p_to_e(p, power_calibrator(0.5)),
+        "calibrate_e_to_p": lambda p, e: calibrate_e_to_p(e),
+        "shift_evalue": lambda p, e: shift_evalue(e, lam),
+        "combine_product": combine_product,
+        "combine_quotient": combine_quotient,
+        "combine_mean": lambda p, e: combine_mean(p, e, weight=weight),
+        "combine_bonferroni": combine_bonferroni,
+    }
+    with np.errstate(over="ignore"):
+        for name, call in calls.items():
+            scalar = call(p, e)
+            vector = call(np.array([p]), np.array([e]))
+            assert type(scalar) is float, name
+            assert vector.shape == (1,) and _bits(scalar) == _bits(vector), name
