@@ -290,6 +290,8 @@ def _procedures_from_config(config: dict) -> list:
         extra = set(entry) - set(ProcedureSpec.__dataclass_fields__)
         if extra:
             raise CliInputError(f"unknown procedure key {sorted(extra)[0]!r}")
+        if any(spec.name == entry["name"] for spec in specs):
+            raise CliInputError(f"procedure {entry['name']!r} appears twice; procedure names must be unique")
         try:
             check_field_types(ProcedureSpec, entry, lambda key: f"key {key!r}")
             specs.append(ProcedureSpec(**{**defaults, **entry}))

@@ -297,10 +297,10 @@ def chisq_lr_evalue(s, df: float, ncp: float):
     s_arr = np.asarray(s, dtype=float)
     if (s_arr < 0).any() or np.isnan(s_arr).any():
         raise MalformedValue("chi-square statistics must be >= 0")
-    if df <= 0:
-        raise MalformedValue(f"df must be positive, got {df!r}")
-    if ncp < 0:
-        raise MalformedValue(f"ncp must be >= 0, got {ncp!r}")
+    if not 0 < df < math.inf:
+        raise MalformedValue(f"df must be positive and finite, got {df!r}")
+    if not 0 <= ncp < math.inf:
+        raise MalformedValue(f"ncp must be finite and >= 0, got {ncp!r}")
     if ncp == 0.0:
         out = np.ones_like(s_arr)
         return float(out) if np.ndim(s) == 0 else out

@@ -10,9 +10,8 @@ parallelism level.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -71,8 +70,8 @@ class TTestScenario:
                 "the t-test scenario supports exactly n_per_group=5 with ssq_df=9; "
                 f"got n_per_group={self.n_per_group}, ssq_df={self.ssq_df}"
             )
-        if self.ncp < 0:
-            raise ValueError("ncp must be >= 0")
+        if not 0.0 <= self.ncp < math.inf:
+            raise ValueError("ncp must be finite and >= 0")
         if self.null_e_scale <= 0:
             raise ValueError("null_e_scale must be positive")
 
@@ -117,6 +116,8 @@ class MicroarrayScenario:
             raise ValueError("effect_var_ratio must be >= 0")
         if self.n_per_group < 2:
             raise ValueError("n_per_group must be >= 2")
+        if self.refit_hyperparameters and self.n_hypotheses < 2:
+            raise ValueError("refit_hyperparameters needs n_hypotheses >= 2 to fit a variance prior")
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ class AdversarialScenario:
 
     Stress scenario for e-value procedures under extreme positive
     dependence; p-values are not generated. level sets the scale of the
-    firing thresholds (see adversarial_null_evalues).
+    firing thresholds (see generate_adversarial_replicate).
     """
 
     n_hypotheses: int = 50
@@ -136,10 +137,6 @@ class AdversarialScenario:
             raise ValueError("need at least two hypotheses")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie strictly in (0, 1)")
-
-    @property
-    def null_fraction(self) -> float:
-        return 1.0
 
 
 Scenario = Union[TTestScenario, MicroarrayScenario, AdversarialScenario]
@@ -216,33 +213,25 @@ def generate_microarray_replicate(scenario: MicroarrayScenario, rng: np.random.G
     return p, e, is_null
 
 
-def adversarial_null_evalues(k_total: int, rng: np.random.Generator, alpha: float = 0.1) -> np.ndarray:
-    """Maximally dependent null e-values from one shared uniform draw.
+def generate_adversarial_replicate(scenario: AdversarialScenario, rng: np.random.Generator):
+    """One replicate of maximally dependent null e-values: (p, e, is_null).
 
     Each coordinate is e_k = (1/a_k) * 1{U <= a_k} for a fixed threshold
     a_k and a single U ~ Uniform(0, 1): every coordinate has mean exactly
     1, and the joint is comonotone, as far from positive regression
     dependence as it gets. Four fifths of the thresholds sit at
-    0.9 * alpha (a block whose simultaneous firing is just rejectable by
-    the e-value step-up at level alpha), the rest on an increasing ladder
+    0.9 * level (a block whose simultaneous firing is just rejectable by
+    the e-value step-up at that level), the rest on an increasing ladder
     below it, so the realized false discovery proportion is 1 with
-    probability close to 0.45 * alpha.
+    probability close to 0.45 * level. p is all NaN.
     """
-    if k_total < 2:
-        raise ValueError("need at least two hypotheses")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly in (0, 1)")
-    thresholds = np.full(k_total, 0.9 * alpha)
+    k_total, level = scenario.n_hypotheses, scenario.level
+    thresholds = np.full(k_total, 0.9 * level)
     n_ladder = max(1, k_total // 5)
-    thresholds[:n_ladder] = 0.9 * alpha * np.arange(1, n_ladder + 1) / n_ladder
+    thresholds[:n_ladder] = 0.9 * level * np.arange(1, n_ladder + 1) / n_ladder
     u = rng.random()
-    return np.where(u <= thresholds, 1.0 / thresholds, 0.0)
-
-
-def generate_adversarial_replicate(scenario: AdversarialScenario, rng: np.random.Generator):
-    e = adversarial_null_evalues(scenario.n_hypotheses, rng, alpha=scenario.level)
-    p = np.full(scenario.n_hypotheses, np.nan)
-    return p, e, np.ones(scenario.n_hypotheses, dtype=bool)
+    e = np.where(u <= thresholds, 1.0 / thresholds, 0.0)
+    return np.full(k_total, np.nan), e, np.ones(k_total, dtype=bool)
 
 
 def generate_replicate(scenario: Scenario, rng: np.random.Generator):
@@ -273,16 +262,15 @@ class CampaignResult:
     """Aggregated error rates of a simulation campaign.
 
     metrics maps (scenario index, procedure name) to the ErrorMetrics of
-    that pair, in input order. replicate_stats, kept only on request, maps
-    the same keys to an array of shape (replicates, 4) holding
-    per-replicate (fdp, power, false rejections, any false rejection).
+    that pair, in input order. replicate_stats maps the same keys to an
+    array of shape (replicates, 4) holding per-replicate (fdp, power, any
+    false rejection, false rejections), the columns whose means are the
+    metrics' fdr, power, fwer and pfer. Each array is a view into one
+    block shared by every key.
     """
 
     metrics: dict
-    replicates: int
-    master_seed: int
-    elapsed_seconds: float
-    replicate_stats: dict = field(default_factory=dict)
+    replicate_stats: dict
 
 
 def _replicate_batch(args):
@@ -299,7 +287,7 @@ def _replicate_batch(args):
             ) from exc
         for col, run in enumerate(runners):
             fdp, power, n_false = fdp_and_power(run(p, e).mask, is_null)
-            out[row, col] = (fdp, power, float(n_false), float(n_false > 0))
+            out[row, col] = (fdp, power, float(n_false > 0), float(n_false))
     return out
 
 
@@ -309,7 +297,6 @@ def run_campaign(
     replicates: int,
     master_seed: int = 0,
     parallelism: int = 1,
-    keep_replicates: bool = False,
 ) -> CampaignResult:
     """Measure error rates of procedures across scenarios by replication.
 
@@ -331,7 +318,6 @@ def run_campaign(
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
 
-    started = time.perf_counter()
     # each scenario's replicates split into parallelism contiguous ranges
     size = -(-replicates // parallelism)
     chunks = [range(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
@@ -341,40 +327,22 @@ def run_campaign(
     else:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             blocks = list(pool.map(_replicate_batch, tasks))
-    metrics = {}
-    replicate_stats = {}
     # blocks come back in task order: each scenario's replicates in order
-    for scenario_index, stats_array in enumerate(np.split(np.concatenate(blocks), len(scenarios))):
-        for col, spec in enumerate(specs):
-            per_rep = stats_array[:, col, :]
-            metrics[(scenario_index, spec.name)] = _aggregate(per_rep, replicates)
-            if keep_replicates:
-                replicate_stats[(scenario_index, spec.name)] = per_rep.copy()
-    elapsed = time.perf_counter() - started
-    return CampaignResult(metrics, replicates, master_seed, elapsed, replicate_stats)
+    replicate_stats = {
+        (scenario_index, spec.name): stats_array[:, col, :]
+        for scenario_index, stats_array in enumerate(np.split(np.concatenate(blocks), len(scenarios)))
+        for col, spec in enumerate(specs)
+    }
+    metrics = {key: _aggregate(per_rep) for key, per_rep in replicate_stats.items()}
+    return CampaignResult(metrics, replicate_stats)
 
 
-def _aggregate(per_rep: np.ndarray, replicates: int) -> ErrorMetrics:
-    def mean_se(column):
-        mean = float(column.mean())
-        se = float(column.std(ddof=1) / np.sqrt(replicates)) if replicates > 1 else 0.0
-        return mean, se
-
-    fdr, se_fdr = mean_se(per_rep[:, 0])
-    power, se_power = mean_se(per_rep[:, 1])
-    pfer, se_pfer = mean_se(per_rep[:, 2])
-    fwer, se_fwer = mean_se(per_rep[:, 3])
-    return ErrorMetrics(
-        fdr=fdr,
-        power=power,
-        fwer=fwer,
-        pfer=pfer,
-        se_fdr=se_fdr,
-        se_power=se_power,
-        se_fwer=se_fwer,
-        se_pfer=se_pfer,
-        replicates=replicates,
-    )
+def _aggregate(per_rep: np.ndarray) -> ErrorMetrics:
+    # per_rep columns are in ErrorMetrics' order: fdr, power, fwer, pfer
+    replicates = len(per_rep)
+    means = [float(column.mean()) for column in per_rep.T]
+    ses = [float(column.std(ddof=1) / np.sqrt(replicates)) if replicates > 1 else 0.0 for column in per_rep.T]
+    return ErrorMetrics(*means, *ses, replicates)
 
 
 SCENARIO_KINDS = {

@@ -40,8 +40,8 @@ from epmt.procedures import (
 )
 from epmt.sim import (
     MicroarrayScenario,
+    AdversarialScenario,
     TTestScenario,
-    adversarial_null_evalues,
     generate_replicate,
     run_campaign,
 )
@@ -121,7 +121,7 @@ def test_criterion_01_ebh_adversarial_fdr():
     reps = 10_000
     fdp = np.empty(reps)
     for i in range(reps):
-        e = adversarial_null_evalues(50, rng, alpha=0.1)
+        _, e, _ = generate_replicate(AdversarialScenario(50, level=0.1), rng)
         fdp[i] = 1.0 if e_bh(e, 0.1).rejected else 0.0
     fdr = fdp.mean()
     se = fdp.std(ddof=1) / np.sqrt(reps)

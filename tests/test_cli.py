@@ -402,6 +402,32 @@ def test_simulate_unknown_procedure_exits_2(tmp_path, capsys):
     assert "bh-2000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("procedures, name", [
+    (["p-bh", "p-bh"], "p-bh"),
+    ([{"name": "adaptive-e-bh", "merging": "mean"}, {"name": "adaptive-e-bh", "merging": "max"}], "adaptive-e-bh"),
+], ids=["same-entry", "different-merging"])
+def test_simulate_repeated_procedure_exits_2(tmp_path, capsys, procedures, name):
+    """Results are keyed by procedure name, so a name may appear once."""
+    cfg = write(tmp_path / "cfg.json", config_text(procedures=procedures))
+    code = cli.main(["simulate", "--config", cfg, "--reps", "2",
+                     "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert f"procedure {name!r} appears twice" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_simulate_single_gene_microarray_needs_refit_off(tmp_path, capsys):
+    """Refitting the variance prior needs two genes; without it one is enough."""
+    out = tmp_path / "o.csv"
+    config = {"kind": "microarray", "n_hypotheses": 1}
+    cfg = write(tmp_path / "cfg.json", config_text(scenarios=[config]))
+    assert cli.main(["simulate", "--config", cfg, "--reps", "2", "--out", str(out)]) == 2
+    assert "n_hypotheses >= 2" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = write(tmp_path / "cfg.json", config_text(scenarios=[{**config, "refit_hyperparameters": False}]))
+    assert cli.main(["simulate", "--config", cfg, "--reps", "2", "--out", str(out)]) == 0
+
+
 def test_simulate_procedure_overrides(tmp_path):
     cfg = write(tmp_path / "cfg.json", config_text(
         procedures=[{"name": "ep-storey", "alpha": 0.2, "tau": 0.4}]))

@@ -447,6 +447,15 @@ def test_chisq_lr_validation():
         chisq_lr_evalue(1.0, 9.0, -1.0)
 
 
+@pytest.mark.parametrize("df, ncp", [
+    (9.0, float("nan")), (9.0, float("inf")), (float("nan"), 10.0), (float("inf"), 10.0),
+], ids=["ncp-nan", "ncp-inf", "df-nan", "df-inf"])
+def test_chisq_lr_refuses_non_finite_parameters(df, ncp):
+    # each of these used to pass validation and return NaN
+    with pytest.raises(MalformedValue):
+        chisq_lr_evalue(np.array([0.0, 1.0, 50.0]), df, ncp)
+
+
 # ---------------------------------------------------------------- lambda shift
 
 

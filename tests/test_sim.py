@@ -9,7 +9,6 @@ from epmt.sim import (
     AdversarialScenario,
     MicroarrayScenario,
     TTestScenario,
-    adversarial_null_evalues,
     child_rng,
     generate_adversarial_replicate,
     generate_microarray_replicate,
@@ -33,6 +32,9 @@ def test_ttest_scenario_refuses_other_designs():
         TTestScenario(null_fraction=1.2)
     with pytest.raises(ValueError):
         TTestScenario(null_e_scale=0.0)
+    for ncp in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            TTestScenario(ncp=ncp)
 
 
 def test_microarray_scenario_validation():
@@ -42,11 +44,14 @@ def test_microarray_scenario_validation():
         MicroarrayScenario(df_prior=0.0)
     with pytest.raises(ValueError):
         MicroarrayScenario(n_per_group=1)
+    # one sample variance fits no prior; without refitting one gene is enough
+    with pytest.raises(ValueError, match="n_hypotheses"):
+        MicroarrayScenario(n_hypotheses=1)
+    generate_microarray_replicate(
+        MicroarrayScenario(n_hypotheses=1, refit_hyperparameters=False), child_rng(0, 0, 0))
 
 
 def test_adversarial_scenario_is_all_null():
-    scn = AdversarialScenario()
-    assert scn.null_fraction == 1.0
     with pytest.raises(ValueError):
         AdversarialScenario(n_hypotheses=1)
     with pytest.raises(ValueError):
@@ -190,7 +195,7 @@ def test_microarray_p_arm_tracks_effect():
 
 def test_adversarial_evalues_two_point():
     rng = child_rng(0, 2, 0)
-    e = adversarial_null_evalues(50, rng, alpha=0.1)
+    _, e, _ = generate_adversarial_replicate(AdversarialScenario(50, level=0.1), rng)
     # every coordinate is 0 or the reciprocal of its threshold
     assert set(np.round(e[e > 0.0], 10)) <= set(
         np.round(1.0 / np.unique(_thresholds(50, 0.1)), 10)
@@ -214,7 +219,7 @@ def test_adversarial_evalues_mean_one():
     grand = np.empty(reps)
     coord_sum = np.zeros(50)
     for rep in range(reps):
-        e = adversarial_null_evalues(50, child_rng(4, 0, rep), alpha=0.1)
+        _, e, _ = generate_adversarial_replicate(AdversarialScenario(50, level=0.1), child_rng(4, 0, rep))
         grand[rep] = e.mean()
         coord_sum += e
     mean = grand.mean()
@@ -257,7 +262,6 @@ def test_run_campaign_basic_metrics():
     scn = TTestScenario(n_hypotheses=300)
     specs = [ProcedureSpec("p-bh"), ProcedureSpec("ep-bh")]
     res = run_campaign([scn], specs, replicates=40, master_seed=6)
-    assert res.replicates == 40
     assert set(res.metrics) == {(0, "p-bh"), (0, "ep-bh")}
     for (_, name), m in res.metrics.items():
         assert 0.0 <= m.fdr <= 1.0
@@ -276,14 +280,30 @@ def test_run_campaign_parallelism_invariant():
         assert m == n, f"metrics diverged for {key}"
 
 
-def test_run_campaign_keep_replicates():
+def test_run_campaign_replicate_stats_all_null():
     scn = AdversarialScenario(n_hypotheses=20)
-    res = run_campaign([scn], [ProcedureSpec("e-bh")], replicates=15, master_seed=1,
-                       keep_replicates=True)
+    res = run_campaign([scn], [ProcedureSpec("e-bh")], replicates=15, master_seed=1)
     per_rep = res.replicate_stats[(0, "e-bh")]
     assert per_rep.shape == (15, 4)
     # all-null scenario: power column is identically zero
     assert (per_rep[:, 1] == 0.0).all()
+
+
+def test_run_campaign_replicate_stats_are_the_metrics_columns():
+    """Every campaign keeps its per-replicate stats, whose column means are the metrics."""
+    scenarios = [TTestScenario(n_hypotheses=200), MicroarrayScenario(n_hypotheses=200)]
+    specs = [ProcedureSpec("p-bh"), ProcedureSpec("ep-bh"), ProcedureSpec("ep-bonferroni")]
+    serial = run_campaign(scenarios, specs, replicates=12, master_seed=3)
+    parallel = run_campaign(scenarios, specs, replicates=12, master_seed=3, parallelism=2)
+    assert list(serial.replicate_stats) == list(serial.metrics)
+    for key, per_rep in serial.replicate_stats.items():
+        assert per_rep.shape == (12, 4)
+        m = serial.metrics[key]
+        means = [float(per_rep[:, col].mean()) for col in range(4)]
+        assert means == [m.fdr, m.power, m.fwer, m.pfer], key
+        # the fwer column flags a replicate with any false rejection
+        np.testing.assert_array_equal(per_rep[:, 2], (per_rep[:, 3] > 0).astype(float))
+        np.testing.assert_array_equal(per_rep, parallel.replicate_stats[key])
 
 
 def test_run_campaign_validation():
