@@ -12,7 +12,12 @@ The package covers four layers:
 * `constructors` / `sim`: ways to build e-values from data (soft-rank
   permutation statistics, moderated t, chi-square likelihood ratios) and
   simulation scenarios with a seeded, parallel replication driver.
+
+The names of `constructors` and `sim` resolve on first access: those two
+modules import scipy, which `adjust` and `combine` never need.
 """
+
+import importlib
 
 from .calib import (
     BadCalibrator,
@@ -29,17 +34,6 @@ from .calib import (
     power_calibrator,
     shift_evalue,
     sqrt_calibrator,
-)
-from .constructors import (
-    ModeratedTModel,
-    PermutationStatistics,
-    chisq_lr_evalue,
-    fit_gamma,
-    fit_limma_hyperparameters,
-    fit_moderated_model,
-    moderated_t,
-    moderated_t_evalue,
-    soft_rank_evalue,
 )
 from .core import (
     EmptyInput,
@@ -67,16 +61,50 @@ from .procedures import (
     weighted_p_bh_normalized,
     wbh_storey_normalized,
 )
-from .sim import (
-    AdversarialScenario,
-    CampaignResult,
-    MicroarrayScenario,
-    TTestScenario,
-    generate_replicate,
-    run_campaign,
-    scenario_from_dict,
-    scenario_to_dict,
-)
+
+# loaded by __getattr__ on first access, then kept in the module namespace
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "ModeratedTModel",
+            "PermutationStatistics",
+            "chisq_lr_evalue",
+            "fit_gamma",
+            "fit_limma_hyperparameters",
+            "fit_moderated_model",
+            "moderated_t",
+            "moderated_t_evalue",
+            "soft_rank_evalue",
+        ),
+        "constructors",
+    ),
+    **dict.fromkeys(
+        (
+            "AdversarialScenario",
+            "CampaignResult",
+            "MicroarrayScenario",
+            "TTestScenario",
+            "generate_replicate",
+            "run_campaign",
+            "scenario_from_dict",
+            "scenario_to_dict",
+        ),
+        "sim",
+    ),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

@@ -9,9 +9,10 @@ Subcommands:
 Exit codes: 0 success (even with zero rejections), 2 malformed input
 (reported with the first offending line or key), 3 usage errors.
 
-CSV conventions: floats are written with repr-level precision (shortest
-round-trip, 17 significant digits), infinity as the literal `inf`, and an
-empty cell means missing. Output is locale-independent.
+CSV conventions: floats are written with repr-level precision, the
+shortest round-trip (at most 17 significant digits); infinity is the
+literal `inf`, and an empty cell means missing. A cell holding a comma,
+a quote, CR or LF is quoted. Output is locale-independent.
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ from .calib import (
     parse_calibrator,
     shift_evalue,
 )
-from .constructors import fit_moderated_model, moderated_t_evalue
 from .core import MalformedValue, as_evector, as_pvector
 from .procedures import REGISTRY, ProcedureSpec
-from .sim import AdversarialScenario, check_field_types, run_campaign, scenario_from_dict, scenario_to_dict
+
+# `sim` and `constructors` import scipy, which `adjust` and `combine` never
+# need: they load inside the subcommands that call them.
 
 
 class CliInputError(Exception):
@@ -200,11 +202,37 @@ def _fmt(values, blank=None):
     return ("" if empty else cell for cell, empty in zip(cells, blank.tolist()))
 
 
-def _write_csv(path: str, header: list, rows):
+# Rows joined per write. A block's cells are all live at once: a 200k-row
+# `adjust` peaked at 106 MB with 8k-row blocks, 124 MB with 64k-row blocks
+# and 145 MB with one block.
+_BLOCK_ROWS = 8192
+_SPECIAL = (",", '"', "\r", "\n")
+
+
+def _quoted(cells: list) -> list:
+    """The cells, each holding a comma, quote, CR or LF quoted as RFC 4180 asks.
+
+    One scan of the joined cells clears a block with none, the common case.
+    """
+    joined = "".join(cells)
+    if not any(char in joined for char in _SPECIAL):
+        return cells
+    return ['"' + cell.replace('"', '""') + '"' if any(c in cell for c in _SPECIAL) else cell for cell in cells]
+
+
+def _write_csv(path: str, header: list, columns: list):
+    """Write a CSV of the header over equally long columns of str cells.
+
+    A column may be any iterable; it is consumed a block of rows at a time.
+    """
+    columns = [itertools.chain([name], column) for name, column in zip(header, columns)]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        while True:
+            block = [_quoted(list(itertools.islice(column, _BLOCK_ROWS))) for column in columns]
+            if not block[0]:
+                return
+            handle.write("\n".join(map(",".join, zip(*block))))
+            handle.write("\n")
 
 
 def _next_to(out_path: str, suffix: str) -> str:
@@ -232,7 +260,7 @@ def cmd_adjust(args) -> int:
     _write_csv(
         args.out,
         ["id", "p", "e", "adjusted", "rejected"],
-        zip(ids, _fmt(p, blank=p_missing), _fmt(e), _fmt(result.adjusted), result.mask.astype(int).tolist()),
+        [ids, _fmt(p, blank=p_missing), _fmt(e), _fmt(result.adjusted), np.where(result.mask, "1", "0").tolist()],
     )
     _write_json(
         _next_to(args.out, ".json"),
@@ -275,6 +303,8 @@ def _config_list(config: dict, key: str, kinds, described: str) -> list:
 
 
 def _procedures_from_config(config: dict) -> list:
+    from .sim import check_field_types
+
     # top-level alpha and tau are defaults for every procedure entry
     defaults = {key: config[key] for key in ("alpha", "tau") if key in config}
     try:
@@ -302,7 +332,20 @@ def _procedures_from_config(config: dict) -> list:
     return specs
 
 
+def run_campaign(*args, **kwargs):
+    """sim.run_campaign, importing sim on the first call.
+
+    cmd_simulate calls it through this module global, where a tracer can
+    wrap it without loading sim for the other subcommands.
+    """
+    from . import sim
+
+    return sim.run_campaign(*args, **kwargs)
+
+
 def cmd_simulate(args) -> int:
+    from .sim import AdversarialScenario, scenario_from_dict, scenario_to_dict
+
     try:
         with open(args.config, encoding="utf-8") as handle:
             config = json.load(handle)
@@ -341,12 +384,18 @@ def cmd_simulate(args) -> int:
         parallelism=args.parallelism,
     )
     rates = ["fdr", "se_fdr", "power", "se_power", "fwer", "se_fwer", "pfer", "se_pfer"]
-    rows = []
-    for index, label in enumerate(labels):
-        for spec in specs:
-            metric = campaign.metrics[(index, spec.name)]
-            rows.append([label, spec.name, *_fmt([getattr(metric, rate) for rate in rates]), metric.replicates])
-    _write_csv(args.out, ["scenario", "procedure", *rates, "replicates"], rows)
+    pairs = [(index, spec.name) for index in range(len(labels)) for spec in specs]
+    metrics = [campaign.metrics[pair] for pair in pairs]
+    _write_csv(
+        args.out,
+        ["scenario", "procedure", *rates, "replicates"],
+        [
+            [labels[index] for index, _ in pairs],
+            [name for _, name in pairs],
+            *(_fmt([getattr(metric, rate) for metric in metrics]) for rate in rates),
+            [str(metric.replicates) for metric in metrics],
+        ],
+    )
     manifest = {
         "master_seed": args.seed,
         "replicates": args.reps,
@@ -383,7 +432,7 @@ def cmd_combine(args) -> int:
             combined = combine_mean(p, e, calibrator, weight=args.mean_weight)
         except BadLambda as exc:
             _usage_error(str(exc))
-    _write_csv(args.out, ["id", "combined"], zip(ids, _fmt(combined)))
+    _write_csv(args.out, ["id", "combined"], [ids, _fmt(combined)])
     return 0
 
 
@@ -391,6 +440,8 @@ _MODERATE_COLUMNS = ("id", "beta_hat", "s_sq", "v", "nu")
 
 
 def cmd_moderate(args) -> int:
+    from .constructors import fit_moderated_model, moderated_t_evalue
+
     ids, *cells = _read_columns(args.input, _MODERATE_COLUMNS)
     (beta_hat, beta_error), (s_sq, s_error), (v, v_error), (nu, nu_error) = (
         _parse_column(column, name) for column, name in zip(cells, _MODERATE_COLUMNS[1:])
@@ -409,7 +460,7 @@ def cmd_moderate(args) -> int:
     except MalformedValue as exc:
         raise CliInputError(str(exc)) from None
     e = moderated_t_evalue(t_tilde, model)
-    _write_csv(args.out, ["id", "t_tilde", "p", "e"], zip(ids, _fmt(t_tilde), _fmt(p), _fmt(e)))
+    _write_csv(args.out, ["id", "t_tilde", "p", "e"], [ids, _fmt(t_tilde), _fmt(p), _fmt(e)])
     _write_json(
         _next_to(args.out, ".json"),
         {

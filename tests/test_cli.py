@@ -227,6 +227,32 @@ def test_non_utf8_input_exits_2_naming_line(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"error: line {line}: byte 0xff is not valid UTF-8\n"
 
 
+# quoted cells that span rows, break lines or carry the separators
+SPECIAL_IDS = ["cr\rid", "lf\nid", "crlf\r\nid", "comma,id", 'quote"id', "plain"]
+
+
+def quoted_cell(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+@pytest.mark.parametrize("command", ["adjust", "combine", "moderate"])
+def test_ids_with_separators_read_back_intact(tmp_path, command):
+    if command == "moderate":
+        header, values = "id,beta_hat,s_sq,v,nu", [f"{0.1 * i},1.0,0.1,38" for i in range(len(SPECIAL_IDS))]
+        flags = []
+    else:
+        header, values = "id,p,e", [f"0.0{i + 1},2" for i in range(len(SPECIAL_IDS))]
+        flags = ["--procedure", "ep-bh"] if command == "adjust" else ["--mode", "quotient"]
+    body = "".join(f"{quoted_cell(i)},{v}\n" for i, v in zip(SPECIAL_IDS, values))
+    inp = write(tmp_path / "in.csv", header + "\n" + body)
+    out = tmp_path / "out.csv"
+    assert cli.main([command, "--input", inp, *flags, "--out", str(out)]) == 0
+    with open(out, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert [row[0] for row in rows[1:]] == SPECIAL_IDS
+    assert {len(row) for row in rows} == {len(rows[0])}
+
+
 # ---------------------------------------------------------------- combine
 
 
@@ -536,12 +562,35 @@ def test_module_entry_point(tmp_path):
     assert out.exists()
 
 
-def test_cli_import_loads_no_scipy_stats_or_optimize():
-    """Startup needs scipy.special only; scipy.stats alone costs most of a second."""
-    code = "import epmt.cli, sys; print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
+def run_fresh(code: str) -> str:
+    """Standard output of code run in a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cli_import_loads_no_scipy_stats_or_optimize():
+    """adjust and combine run on numpy alone: importing the package or the
+    command line, or printing the version, loads no scipy, sim or constructors."""
+    loaded = (
+        "import sys; print(sorted(m for m in sys.modules"
+        " if m.partition('.')[0] == 'scipy' or m in ('epmt.sim', 'epmt.constructors')))"
+    )
+    version = (
+        "import runpy, sys; sys.argv = ['epmt', '--version']\n"
+        "try:\n    runpy.run_module('epmt', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+    )
+    assert run_fresh(f"import epmt; {loaded}") == "[]\n"
+    assert run_fresh(f"import epmt.cli; {loaded}") == "[]\n"
+    assert run_fresh(version + loaded) == "epmt 0.1.0\n[]\n"
+    # the names of sim and constructors still resolve, on first access
+    every_name = (
+        "import sys, epmt; epmt.run_campaign; print('epmt.sim' in sys.modules)\n"
+        "names = {}; exec('from epmt import *', names)\n"
+        "print(sorted(set(epmt.__all__) - set(names)), sorted(set(epmt.__all__) - set(dir(epmt))))"
+    )
+    assert run_fresh(every_name) == "True\n[] []\n"
 
 
 def test_help_exits_zero(capsys):

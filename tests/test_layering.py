@@ -3,8 +3,10 @@ and every module keeps one function per computation.
 
 core, calib and procedures serve `adjust` and `combine`, which never call
 into scipy; keeping these layers free of it lets the command line defer
-scipy to the subcommands that use it. Public functions validate and
-compute in one place, so no module has a private `_name` twin beside one.
+scipy to `simulate` and `moderate`, the subcommands that use it, and it
+does (tests/test_cli.py checks a fresh import). Public functions validate
+and compute in one place, so no module has a private `_name` twin beside
+one.
 """
 
 import ast

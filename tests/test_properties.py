@@ -8,9 +8,11 @@ same examples.
 """
 
 import csv
+import io
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -206,6 +208,38 @@ def test_adjust_csv_round_trips_float_bits(rows, name):
     for column, values in (("p", p), ("e", e), ("adjusted", expected.adjusted)):
         np.testing.assert_array_equal(_bits([float(row[column]) for row in written]), _bits(values))
     assert [row["rejected"] for row in written] == ["1" if r else "0" for r in expected.mask]
+
+
+# ids with every character the writer must quote, non-ASCII text and ""
+ID = st.text(st.one_of(st.sampled_from(',"\r\n'), st.characters(codec="utf-8")), max_size=6)
+
+
+def _written(path: Path, ids: list, values: list) -> bytes:
+    flags = ["1" if v > 0.5 else "0" for v in values]
+    cli._write_csv(str(path), ["id", "value", "flag"], [ids, cli._fmt(values), flags])
+    return path.read_bytes()
+
+
+@FIXED
+@given(st.lists(st.tuples(ID, P_CELL), min_size=1, max_size=12))
+def test_csv_writer_matches_csv_module(rows):
+    """The block writer reads back cell for cell, writes csv.writer's bytes
+    wherever csv.writer quotes enough (no CR), and is blind to block edges."""
+    ids, values = [row[0] for row in rows], [row[1] for row in rows]
+    cells = [["id", "value", "flag"], *([i, repr(v), "1" if v > 0.5 else "0"] for i, v in rows)]
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "out.csv"
+        text = _written(path, ids, values)
+        with open(path, newline="", encoding="utf-8") as handle:
+            assert list(csv.reader(handle)) == cells
+        if not any("\r" in i for i in ids):
+            reference = io.StringIO()
+            csv.writer(reference, lineterminator="\n").writerows(cells)
+            assert text == reference.getvalue().encode("utf-8")
+        # blocks one row short of, equal to and one row past the whole file
+        for block_rows in (len(cells) - 1, len(cells), len(cells) + 1):
+            with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+                assert _written(path, ids, values) == text
 
 
 FLOAT_MAX = np.finfo(float).max
