@@ -17,8 +17,6 @@ The names of `constructors` and `sim` resolve on first access: those two
 modules import scipy, which `adjust` and `combine` never need.
 """
 
-import importlib
-
 from .calib import (
     BadCalibrator,
     BadLambda,
@@ -97,7 +95,9 @@ _LAZY = {
 def __getattr__(name):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
     globals()[name] = value
     return value
 

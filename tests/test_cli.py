@@ -585,12 +585,15 @@ def test_cli_import_loads_no_scipy_stats_or_optimize():
     assert run_fresh(f"import epmt.cli; {loaded}") == "[]\n"
     assert run_fresh(version + loaded) == "epmt 0.1.0\n[]\n"
     # the names of sim and constructors still resolve, on first access
+    # sim and constructors, which simulate and moderate load, import scipy.special only
     every_name = (
         "import sys, epmt; epmt.run_campaign; print('epmt.sim' in sys.modules)\n"
+        "epmt.fit_moderated_model; print('epmt.constructors' in sys.modules)\n"
         "names = {}; exec('from epmt import *', names)\n"
-        "print(sorted(set(epmt.__all__) - set(names)), sorted(set(epmt.__all__) - set(dir(epmt))))"
+        "print(sorted(set(epmt.__all__) - set(names)), sorted(set(epmt.__all__) - set(dir(epmt))))\n"
+        "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
     )
-    assert run_fresh(every_name) == "True\n[] []\n"
+    assert run_fresh(every_name) == "True\nTrue\n[] []\n[]\n"
 
 
 def test_help_exits_zero(capsys):
