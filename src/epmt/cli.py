@@ -58,31 +58,127 @@ def _open_csv(path: str):
         raise CliInputError(f"cannot open {path}: {exc}") from None
 
 
+# Characters read per pass of the CSV reader. A block's lines and cells are
+# all live at once: a 200k-row `adjust` peaked at 88 MB with 1 MiB blocks,
+# 87 MB with 64 KiB blocks and 117 MB reading the whole file as one block.
+_READ_CHARS = 1 << 20
+
+
 def _read_columns(path: str, columns: tuple) -> list:
     """The stripped cells of a CSV with the given header, one list per column.
 
     Blank rows are skipped; every other row must have one field per column.
+    The file is read a block of whole lines at a time. A block holding no
+    quote and no CR is cut at its commas; the first block holding either
+    hands the rest of the file, from that block's start, to csv.reader.
     """
+    cells = [[] for _ in columns]
     with _open_csv(path) as handle:
-        reader = csv.reader(handle)
         try:
-            header = next(reader, None)
-            if header is None:
-                raise CliInputError("line 1: empty file, expected a header row")
-            if [h.strip() for h in header] != list(columns):
-                raise CliInputError(
-                    f"line 1: expected header {','.join(columns)}, got {','.join(header)}"
-                )
-            rows = [row for row in reader if row]
+            _check_header(handle, columns)
+            error = _read_blocks(handle, cells)
+            if error is not None:
+                # a byte that is not UTF-8 is named before any row error
+                while handle.read(_READ_CHARS):
+                    pass
         except UnicodeDecodeError:
             _fail_undecodable(path)
-    if set(map(len, rows)) - {len(columns)}:
-        row = next(i for i, cells in enumerate(rows) if len(cells) != len(columns))
-        _fail(path, [(row, f"expected {len(columns)} fields, got {len(rows[row])}")])
-    if not rows:
+    _fail(path, [error])
+    if not cells[0]:
         raise CliInputError("line 2: no data rows")
+    return cells
+
+
+def _check_header(handle, columns: tuple):
+    """Read the header row, leaving the handle at the first data line."""
+    reader = csv.reader(handle)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise CliInputError(f"line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise CliInputError("line 1: empty file, expected a header row")
+    if [h.strip() for h in header] != list(columns):
+        raise CliInputError(f"line 1: expected header {','.join(columns)}, got {','.join(header)}")
+
+
+def _read_blocks(handle, cells: list):
+    """Append the data rows left in handle to cells, one list per column.
+
+    Returns None, or the (row, message) of the first row that cannot be
+    read, and then cells stop before that row.
+    """
+    tail = ""
+    while True:
+        chunk = handle.read(_READ_CHARS)
+        text = tail + chunk
+        cut = text.rfind("\n") + 1 if chunk else len(text)
+        block, tail = text[:cut], text[cut:]
+        if '"' in block or "\r" in block:
+            import io
+
+            # csv.reader takes a string per line, split at LF, CR and CRLF as the file is
+            lines = io.StringIO(block + tail + handle.readline(), newline="")
+            return _read_rows(csv.reader(itertools.chain(lines, handle)), cells)
+        error = _split_block(block, cells)
+        if error is not None or not chunk:
+            return error
+
+
+def _split_block(block: str, cells: list):
+    """Append the rows of a block with no quote and no CR to cells.
+
+    Returns None, or the (row, message) of the first row csv.reader would
+    refuse: one with a field over csv's size limit, or a wrong field count.
+    """
+    lines = list(filter(None, block.split("\n")))
+    if not lines:
+        return None
+    n = len(cells)
+    limit = csv.field_size_limit()
+    if set(map(str.count, lines, itertools.repeat(","))) != {n - 1} or max(map(len, lines)) > limit:
+        for row, line in enumerate(lines, start=len(cells[0])):
+            fields = line.split(",")
+            if max(map(len, fields)) > limit:
+                return row, f"field larger than field limit ({limit})"
+            if len(fields) != n:
+                return row, f"expected {n} fields, got {len(fields)}"
+    joined = ",".join(lines).split(",")
+    for i, column in enumerate(cells):
+        column.extend(map(str.strip, joined[i::n]))
+    return None
+
+
+def _read_rows(reader, cells: list):
+    """Append csv.reader's non-blank rows to cells, _BLOCK_ROWS at a time.
+
+    Returns None or the first (row, message) error, as _split_block does.
+    """
+    rows = []
+    try:
+        for row in filter(None, reader):
+            rows.append(row)
+            if len(rows) == _BLOCK_ROWS:
+                error = _add_rows(rows, cells)
+                if error is not None:
+                    return error
+                rows = []
+    except csv.Error as exc:
+        failed = len(cells[0]) + len(rows), str(exc)
+        return _add_rows(rows, cells) or failed
+    return _add_rows(rows, cells)
+
+
+def _add_rows(rows: list, cells: list):
+    """Append rows of cells column-wise, or return the first wrong field count."""
+    n = len(cells)
+    if set(map(len, rows)) - {n}:
+        row = next(i for i, fields in enumerate(rows) if len(fields) != n)
+        return len(cells[0]) + row, f"expected {n} fields, got {len(rows[row])}"
     # not zip(*rows): an iterator per row sets off the cyclic collector
-    return [list(map(str.strip, map(itemgetter(i), rows))) for i in range(len(columns))]
+    for i, column in enumerate(cells):
+        column.extend(map(str.strip, map(itemgetter(i), rows)))
+    return None
 
 
 def _fail_undecodable(path: str):
@@ -108,10 +204,18 @@ def _data_lines(path: str) -> list:
     Only the error path re-reads the file for this; counting physical
     lines keeps the number right after a quoted cell that spans lines.
     """
+    lines = []
     with _open_csv(path) as handle:
         reader = csv.reader(handle)
         next(reader)
-        return [reader.line_num for row in reader if row]
+        try:
+            for row in reader:
+                if row:
+                    lines.append(reader.line_num)
+        except csv.Error:
+            # a cell over csv's size limit ends the rows on the line it is on
+            lines.append(reader.line_num)
+    return lines
 
 
 def _fail(path: str, errors: list):
@@ -192,19 +296,24 @@ def _check_unique(path: str, ids: list):
 
 
 def _fmt(values, blank=None):
-    """Cells of a float column at repr precision, made lazily.
+    """Cells of a float column at repr precision.
 
-    Rows flagged in blank are left empty.
+    Rows flagged in blank are left empty. Without any, the cells are made
+    lazily, as the writer consumes them.
     """
     cells = map(repr, np.asarray(values, dtype=float).tolist())
-    if blank is None:
+    if blank is None or not blank.any():
         return cells
-    return ("" if empty else cell for cell, empty in zip(cells, blank.tolist()))
+    cells = list(cells)
+    for row in np.flatnonzero(blank).tolist():
+        cells[row] = ""
+    return cells
 
 
-# Rows joined per write. A block's cells are all live at once: a 200k-row
-# `adjust` peaked at 106 MB with 8k-row blocks, 124 MB with 64k-row blocks
-# and 145 MB with one block.
+# Rows joined per write, and csv.reader rows turned into columns per pass.
+# A written block's cells are all live at once: with a whole-file reader, a
+# 200k-row `adjust` peaked at 106 MB with 8k-row blocks, 124 MB with 64k-row
+# blocks and 145 MB with one block.
 _BLOCK_ROWS = 8192
 _SPECIAL = (",", '"', "\r", "\n")
 

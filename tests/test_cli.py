@@ -253,6 +253,63 @@ def test_ids_with_separators_read_back_intact(tmp_path, command):
     assert {len(row) for row in rows} == {len(rows[0])}
 
 
+@pytest.mark.parametrize("command", ["adjust", "moderate"])
+@pytest.mark.parametrize("quoted", [False, True], ids=["unquoted", "quoted"])
+def test_oversized_cell_exits_2_naming_line(tmp_path, capsys, command, quoted):
+    """A cell over csv's field size limit is refused on its line, whichever
+    path reads it: cut at commas, or by csv.reader after a quote."""
+    cell = "x" * 200_000
+    if quoted:
+        cell = quoted_cell(cell)
+    if command == "moderate":
+        body = f"id,beta_hat,s_sq,v,nu\ng1,1,1,0.1,38\n{cell},1,1,0.1,38\n"
+        flags = []
+    else:
+        body = f"id,p,e\ng1,0.01,2\n{cell},0.2,1\n"
+        flags = ["--procedure", "ep-bh"]
+    inp = write(tmp_path / "in.csv", body)
+    code = cli.main([command, "--input", inp, *flags, "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    limit = csv.field_size_limit()
+    assert capsys.readouterr().err == f"error: line 3: field larger than field limit ({limit})\n"
+
+
+PLAIN_ROWS = "".join(f"g{i},0.0{i % 9 + 1},2\n" for i in range(20))
+
+
+def adjust_ids(tmp_path, monkeypatch, body, read_chars):
+    """The ids `adjust` writes for an id,p,e body read read_chars at a time."""
+    monkeypatch.setattr(cli, "_READ_CHARS", read_chars)
+    inp = write(tmp_path / "in.csv", "id,p,e\n" + body)
+    out = tmp_path / "out.csv"
+    assert cli.main(["adjust", "--input", inp, "--procedure", "ep-bh", "--out", str(out)]) == 0
+    with open(out, newline="") as handle:
+        return [row[0] for row in csv.reader(handle)][1:]
+
+
+def test_quote_after_the_first_block_reads_back_intact(tmp_path, monkeypatch):
+    body = PLAIN_ROWS + "".join(f"{quoted_cell(i)},0.5,1\n" for i in SPECIAL_IDS)
+    ids = adjust_ids(tmp_path, monkeypatch, body, 64)
+    assert ids == [f"g{i}" for i in range(20)] + SPECIAL_IDS
+
+
+def test_quoted_line_feed_across_a_block_edge_reads_back_intact(tmp_path, monkeypatch):
+    body = PLAIN_ROWS + '"split\nid",0.5,1\n' + PLAIN_ROWS.replace("g", "h")
+    # the first block ends one character past the line feed inside the quotes
+    ids = adjust_ids(tmp_path, monkeypatch, body, body.index("split\n") + len("split\n") + 1)
+    assert ids == [f"g{i}" for i in range(20)] + ["split\nid"] + [f"h{i}" for i in range(20)]
+
+
+def test_field_count_after_a_quote_names_physical_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_READ_CHARS", 64)
+    # rows on lines 2-21, the quoted id on lines 22-23, the short row on 25
+    body = PLAIN_ROWS + '"split\nid",0.5,1\nh0,0.5,1\nh1,0.5\n'
+    inp = write(tmp_path / "in.csv", "id,p,e\n" + body)
+    code = cli.main(["adjust", "--input", inp, "--procedure", "ep-bh", "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: line 25: expected 3 fields, got 2\n"
+
+
 # ---------------------------------------------------------------- combine
 
 

@@ -242,6 +242,81 @@ def test_csv_writer_matches_csv_module(rows):
                 assert _written(path, ids, values) == text
 
 
+# cells the split path takes, cells only csv.reader can take, raw text
+# holding the separators, which csv.reader reads as it likes, and cells over
+# the small field size limit the test sets in half of its examples
+PLAIN = st.text(st.sampled_from("x1 \t."), max_size=4)
+QUOTED = st.text(st.sampled_from('x,"\r\n \t'), max_size=4).map(lambda text: '"' + text.replace('"', '""') + '"')
+RAW = st.text(st.sampled_from('x,"\r\n \t'), max_size=3)
+LONG = st.sampled_from(["xxxxx", " x  x ", '"xxxxx"'])
+ROW = st.lists(PLAIN, min_size=3, max_size=3).map(",".join)
+LINE = st.one_of(
+    ROW,
+    st.lists(st.one_of(PLAIN, PLAIN, QUOTED, RAW, LONG), min_size=3, max_size=3).map(",".join),
+    st.lists(st.one_of(PLAIN, PLAIN, PLAIN, LONG), max_size=5).map(",".join),  # wrong counts, blank lines
+)
+ENDING = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+
+
+def _csv_module_columns(path: Path) -> list:
+    """What the reader must return, from csv.reader rows: the columns, or
+    the message of the first row csv.reader refuses or that has a wrong
+    field count, on the physical line the row ends on."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        assert next(reader) == ["id", "p", "e"]
+        rows, lines = [], []
+        try:
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
+        except csv.Error as exc:
+            rows.append(str(exc))
+            lines.append(reader.line_num)
+    for row, line in zip(rows, lines):
+        if isinstance(row, str):
+            return f"line {line}: {row}"
+        if len(row) != 3:
+            return f"line {line}: expected 3 fields, got {len(row)}"
+    if not rows:
+        return "line 2: no data rows"
+    return [[row[i].strip() for row in rows] for i in range(3)]
+
+
+@FIXED
+@given(
+    st.lists(st.tuples(LINE, ENDING), max_size=12),
+    st.booleans(),
+    st.one_of(st.integers(1, 16), st.just(1 << 20)),
+    st.sampled_from([1, 3, cli._BLOCK_ROWS]),
+    st.sampled_from([4, csv.field_size_limit()]),
+)
+def test_csv_reader_matches_csv_module(lines, last_ended, read_chars, block_rows, field_limit):
+    """The block reader returns csv.reader's cells, column-wise and
+    stripped, or refuses the same row with the same message, wherever the
+    blocks are cut, whichever row hands the rest to csv.reader and however
+    many of its rows make a column block."""
+    text = "id,p,e\n" + "".join(line + ending for line, ending in lines)
+    if lines and not last_ended:
+        text = text[: -len(lines[-1][1])]
+    default_limit = csv.field_size_limit(field_limit)
+    try:
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "in.csv"
+            with open(path, "w", newline="", encoding="utf-8") as handle:
+                handle.write(text)
+            expected = _csv_module_columns(path)
+            with mock.patch.object(cli, "_READ_CHARS", read_chars), mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+                try:
+                    got = cli._read_columns(str(path), ("id", "p", "e"))
+                except cli.CliInputError as exc:
+                    got = str(exc)
+    finally:
+        csv.field_size_limit(default_limit)
+    assert got == expected
+
+
 FLOAT_MAX = np.finfo(float).max
 
 
