@@ -13,97 +13,33 @@ The package covers four layers:
   permutation statistics, moderated t, chi-square likelihood ratios) and
   simulation scenarios with a seeded, parallel replication driver.
 
-The names of `constructors` and `sim` resolve on first access: those two
-modules import scipy, which `adjust` and `combine` never need.
+Every name in `__all__` resolves on first access, from the first layer
+that holds it, and then stays in the module namespace. `constructors` and
+`sim` import scipy, which `adjust` and `combine` never need.
 """
 
-from .calib import (
-    BadCalibrator,
-    BadLambda,
-    Calibrator,
-    DEFAULT_CALIBRATOR,
-    calibrate_e_to_p,
-    calibrate_p_to_e,
-    combine_bonferroni,
-    combine_mean,
-    combine_product,
-    combine_quotient,
-    parse_calibrator,
-    power_calibrator,
-    shift_evalue,
-    sqrt_calibrator,
-)
-from .core import (
-    EmptyInput,
-    ErrorMetrics,
-    LengthMismatch,
-    MalformedValue,
-    RejectionResult,
-    fdp_and_power,
-)
-from .procedures import (
-    REGISTRY,
-    ProcedureSpec,
-    SingleHypothesis,
-    adaptive_e_bh,
-    e_bh,
-    ep_bh,
-    ep_bonferroni,
-    ep_storey,
-    normalized_weights,
-    p_bh,
-    pe_bh,
-    simes_evalue,
-    storey_pi0,
-    weighted_p_bh,
-    weighted_p_bh_normalized,
-    wbh_storey_normalized,
-)
+# the numpy-only layers load with the package
+from . import calib, core, procedures
 
-# loaded by __getattr__ on first access, then kept in the module namespace
-_LAZY = {
-    **dict.fromkeys(
-        (
-            "ModeratedTModel",
-            "PermutationStatistics",
-            "chisq_lr_evalue",
-            "fit_gamma",
-            "fit_limma_hyperparameters",
-            "fit_moderated_model",
-            "moderated_t",
-            "moderated_t_evalue",
-            "soft_rank_evalue",
-        ),
-        "constructors",
-    ),
-    **dict.fromkeys(
-        (
-            "AdversarialScenario",
-            "CampaignResult",
-            "MicroarrayScenario",
-            "TTestScenario",
-            "generate_replicate",
-            "run_campaign",
-            "scenario_from_dict",
-            "scenario_to_dict",
-        ),
-        "sim",
-    ),
-}
+_LAYERS = ("core", "calib", "procedures", "constructors", "sim")
 
 
 def __getattr__(name):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
+    if name in __all__:
+        from importlib import import_module
 
-    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
-    globals()[name] = value
-    return value
+        # a module imports only from layers before its own, so the first
+        # one holding the name defines it
+        for layer in _LAYERS:
+            module = import_module(f".{layer}", __name__)
+            if hasattr(module, name):
+                value = globals()[name] = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted({*globals(), *_LAZY})
+    return sorted({*globals(), *__all__})
 
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from operator import itemgetter
+from operator import eq, itemgetter
 
 import numpy as np
 
@@ -75,31 +75,38 @@ def _read_columns(path: str, columns: tuple) -> list:
     cells = [[] for _ in columns]
     with _open_csv(path) as handle:
         try:
-            _check_header(handle, columns)
-            error = _read_blocks(handle, cells)
-            if error is not None:
-                # a byte that is not UTF-8 is named before any row error
+            header_error = _header_error(handle, columns)
+            error = None if header_error else _read_blocks(handle, cells)
+            if header_error or error:
+                # a byte that is not UTF-8 is named before any other error,
+                # wherever the text reader's decoded chunks happen to end
                 while handle.read(_READ_CHARS):
                     pass
         except UnicodeDecodeError:
             _fail_undecodable(path)
+    if header_error:
+        raise CliInputError(header_error)
     _fail(path, [error])
     if not cells[0]:
         raise CliInputError("line 2: no data rows")
     return cells
 
 
-def _check_header(handle, columns: tuple):
-    """Read the header row, leaving the handle at the first data line."""
+def _header_error(handle, columns: tuple):
+    """Read the header row, leaving the handle at the first data line.
+
+    Returns None, or the message naming what is wrong with the header.
+    """
     reader = csv.reader(handle)
     try:
         header = next(reader, None)
     except csv.Error as exc:
-        raise CliInputError(f"line {reader.line_num}: {exc}") from None
+        return f"line {reader.line_num}: {exc}"
     if header is None:
-        raise CliInputError("line 1: empty file, expected a header row")
+        return "line 1: empty file, expected a header row"
     if [h.strip() for h in header] != list(columns):
-        raise CliInputError(f"line 1: expected header {','.join(columns)}, got {','.join(header)}")
+        return f"line 1: expected header {','.join(columns)}, got {','.join(header)}"
+    return None
 
 
 def _read_blocks(handle, cells: list):
@@ -283,7 +290,8 @@ def _load_hypotheses(path: str):
 def _check_unique(path: str, ids: list):
     """Refuse a repeated id, naming the line of its second occurrence."""
     # a sorted copy holds only references, far less memory than a set of ids
-    if all(a != b for a, b in itertools.pairwise(sorted(ids))):
+    ordered = sorted(ids)
+    if not any(map(eq, ordered, itertools.islice(ordered, 1, None))):
         return
     first_row = {}
     for row, row_id in enumerate(ids):
@@ -401,46 +409,6 @@ def _usage_error(message: str):
     raise SystemExit(3)
 
 
-def _config_list(config: dict, key: str, kinds, described: str) -> list:
-    """The nonempty list under a config key, each item one of kinds."""
-    value = config.get(key)
-    if value is None or value == []:
-        raise CliInputError(f"config key {key!r} is missing or empty")
-    if not isinstance(value, list) or not all(isinstance(item, kinds) for item in value):
-        raise CliInputError(f"config key {key!r} must be a list of {described}")
-    return value
-
-
-def _procedures_from_config(config: dict) -> list:
-    from .sim import check_field_types
-
-    # top-level alpha and tau are defaults for every procedure entry
-    defaults = {key: config[key] for key in ("alpha", "tau") if key in config}
-    try:
-        check_field_types(ProcedureSpec, defaults, lambda key: f"config key {key!r}")
-    except TypeError as exc:
-        raise CliInputError(str(exc)) from None
-    specs = []
-    for entry in _config_list(config, "procedures", (str, dict), "names or objects"):
-        if isinstance(entry, str):
-            entry = {"name": entry}
-        if "name" not in entry:
-            raise CliInputError("each procedure entry must be a name or an object with 'name'")
-        extra = set(entry) - set(ProcedureSpec.__dataclass_fields__)
-        if extra:
-            raise CliInputError(f"unknown procedure key {sorted(extra)[0]!r}")
-        if any(spec.name == entry["name"] for spec in specs):
-            raise CliInputError(f"procedure {entry['name']!r} appears twice; procedure names must be unique")
-        try:
-            check_field_types(ProcedureSpec, entry, lambda key: f"key {key!r}")
-            specs.append(ProcedureSpec(**{**defaults, **entry}))
-        except KeyError:
-            raise CliInputError(f"unknown procedure name {entry['name']!r}") from None
-        except (TypeError, ValueError, BadCalibrator) as exc:
-            raise CliInputError(f"procedure {entry['name']!r}: {exc}") from None
-    return specs
-
-
 def run_campaign(*args, **kwargs):
     """sim.run_campaign, importing sim on the first call.
 
@@ -453,7 +421,7 @@ def run_campaign(*args, **kwargs):
 
 
 def cmd_simulate(args) -> int:
-    from .sim import AdversarialScenario, scenario_from_dict, scenario_to_dict
+    from .sim import ConfigError, campaign_from_config, scenario_to_dict
 
     try:
         with open(args.config, encoding="utf-8") as handle:
@@ -464,27 +432,12 @@ def cmd_simulate(args) -> int:
         raise CliInputError(f"config is not valid JSON: {exc}") from None
     except UnicodeDecodeError:
         _fail_undecodable(args.config)
-    if not isinstance(config, dict):
-        raise CliInputError("config must be a JSON object")
-    allowed = {"alpha", "tau", "scenarios", "procedures"}
-    extra = set(config) - allowed
-    if extra:
-        raise CliInputError(f"unknown config key {sorted(extra)[0]!r}")
-    scenarios = []
-    for entry in _config_list(config, "scenarios", dict, "objects"):
-        try:
-            scenarios.append(scenario_from_dict(entry))
-        except (KeyError, TypeError, ValueError) as exc:
-            message = exc.args[0] if exc.args else str(exc)
-            raise CliInputError(f"scenario config: {message}") from None
-    specs = _procedures_from_config(config)
-    labels = [f"{scenario_to_dict(s)['kind']}-{index}" for index, s in enumerate(scenarios)]
-    needs_p = [spec.name for spec in specs if spec.needs_p]
-    for label, scenario in zip(labels, scenarios):
-        if needs_p and isinstance(scenario, AdversarialScenario):
-            raise CliInputError(
-                f"scenario {label} generates no p-values, but procedure {needs_p[0]} needs them"
-            )
+    try:
+        scenarios, specs = campaign_from_config(config)
+    except ConfigError as exc:
+        raise CliInputError(str(exc)) from None
+    described = [scenario_to_dict(s) for s in scenarios]
+    labels = [f"{scenario['kind']}-{index}" for index, scenario in enumerate(described)]
     campaign = run_campaign(
         scenarios,
         specs,
@@ -509,7 +462,7 @@ def cmd_simulate(args) -> int:
         "master_seed": args.seed,
         "replicates": args.reps,
         "package_version": __version__,
-        "scenarios": [scenario_to_dict(s) for s in scenarios],
+        "scenarios": described,
         "procedures": [asdict(spec) for spec in specs],
     }
     _write_json(_next_to(args.out, ".manifest.json"), manifest)
@@ -558,12 +511,13 @@ def cmd_moderate(args) -> int:
     _fail(
         args.input,
         [
-            beta_error,
+            _flagged(~np.isfinite(beta_hat), "beta_hat must be finite") or beta_error,
             _flagged(~(s_sq > 0), "s_sq must be strictly positive") or s_error,
             _flagged(~((v > 0) & (v < np.inf)), "v must be positive and finite") or v_error,
             _flagged(~((nu > 0) & (nu < np.inf)), "nu must be positive and finite") or nu_error,
         ],
     )
+    _check_unique(args.input, ids)
     try:
         model, t_tilde, p = fit_moderated_model(beta_hat, s_sq, v, nu)
     except MalformedValue as exc:

@@ -47,9 +47,8 @@ class TTestScenario:
     noncentral under a location shift, and is independent of the
     t-statistic under the null.
 
-    The group size and sum-of-squares df are fixed at 5 and 9: the null
-    distribution of the side statistic is derived for exactly this
-    design, so other sizes are refused rather than silently generalized.
+    The design is fixed: the null distribution of the side statistic is
+    derived for exactly 5 per group and 9 df, so neither is a field.
 
     null_e_scale inflates the null e-values multiplicatively to study
     how error control degrades when the e-values are misspecified.
@@ -58,18 +57,11 @@ class TTestScenario:
     n_hypotheses: int = 2000
     null_fraction: float = 0.95
     effect: float = 2.5
-    n_per_group: int = 5
-    ssq_df: int = 9
     ncp: float = 10.0
     null_e_scale: float = 1.0
 
     def __post_init__(self):
         _check_common(self.n_hypotheses, self.null_fraction)
-        if self.n_per_group != 5 or self.ssq_df != 9:
-            raise ValueError(
-                "the t-test scenario supports exactly n_per_group=5 with ssq_df=9; "
-                f"got n_per_group={self.n_per_group}, ssq_df={self.ssq_df}"
-            )
         if not 0.0 <= self.ncp < math.inf:
             raise ValueError("ncp must be finite and >= 0")
         if self.null_e_scale <= 0:
@@ -154,7 +146,7 @@ def generate_ttest_replicate(scenario: TTestScenario, rng: np.random.Generator):
     k_total = scenario.n_hypotheses
     k_null = round(k_total * scenario.null_fraction)
     is_null = np.arange(k_total) < k_null
-    n = scenario.n_per_group
+    n = 5
     shift = np.where(is_null, 0.0, scenario.effect)
     x = rng.standard_normal((k_total, n)) + shift[:, None]
     y = rng.standard_normal((k_total, n))
@@ -169,7 +161,7 @@ def generate_ttest_replicate(scenario: TTestScenario, rng: np.random.Generator):
     # total sum of squares around the grand mean: chisq(2n - 1) under the null
     grand = 0.5 * (x_mean + y_mean)
     ssq = ((x - grand[:, None]) ** 2).sum(axis=1) + ((y - grand[:, None]) ** 2).sum(axis=1)
-    e = chisq_lr_evalue(ssq, scenario.ssq_df, scenario.ncp)
+    e = chisq_lr_evalue(ssq, 2 * n - 1, scenario.ncp)
     if scenario.null_e_scale != 1.0:
         e = np.where(is_null, scenario.null_e_scale * e, e)
     return p, e, is_null
@@ -351,6 +343,19 @@ SCENARIO_KINDS = {
     "adversarial": AdversarialScenario,
 }
 
+
+class ConfigError(ValueError):
+    """A simulate config that cannot run; the message names the key."""
+
+
+@dataclass(frozen=True)
+class _Defaults:
+    """The top-level config keys besides the two lists."""
+
+    alpha: float = ProcedureSpec.alpha
+    tau: float = ProcedureSpec.tau
+
+
 # config field annotation -> (accepted JSON value types, name in messages)
 _FIELD_TYPES = {
     "int": (int, "an integer"),
@@ -360,38 +365,83 @@ _FIELD_TYPES = {
 }
 
 
-def check_field_types(cls, values: dict, describe):
-    """Refuse a config value whose JSON type does not fit its field of cls.
+def _build(cls, mapping: dict, prefix: str, describe):
+    """cls(**mapping), or a ConfigError starting with prefix.
 
-    describe(key) names the key in the message. bool subclasses int, but
-    true is neither a count nor a number; json reads NaN and Infinity,
-    which pass every range check, so a number must also be finite.
+    Refused in order: a key that is no field, a value of the wrong JSON
+    type, then what cls's own checks refuse; describe(key) names a key.
+    true is no count or number, and json's NaN and Infinity pass every
+    range check, so a number must also be finite.
     """
     fields = cls.__dataclass_fields__
-    for key, value in values.items():
+    extra = sorted(set(mapping) - set(fields))
+    if extra:
+        raise ConfigError(f"{prefix}unknown {describe(extra[0])}")
+    for key, value in mapping.items():
         types, type_name = _FIELD_TYPES[fields[key].type]
         typed = isinstance(value, types) and isinstance(value, bool) == (types is bool)
         if not typed or (isinstance(value, float) and not math.isfinite(value)):
-            raise TypeError(f"{describe(key)} must be {type_name}, got {value!r}")
+            raise ConfigError(f"{prefix}{describe(key)} must be {type_name}, got {value!r}")
+    try:
+        return cls(**mapping)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{prefix}{exc.args[0]}") from None
 
 
 def scenario_from_dict(mapping: dict) -> Scenario:
-    """Build a scenario from config keys; keys mirror the dataclass fields."""
-    if "kind" not in mapping:
-        raise KeyError("scenario config needs a 'kind' key")
-    kind = mapping["kind"]
-    if kind not in SCENARIO_KINDS:
-        raise KeyError(f"unknown scenario kind {kind!r}; known: {', '.join(sorted(SCENARIO_KINDS))}")
-    cls = SCENARIO_KINDS[kind]
-    fields = cls.__dataclass_fields__
-    values = {k: v for k, v in mapping.items() if k != "kind"}
-    extra = set(values) - set(fields)
-    if extra:
-        raise KeyError(f"unknown scenario key {sorted(extra)[0]!r} for kind {kind!r}")
-    check_field_types(cls, values, lambda key: f"scenario key {key!r} for kind {kind!r}")
-    return cls(**values)
+    """Build a scenario from config keys, which mirror the dataclass fields,
+    or raise ConfigError naming the key it refuses."""
+    kind = mapping.get("kind")
+    if not isinstance(kind, str) or kind not in SCENARIO_KINDS:
+        known = ", ".join(sorted(SCENARIO_KINDS))
+        raise ConfigError(f"scenario config: key 'kind' must be one of {known}, got {kind!r}")
+    values = {key: value for key, value in mapping.items() if key != "kind"}
+    return _build(
+        SCENARIO_KINDS[kind], values, "scenario config: ", lambda key: f"scenario key {key!r} for kind {kind!r}"
+    )
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     kind = {v: k for k, v in SCENARIO_KINDS.items()}[type(scenario)]
     return {"kind": kind, **asdict(scenario)}
+
+
+def _config_list(config: dict, key: str, kinds, described: str) -> list:
+    """The nonempty list under a config key, each item one of kinds."""
+    value = config.get(key)
+    if value is None or value == []:
+        raise ConfigError(f"config key {key!r} is missing or empty")
+    if not isinstance(value, list) or not all(isinstance(item, kinds) for item in value):
+        raise ConfigError(f"config key {key!r} must be a list of {described}")
+    return value
+
+
+def campaign_from_config(config) -> tuple:
+    """(scenarios, procedure specs) of a parsed `simulate` config.
+
+    Raises ConfigError naming the first key that cannot run. A procedure
+    name may appear once, since results are keyed by it.
+    """
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    lists = ("scenarios", "procedures")
+    top = {key: value for key, value in config.items() if key not in lists}
+    defaults = asdict(_build(_Defaults, top, "", lambda key: f"config key {key!r}"))
+    scenarios = [scenario_from_dict(entry) for entry in _config_list(config, "scenarios", dict, "objects")]
+    specs = []
+    for entry in _config_list(config, "procedures", (str, dict), "names or objects"):
+        if isinstance(entry, str):
+            entry = {"name": entry}
+        if "name" not in entry:
+            raise ConfigError("each procedure entry must be a name or an object with 'name'")
+        prefix = f"procedure {entry['name']!r}: "
+        spec = _build(ProcedureSpec, {**defaults, **entry}, prefix, lambda key: f"key {key!r}")
+        if any(other.name == spec.name for other in specs):
+            raise ConfigError(f"procedure {spec.name!r} appears twice; procedure names must be unique")
+        specs.append(spec)
+    needs_p = [spec.name for spec in specs if spec.needs_p]
+    adversarial = [index for index, s in enumerate(scenarios) if isinstance(s, AdversarialScenario)]
+    if needs_p and adversarial:
+        message = f"scenario adversarial-{adversarial[0]} generates no p-values, but procedure {needs_p[0]} needs them"
+        raise ConfigError(message)
+    return scenarios, specs

@@ -227,6 +227,17 @@ def test_non_utf8_input_exits_2_naming_line(tmp_path, capsys, command):
     assert capsys.readouterr().err == f"error: line {line}: byte 0xff is not valid UTF-8\n"
 
 
+@pytest.mark.parametrize("rows", [1, 2000], ids=["first-chunk", "past-first-chunk"])
+def test_non_utf8_byte_is_named_before_a_wrong_header(tmp_path, capsys, rows):
+    """The text reader decodes ahead in chunks; the order of the two errors
+    does not depend on whether the byte falls in the first one."""
+    inp = tmp_path / "in.csv"
+    inp.write_bytes(b"idx,p,e\n" + b"g1,0.01,2\n" * rows + b"g\xff2,0.2,1\n")
+    code = cli.main(["adjust", "--input", str(inp), "--procedure", "p-bh", "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: line {rows + 2}: byte 0xff is not valid UTF-8\n"
+
+
 # quoted cells that span rows, break lines or carry the separators
 SPECIAL_IDS = ["cr\rid", "lf\nid", "crlf\r\nid", "comma,id", 'quote"id', "plain"]
 
@@ -410,6 +421,26 @@ def test_simulate_unknown_scenario_key_exits_2(tmp_path, capsys):
                      "--out", str(tmp_path / "o.csv")])
     assert code == 2
     assert "effect_size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["n_per_group", "ssq_df"])
+def test_simulate_ttest_design_keys_are_unknown(tmp_path, capsys, key):
+    """The t-test design is fixed at 5 per group and 9 df; neither is a key."""
+    cfg = write(tmp_path / "cfg.json", config_text(scenarios=[{"kind": "ttest", key: 5}]))
+    code = cli.main(["simulate", "--config", cfg, "--reps", "2",
+                     "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: scenario config: unknown scenario key {key!r} for kind 'ttest'\n"
+
+
+@pytest.mark.parametrize("kind", [["ttest"], 5, None, "nope"], ids=["list", "int", "null", "unknown"])
+def test_simulate_bad_scenario_kind_exits_2(tmp_path, capsys, kind):
+    cfg = write(tmp_path / "cfg.json", config_text(scenarios=[{"kind": kind}]))
+    code = cli.main(["simulate", "--config", cfg, "--reps", "2",
+                     "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'kind'" in err and repr(kind) in err
 
 
 @pytest.mark.parametrize("value", [True, "100"])
@@ -602,6 +633,31 @@ def test_moderate_rejects_bad_variance(tmp_path, capsys):
     code = cli.main(["moderate", "--input", inp, "--out", str(tmp_path / "o.csv")])
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_moderate_rejects_non_finite_beta_hat(tmp_path, capsys, value):
+    """One non-finite coefficient would zero the fitted gamma and set
+    every e-value to 1; it is refused, naming its line."""
+    inp = write(tmp_path / "m.csv", f"id,beta_hat,s_sq,v,nu\ng1,0.5,0.02,0.1,38\ng2,{value},0.02,0.1,38\n")
+    out = tmp_path / "o.csv"
+    assert cli.main(["moderate", "--input", inp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: line 3: beta_hat must be finite\n"
+    assert not out.exists()
+
+
+def test_moderate_rejects_repeated_id(tmp_path, capsys):
+    """As in adjust and combine, after the value checks."""
+    rows = "g1,0.5,0.02,0.1,38\ng2,0.1,0.03,0.1,38\ng1,0.2,0.02,0.1,38\n"
+    inp = write(tmp_path / "m.csv", "id,beta_hat,s_sq,v,nu\n" + rows)
+    out = tmp_path / "o.csv"
+    assert cli.main(["moderate", "--input", inp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: line 4: duplicate id 'g1' (first seen on line 2)\n"
+    assert not out.exists()
+    # a bad value is named ahead of the repeated id
+    write(tmp_path / "m.csv", "id,beta_hat,s_sq,v,nu\n" + rows + "g3,1.0,0.0,0.1,38\n")
+    assert cli.main(["moderate", "--input", inp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: line 5: s_sq must be strictly positive\n"
 
 
 # ---------------------------------------------------------------- entry point

@@ -10,6 +10,7 @@ one.
 """
 
 import ast
+from importlib import import_module
 from pathlib import Path
 
 import epmt
@@ -43,14 +44,20 @@ def test_numpy_only_layers_import_no_scipy_constructors_or_sim():
         assert forbidden_imports(PACKAGE / f"{module}.py") == [], module
 
 
-def private_twins(source: str) -> list:
-    """Module-level `_name` definitions beside a public `name`."""
+def defined_names(source: str) -> set:
+    """The names a module's own top-level definitions and assignments bind."""
     names = set()
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, ast.Assign):
             names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return names
+
+
+def private_twins(source: str) -> list:
+    """Module-level `_name` definitions beside a public `name`."""
+    names = defined_names(source)
     return sorted(name for name in names if name.startswith("_") and name[1:] in names)
 
 
@@ -62,3 +69,15 @@ def test_numpy_only_layers_have_no_private_twins():
     assert {"cli.py", "constructors.py", "sim.py"} <= {path.name for path in modules}
     for path in modules:
         assert private_twins(path.read_text()) == [], path.name
+
+
+def test_package_names_resolve_to_their_defining_module():
+    """epmt.__all__ is the one list of public names: each is the object
+    of the one module that defines it, not a re-export of it elsewhere."""
+    layers = ("core", "calib", "procedures", "constructors", "sim")
+    # every module but the entry points is a layer; cli has its own run_campaign
+    assert {path.stem for path in PACKAGE.glob("*.py")} == {*layers, "__init__", "__main__", "cli"}
+    defined = {layer: defined_names((PACKAGE / f"{layer}.py").read_text()) for layer in layers}
+    for name in epmt.__all__:
+        (owner,) = [module for module, names in defined.items() if name in names]
+        assert getattr(epmt, name) is getattr(import_module(f"epmt.{owner}"), name), name
