@@ -65,7 +65,6 @@ __all__ = [
     "TTestScenario",
     "adaptive_e_bh",
     "calibrate_e_to_p",
-    "calibrate_p_to_e",
     "chisq_lr_evalue",
     "combine_bonferroni",
     "combine_mean",

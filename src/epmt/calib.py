@@ -53,14 +53,17 @@ class Calibrator:
             raise BadCalibrator(f"unknown calibrator family {self.family!r}")
 
     def __call__(self, p):
-        """Evaluate h pointwise; p = 0 maps to +inf. No input validation."""
-        arr = np.asarray(p, dtype=float)
+        """Turn p-values into e-values h(p); p = 0 maps to +inf.
+
+        p is a scalar or a non-empty 1-d vector; a scalar gives a float.
+        """
+        arr = as_pvector(p)
         with np.errstate(divide="ignore"):
             if self.family == "sqrt":
                 out = np.where(arr > 0.0, arr ** -0.5 - 1.0, np.inf)
             else:
                 out = np.where(arr > 0.0, self.kappa * arr ** (self.kappa - 1.0), np.inf)
-        return float(out) if np.ndim(p) == 0 else out
+        return float(out[0]) if np.ndim(p) == 0 else out
 
     def mass_below(self, eps: float) -> float:
         """Exact integral of h over [0, eps], the analytic tail at the pole."""
@@ -96,15 +99,6 @@ def parse_calibrator(spec: str) -> Calibrator:
             raise BadCalibrator(f"cannot parse kappa from {spec!r}") from None
         return power_calibrator(kappa)
     raise BadCalibrator(f"unknown calibrator spec {spec!r} (expected sqrt or kappa:<value>)")
-
-
-def calibrate_p_to_e(p, calibrator: Calibrator = DEFAULT_CALIBRATOR):
-    """Turn p-values into e-values through a calibrator. p = 0 gives +inf.
-
-    p is a scalar or a non-empty 1-d vector; a scalar gives a float.
-    """
-    out = calibrator(as_pvector(p))
-    return float(out[0]) if np.ndim(p) == 0 else out
 
 
 def calibrate_e_to_p(e):

@@ -352,20 +352,22 @@ def _write_csv(path: str, header: list, columns: list):
             handle.write("\n")
 
 
-def _next_to(out_path: str, suffix: str) -> str:
-    """A file written beside the output CSV: its stem plus suffix."""
-    return (out_path[:-4] if out_path.endswith(".csv") else out_path) + suffix
-
-
-def _write_json(path: str, payload: dict):
-    with open(path, "w") as handle:
+def _write_json(out_path: str, suffix: str, payload: dict):
+    """Write payload beside the output CSV, as its stem plus suffix."""
+    stem = out_path[:-4] if out_path.endswith(".csv") else out_path
+    with open(stem + suffix, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
 def cmd_adjust(args) -> int:
     ids, p, e, p_missing = _load_hypotheses(args.input)
-    spec = _spec_from_args(args)
+    try:
+        spec = ProcedureSpec(
+            args.procedure, alpha=args.alpha, tau=args.tau, calibrator=args.calibrator, merging=args.merging
+        )
+    except (ValueError, KeyError, BadCalibrator) as exc:
+        _usage_error(str(exc))
     if spec.needs_p:
         _fail(args.input, [_flagged(p_missing, f"procedure {spec.name} needs a p-value but the cell is empty")])
     if args.lambda_shift is not None:
@@ -380,7 +382,8 @@ def cmd_adjust(args) -> int:
         [ids, _fmt(p, blank=p_missing), _fmt(e), _fmt(result.adjusted), np.where(result.mask, "1", "0").tolist()],
     )
     _write_json(
-        _next_to(args.out, ".json"),
+        args.out,
+        ".json",
         {
             "procedure": spec.name,
             "alpha": spec.alpha,
@@ -389,19 +392,6 @@ def cmd_adjust(args) -> int:
         },
     )
     return 0
-
-
-def _spec_from_args(args) -> ProcedureSpec:
-    try:
-        return ProcedureSpec(
-            name=args.procedure,
-            alpha=args.alpha,
-            tau=args.tau,
-            calibrator=args.calibrator,
-            merging=args.merging,
-        )
-    except (ValueError, KeyError, BadCalibrator) as exc:
-        _usage_error(str(exc))
 
 
 def _usage_error(message: str):
@@ -465,7 +455,7 @@ def cmd_simulate(args) -> int:
         "scenarios": described,
         "procedures": [asdict(spec) for spec in specs],
     }
-    _write_json(_next_to(args.out, ".manifest.json"), manifest)
+    _write_json(args.out, ".manifest.json", manifest)
     return 0
 
 
@@ -505,18 +495,18 @@ def cmd_moderate(args) -> int:
     from .constructors import fit_moderated_model, moderated_t_evalue
 
     ids, *cells = _read_columns(args.input, _MODERATE_COLUMNS)
-    (beta_hat, beta_error), (s_sq, s_error), (v, v_error), (nu, nu_error) = (
+    (beta_hat, beta_error), *positive = (
         _parse_column(column, name) for column, name in zip(cells, _MODERATE_COLUMNS[1:])
     )
     _fail(
         args.input,
-        [
-            _flagged(~np.isfinite(beta_hat), "beta_hat must be finite") or beta_error,
-            _flagged(~(s_sq > 0), "s_sq must be strictly positive") or s_error,
-            _flagged(~((v > 0) & (v < np.inf)), "v must be positive and finite") or v_error,
-            _flagged(~((nu > 0) & (nu < np.inf)), "nu must be positive and finite") or nu_error,
+        [_flagged(~np.isfinite(beta_hat), "beta_hat must be finite") or beta_error]
+        + [
+            _flagged(~((values > 0) & (values < np.inf)), f"{name} must be positive and finite") or error
+            for name, (values, error) in zip(_MODERATE_COLUMNS[2:], positive)
         ],
     )
+    s_sq, v, nu = (values for values, _ in positive)
     _check_unique(args.input, ids)
     try:
         model, t_tilde, p = fit_moderated_model(beta_hat, s_sq, v, nu)
@@ -525,7 +515,8 @@ def cmd_moderate(args) -> int:
     e = moderated_t_evalue(t_tilde, model)
     _write_csv(args.out, ["id", "t_tilde", "p", "e"], [ids, _fmt(t_tilde), _fmt(p), _fmt(e)])
     _write_json(
-        _next_to(args.out, ".json"),
+        args.out,
+        ".json",
         {
             "df_prior": "inf" if math.isinf(model.df_prior) else model.df_prior,
             "s2_prior": model.s2_prior,
@@ -599,12 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "simulate":
             if args.reps < 1:
                 _usage_error("--reps must be >= 1")

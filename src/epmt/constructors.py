@@ -156,18 +156,23 @@ def moderated_t_evalue(t_tilde, model: ModeratedTModel):
     expectation is exactly 1. gamma = 0 gives e = 1 identically. An
     infinite df_prior uses the Gaussian limit
     (1 + gamma_k)^(-1/2) * exp(gamma_k * t^2 / (2 * (1 + gamma_k))).
+    Where (1 + gamma_k) * (d + t^2) overflows, t = +-inf included, e is
+    its limit in t, (1 + gamma_k)^(d/2).
     """
     t = np.asarray(t_tilde, dtype=float)
     g = model.gamma / np.asarray(model.var_factor, dtype=float)
     d = model.df_prior + np.asarray(model.df, dtype=float)
-    tsq = t * t
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        tsq = t * t
         if model.gamma == 0.0:
             ratio = np.ones(np.broadcast(t, g, d).shape)
         elif math.isinf(model.df_prior):
             ratio = np.exp(g * tsq / (2.0 * (1.0 + g)))
         else:
-            ratio = (1.0 - g * tsq / ((1.0 + g) * (d + tsq))) ** (-(d + 1.0) / 2.0)
+            scale = (1.0 + g) * (d + tsq)
+            ratio = (1.0 - g * tsq / scale) ** (-(d + 1.0) / 2.0)
+            # past the float range the bracket is 1 / (1 + g) to the last bit
+            ratio = np.where(np.isinf(scale), (1.0 + g) ** ((d + 1.0) / 2.0), ratio)
     out = ratio / np.sqrt(1.0 + g)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -210,8 +215,8 @@ def fit_limma_hyperparameters(s_sq, df) -> tuple[float, float]:
     df = np.broadcast_to(np.asarray(df, dtype=float), s_sq.shape)
     if s_sq.size < 2:
         raise MalformedValue("need at least two sample variances to fit a prior")
-    if (s_sq <= 0.0).any() or np.isnan(s_sq).any():
-        raise MalformedValue("sample variances must be strictly positive")
+    if not ((s_sq > 0.0) & (s_sq < np.inf)).all():
+        raise MalformedValue("sample variances must be positive and finite")
     if (df <= 0.0).any() or not np.isfinite(df).all():
         raise MalformedValue("residual df must be positive and finite")
     centered = np.log(s_sq) - special.digamma(df / 2.0) + np.log(df / 2.0)

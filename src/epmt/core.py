@@ -32,44 +32,32 @@ class MalformedValue(ValueError):
 
 def as_pvector(p) -> np.ndarray:
     """Coerce to a 1-d float array of valid p-values."""
-    arr = np.atleast_1d(np.asarray(p, dtype=float))
-    if arr.ndim != 1:
-        raise MalformedValue("p-values must form a 1-d vector")
-    if arr.size == 0:
-        raise EmptyInput("no hypotheses given")
-    bad = np.isnan(arr) | (arr < 0.0) | (arr > 1.0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise MalformedValue(f"p-value out of [0, 1] at position {i}: {arr[i]!r}", i)
-    return arr
+    return _as_vector(p, "p", 1.0, "[0, 1]")
 
 
 def as_evector(e) -> np.ndarray:
     """Coerce to a 1-d float array of valid e-values (+inf allowed)."""
-    arr = np.atleast_1d(np.asarray(e, dtype=float))
+    return _as_vector(e, "e", np.inf, "[0, +inf]")
+
+
+def _as_vector(values, kind: str, upper: float, interval: str) -> np.ndarray:
+    arr = np.atleast_1d(np.asarray(values, dtype=float))
     if arr.ndim != 1:
-        raise MalformedValue("e-values must form a 1-d vector")
+        raise MalformedValue(f"{kind}-values must form a 1-d vector")
     if arr.size == 0:
         raise EmptyInput("no hypotheses given")
-    bad = np.isnan(arr) | (arr < 0.0)
+    bad = ~((arr >= 0.0) & (arr <= upper))  # NaN fails both comparisons
     if bad.any():
         i = int(np.argmax(bad))
-        raise MalformedValue(f"e-value out of [0, +inf] at position {i}: {arr[i]!r}", i)
+        raise MalformedValue(f"{kind}-value out of {interval} at position {i}: {arr[i]!r}", i)
     return arr
-
-
-def check_same_length(*arrays) -> int:
-    sizes = {np.asarray(a).shape[0] for a in arrays}
-    if len(sizes) != 1:
-        raise LengthMismatch(f"per-hypothesis vectors disagree in length: {sorted(sizes)}")
-    return sizes.pop()
 
 
 def as_pair(p, e) -> tuple[np.ndarray, np.ndarray]:
     """Coerce paired p- and e-values to valid vectors of one length."""
-    p = as_pvector(p)
-    e = as_evector(e)
-    check_same_length(p, e)
+    p, e = as_pvector(p), as_evector(e)
+    if p.size != e.size:
+        raise LengthMismatch(f"per-hypothesis vectors disagree in length: {sorted((p.size, e.size))}")
     return p, e
 
 

@@ -49,6 +49,11 @@ def _check_tau(tau: float) -> float:
     return tau
 
 
+def _check_merging(merging: str):
+    if merging not in ("mean", "max"):
+        raise ValueError(f"merging must be 'mean' or 'max', got {merging!r}")
+
+
 def harmonic_number(k: int) -> float:
     """Sum of 1/j for j = 1..k, accumulated exactly (no log approximation)."""
     return math.fsum(1.0 / j for j in range(1, k + 1))
@@ -229,8 +234,7 @@ def adaptive_e_bh(e, alpha: float, merging: str = "mean") -> RejectionResult:
     """
     e = as_evector(e)
     alpha = _check_alpha(alpha)
-    if merging not in ("mean", "max"):
-        raise ValueError(f"merging must be 'mean' or 'max', got {merging!r}")
+    _check_merging(merging)
     k_total = e.size
     if k_total == 1:
         warnings.warn(
@@ -266,8 +270,7 @@ class ProcedureSpec:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha!r}")
         _check_tau(self.tau)
-        if self.merging not in ("mean", "max"):
-            raise ValueError(f"merging must be 'mean' or 'max', got {self.merging!r}")
+        _check_merging(self.merging)
         parse_calibrator(self.calibrator)
 
     def build(self):
@@ -283,10 +286,6 @@ class ProcedureSpec:
     @property
     def needs_p(self) -> bool:
         return REGISTRY[self.name][0]
-
-    @property
-    def needs_e(self) -> bool:
-        return REGISTRY[self.name][1]
 
 
 # name -> (needs_p, needs_e, runner(spec, calibrator, p, e))

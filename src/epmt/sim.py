@@ -314,10 +314,12 @@ def run_campaign(
     size = -(-replicates // parallelism)
     chunks = [range(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
     tasks = [(scenario, specs, master_seed, index, reps) for index, scenario in enumerate(scenarios) for reps in chunks]
-    if parallelism == 1:
+    # a fork-started pool launches every worker at the first submit
+    workers = min(parallelism, len(tasks))
+    if workers == 1:
         blocks = list(map(_replicate_batch, tasks))
     else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_replicate_batch, tasks))
     # blocks come back in task order: each scenario's replicates in order
     replicate_stats = {

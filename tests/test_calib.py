@@ -10,7 +10,6 @@ from epmt.calib import (
     Calibrator,
     DEFAULT_CALIBRATOR,
     calibrate_e_to_p,
-    calibrate_p_to_e,
     combine_bonferroni,
     combine_mean,
     combine_product,
@@ -19,7 +18,7 @@ from epmt.calib import (
     power_calibrator,
     sqrt_calibrator,
 )
-from epmt.core import LengthMismatch, MalformedValue
+from epmt.core import EmptyInput, LengthMismatch, MalformedValue
 
 ALL_CALIBRATORS = [
     sqrt_calibrator(),
@@ -103,10 +102,15 @@ def test_calibrated_uniform_is_evalue(cal):
 
 
 def test_calibrate_p_to_e_validates():
-    assert calibrate_p_to_e(0.25) == pytest.approx(1.0)
-    with pytest.raises(MalformedValue):
-        calibrate_p_to_e(1.5)
-    out = calibrate_p_to_e(np.array([0.04, 1.0]), power_calibrator(0.5))
+    """A calibrator is the one way to evaluate h(p), and it checks p first."""
+    assert DEFAULT_CALIBRATOR(0.25) == pytest.approx(1.0)
+    assert type(DEFAULT_CALIBRATOR(0.25)) is float
+    for bad in (1.5, -0.5, np.nan, [0.5, 2.0], np.full((2, 2), 0.5)):
+        with pytest.raises(MalformedValue):
+            DEFAULT_CALIBRATOR(bad)
+    with pytest.raises(EmptyInput):
+        DEFAULT_CALIBRATOR([])
+    out = power_calibrator(0.5)(np.array([0.04, 1.0]))
     np.testing.assert_allclose(out, [2.5, 0.5])
 
 

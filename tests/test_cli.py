@@ -116,6 +116,18 @@ def test_adjust_missing_p_for_p_procedure_exits_2(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("procedure", ["e-bh", "adaptive-e-bh"])
+def test_adjust_e_only_procedure_keeps_empty_p_cells(tmp_path, procedure):
+    """A procedure on e alone runs with p cells empty and writes them back empty."""
+    inp = write(tmp_path / "h.csv", "id,p,e\ng1,0.01,40\ng2,,30\ng3,0.5,\ng4,,0.5\n")
+    out = tmp_path / "o.csv"
+    assert cli.main(["adjust", "--input", inp, "--procedure", procedure, "--alpha", "0.1", "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert [row["p"] for row in rows] == ["0.01", "", "0.5", ""]
+    assert [row["e"] for row in rows] == ["40.0", "30.0", "1.0", "0.5"]
+    assert [row["rejected"] for row in rows] == ["1", "1", "0", "0"]
+
+
 def test_adjust_malformed_value_exits_2_with_line(tmp_path, capsys):
     body = "id,p,e\ng1,0.01,2\ng2,1.7,5\n"
     inp = write(tmp_path / "hyp.csv", body)
@@ -646,6 +658,22 @@ def test_moderate_rejects_non_finite_beta_hat(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("column", ["s_sq", "v", "nu"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_moderate_rejects_a_variance_column_not_positive_and_finite(tmp_path, capsys, column, value):
+    """s_sq, v and nu share one rule; an infinite s_sq used to reach the
+    prior fit and fail there without a line."""
+    cells = {"s_sq": "0.02", "v": "0.1", "nu": "38"}
+    bad = {**cells, column: value}
+    rows = [f"g{i},0.5,{cells['s_sq']},{cells['v']},{cells['nu']}" for i in range(4)]
+    rows[2] = f"g2,0.5,{bad['s_sq']},{bad['v']},{bad['nu']}"
+    inp = write(tmp_path / "m.csv", "id,beta_hat,s_sq,v,nu\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "o.csv"
+    assert cli.main(["moderate", "--input", inp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: line 4: {column} must be positive and finite\n"
+    assert not out.exists()
+
+
 def test_moderate_rejects_repeated_id(tmp_path, capsys):
     """As in adjust and combine, after the value checks."""
     rows = "g1,0.5,0.02,0.1,38\ng2,0.1,0.03,0.1,38\ng1,0.2,0.02,0.1,38\n"
@@ -657,7 +685,7 @@ def test_moderate_rejects_repeated_id(tmp_path, capsys):
     # a bad value is named ahead of the repeated id
     write(tmp_path / "m.csv", "id,beta_hat,s_sq,v,nu\n" + rows + "g3,1.0,0.0,0.1,38\n")
     assert cli.main(["moderate", "--input", inp, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: line 5: s_sq must be strictly positive\n"
+    assert capsys.readouterr().err == "error: line 5: s_sq must be positive and finite\n"
 
 
 # ---------------------------------------------------------------- entry point

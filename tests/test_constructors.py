@@ -186,6 +186,22 @@ def test_moderated_t_evalue_matches_quadrature_oracle(var_factor, df, df_prior, 
     np.testing.assert_allclose(closed, oracle, rtol=1e-6)
 
 
+def test_moderated_t_evalue_limit_where_t_squared_overflows():
+    """Past the float range e is its limit (1 + g)^(d/2), not NaN; below
+    it the bits are those of the closed form."""
+    model = ModeratedTModel(0.1, 38.0, 4.0, 0.02, gamma=0.5)
+    g, d = 0.5 / 0.1, 4.0 + 38.0
+    limit = (1.0 + g) ** ((d + 1.0) / 2.0) / np.sqrt(1.0 + g)
+    for t in (np.inf, -np.inf, 1e200, -1e200):
+        assert moderated_t_evalue(t, model) == limit
+    np.testing.assert_array_equal(moderated_t_evalue(np.array([np.inf, -1e200]), model), [limit, limit])
+    assert moderated_t_evalue(1e150, model) == pytest.approx(limit, rel=1e-14)
+    grid = np.concatenate([np.linspace(-50.0, 50.0, 1001), np.logspace(-300, 150, 451), -np.logspace(-300, 150, 451)])
+    tsq = grid * grid
+    closed = (1.0 - g * tsq / ((1.0 + g) * (d + tsq))) ** (-(d + 1.0) / 2.0) / np.sqrt(1.0 + g)
+    np.testing.assert_array_equal(moderated_t_evalue(grid, model), closed)
+
+
 def test_moderated_t_evalue_gaussian_limit():
     model = ModeratedTModel(1.0, 4.0, np.inf, 1.0, gamma=1.0)
     t = 2.0
@@ -281,8 +297,9 @@ def test_trigamma_inverse_matches_brentq():
 def test_fit_limma_validation():
     with pytest.raises(MalformedValue):
         fit_limma_hyperparameters([0.5], 10.0)
-    with pytest.raises(MalformedValue):
-        fit_limma_hyperparameters([0.5, 0.0], 10.0)
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(MalformedValue, match="sample variances must be positive and finite"):
+            fit_limma_hyperparameters([0.5, bad], 10.0)
     with pytest.raises(MalformedValue):
         fit_limma_hyperparameters([0.5, 0.5], 0.0)
 

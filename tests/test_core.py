@@ -10,8 +10,8 @@ from epmt.core import (
     MalformedValue,
     RejectionResult,
     as_evector,
+    as_pair,
     as_pvector,
-    check_same_length,
     fdp_and_power,
 )
 
@@ -77,10 +77,11 @@ def test_as_vectors_reject_empty():
         as_evector([])
 
 
-def test_check_same_length():
-    assert check_same_length(np.zeros(4), np.ones(4)) == 4
-    with pytest.raises(LengthMismatch):
-        check_same_length(np.zeros(4), np.ones(3))
+def test_as_pair_refuses_a_length_mismatch():
+    p, e = as_pair(np.zeros(4), np.ones(4))
+    assert p.size == e.size == 4
+    with pytest.raises(LengthMismatch, match=r"disagree in length: \[3, 4\]"):
+        as_pair(np.zeros(4), np.ones(3))
 
 
 def test_rejection_result_consistency_enforced():

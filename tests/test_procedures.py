@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from epmt.calib import power_calibrator, sqrt_calibrator
+from epmt.calib import (
+    DEFAULT_CALIBRATOR,
+    calibrate_e_to_p,
+    combine_bonferroni,
+    combine_mean,
+    combine_product,
+    combine_quotient,
+    power_calibrator,
+    shift_evalue,
+    sqrt_calibrator,
+)
 from epmt.core import EmptyInput, LengthMismatch, MalformedValue
 from epmt.procedures import (
     REGISTRY,
@@ -443,9 +453,9 @@ def test_procedure_spec_build_matches_direct_call():
 
 
 def test_procedure_spec_needs_flags():
-    assert ProcedureSpec("p-bh").needs_p and not ProcedureSpec("p-bh").needs_e
-    assert not ProcedureSpec("e-bh").needs_p and ProcedureSpec("e-bh").needs_e
-    assert ProcedureSpec("ep-bh").needs_p and ProcedureSpec("ep-bh").needs_e
+    assert ProcedureSpec("p-bh").needs_p
+    assert not ProcedureSpec("e-bh").needs_p
+    assert ProcedureSpec("ep-bh").needs_p
 
 
 def test_length_mismatch_raised():
@@ -453,3 +463,53 @@ def test_length_mismatch_raised():
         ep_bh([0.1, 0.2], [1.0], 0.1)
     with pytest.raises(LengthMismatch):
         weighted_p_bh([0.1], [1.0, 2.0], 0.1)
+
+
+# Every public callable over p- or e-vectors, with the vectors it reads:
+# "p", "e" or "pe". Each one runs the core check of every vector it reads.
+VECTOR_CALLABLES = {
+    "p_bh": ("p", lambda p, e: p_bh(p, 0.1)),
+    "p_bh by": ("p", lambda p, e: p_bh(p, 0.1, by_correction=True)),
+    "e_bh": ("e", lambda p, e: e_bh(e, 0.1)),
+    "weighted_p_bh": ("pe", lambda p, e: weighted_p_bh(p, e, 0.1)),
+    "weighted_p_bh_normalized": ("pe", lambda p, e: weighted_p_bh_normalized(p, e, 0.1)),
+    "ep_bh": ("pe", lambda p, e: ep_bh(p, e, 0.1)),
+    "pe_bh": ("pe", lambda p, e: pe_bh(p, e, 0.1)),
+    "ep_storey": ("pe", lambda p, e: ep_storey(p, e, 0.1)),
+    "wbh_storey_normalized": ("pe", lambda p, e: wbh_storey_normalized(p, e, 0.1)),
+    "ep_bonferroni": ("pe", lambda p, e: ep_bonferroni(p, e, 0.1)),
+    "adaptive_e_bh": ("e", lambda p, e: adaptive_e_bh(e, 0.1)),
+    "combine_product": ("pe", combine_product),
+    "combine_quotient": ("pe", combine_quotient),
+    "combine_mean": ("pe", combine_mean),
+    "combine_bonferroni": ("pe", combine_bonferroni),
+    "shift_evalue": ("e", lambda p, e: shift_evalue(e, 0.2)),
+    "calibrate_e_to_p": ("e", lambda p, e: calibrate_e_to_p(e)),
+    "normalized_weights": ("e", lambda p, e: normalized_weights(e)),
+    "storey_pi0": ("p", lambda p, e: storey_pi0(p)),
+    "simes_evalue": ("e", lambda p, e: simes_evalue(e)),
+    "DEFAULT_CALIBRATOR": ("p", lambda p, e: DEFAULT_CALIBRATOR(p)),
+    "power_calibrator(0.5)": ("p", lambda p, e: power_calibrator(0.5)(p)),
+}
+INVALID = [("p", "p=1.5", 1.5), ("p", "p=nan", np.nan), ("e", "e=-1", -1.0)]
+
+
+@pytest.mark.parametrize(
+    "call,kind,bad",
+    [
+        pytest.param(call, kind, bad, id=f"{name}-{label}")
+        for name, (reads, call) in VECTOR_CALLABLES.items()
+        for kind, label, bad in INVALID
+        if kind in reads
+    ],
+)
+def test_every_vector_callable_refuses_an_invalid_value(call, kind, bad):
+    p = np.array([0.01, 0.2, 0.7])
+    e = np.array([5.0, 1.0, 0.5])
+    call(p, e)  # the valid vectors pass
+    if kind == "p":
+        p[1] = bad
+    else:
+        e[1] = bad
+    with pytest.raises(MalformedValue):
+        call(p, e)

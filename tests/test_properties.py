@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from epmt import cli
 from epmt.calib import (
     calibrate_e_to_p,
-    calibrate_p_to_e,
     combine_bonferroni,
     combine_mean,
     combine_product,
@@ -161,6 +160,8 @@ def test_combine_product_zero_times_inf_is_inf(pe, calibrator):
     combined = combine_product(p, e, calibrator)
     conclusive = (p == 0.0) | np.isinf(e)
     assert np.isposinf(combined[conclusive]).all()
+    if conclusive.all():
+        return  # the calibrator refuses the empty rest
     with np.errstate(over="ignore"):
         np.testing.assert_array_equal(combined[~conclusive], calibrator(p[~conclusive]) * e[~conclusive])
 
@@ -347,8 +348,8 @@ def test_normalized_weights_scale_invariant(e, c):
 def test_scalar_call_returns_the_vector_bits(p, e, lam, weight):
     """A scalar call gives a Python float with the bits of the 1-element vector call."""
     calls = {
-        "calibrate_p_to_e": lambda p, e: calibrate_p_to_e(p),
-        "calibrate_p_to_e kappa": lambda p, e: calibrate_p_to_e(p, power_calibrator(0.5)),
+        "sqrt calibrator": lambda p, e: sqrt_calibrator()(p),
+        "kappa calibrator": lambda p, e: power_calibrator(0.5)(p),
         "calibrate_e_to_p": lambda p, e: calibrate_e_to_p(e),
         "shift_evalue": lambda p, e: shift_evalue(e, lam),
         "combine_product": combine_product,

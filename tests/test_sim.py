@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from epmt import sim
 from epmt.procedures import ProcedureSpec
 from epmt.sim import (
     AdversarialScenario,
@@ -301,6 +302,40 @@ def test_run_campaign_replicate_stats_are_the_metrics_columns():
         # the fwer column flags a replicate with any false rejection
         np.testing.assert_array_equal(per_rep[:, 2], (per_rep[:, 3] > 0).astype(float))
         np.testing.assert_array_equal(per_rep, parallel.replicate_stats[key])
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "replicates,parallelism,workers",
+    [(3, 8, [3]), (1, 4, []), (8, 2, [2])],
+    ids=["8-over-3-tasks", "4-over-1-task", "2-over-2-tasks"],
+)
+def test_run_campaign_starts_no_worker_beyond_the_tasks(monkeypatch, replicates, parallelism, workers):
+    monkeypatch.setattr(RecordingPool, "created", [])
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    scn = AdversarialScenario(n_hypotheses=20)
+    specs = [ProcedureSpec("e-bh")]
+    pooled = run_campaign([scn], specs, replicates=replicates, master_seed=4, parallelism=parallelism)
+    assert RecordingPool.created == workers
+    serial = run_campaign([scn], specs, replicates=replicates, master_seed=4)
+    np.testing.assert_array_equal(pooled.replicate_stats[(0, "e-bh")], serial.replicate_stats[(0, "e-bh")])
 
 
 def test_run_campaign_validation():
