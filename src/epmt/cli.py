@@ -24,7 +24,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from operator import eq, itemgetter
+from operator import eq
 
 import numpy as np
 
@@ -50,9 +50,10 @@ class CliInputError(Exception):
     """Malformed input file or config; maps to exit code 2."""
 
 
-def _open_csv(path: str):
+def _open_input(path: str):
+    """Open an input CSV or config as text, or raise naming the path."""
     try:
-        # utf-8-sig drops the byte-order mark spreadsheet exports put first
+        # utf-8-sig drops the byte-order mark spreadsheet exports and editors put first
         return open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise CliInputError(f"cannot open {path}: {exc}") from None
@@ -68,12 +69,13 @@ def _read_columns(path: str, columns: tuple) -> list:
     """The stripped cells of a CSV with the given header, one list per column.
 
     Blank rows are skipped; every other row must have one field per column.
-    The file is read a block of whole lines at a time. A block holding no
-    quote and no CR is cut at its commas; the first block holding either
-    hands the rest of the file, from that block's start, to csv.reader.
+    The file is read a block of whole lines at a time, and each block is cut
+    at its commas. The first block holding a quote or a CR, or one that
+    cannot be cut whole, hands the rest of the file, from that block's
+    start, to csv.reader, which reads and refuses rows one at a time.
     """
     cells = [[] for _ in columns]
-    with _open_csv(path) as handle:
+    with _open_input(path) as handle:
         try:
             header_error = _header_error(handle, columns)
             error = None if header_error else _read_blocks(handle, cells)
@@ -112,8 +114,7 @@ def _header_error(handle, columns: tuple):
 def _read_blocks(handle, cells: list):
     """Append the data rows left in handle to cells, one list per column.
 
-    Returns None, or the (row, message) of the first row that cannot be
-    read, and then cells stop before that row.
+    Returns None, or the (row, message) of the first row that cannot be read.
     """
     tail = ""
     while True:
@@ -121,71 +122,60 @@ def _read_blocks(handle, cells: list):
         text = tail + chunk
         cut = text.rfind("\n") + 1 if chunk else len(text)
         block, tail = text[:cut], text[cut:]
-        if '"' in block or "\r" in block:
+        if not _split_block(block, cells):
             import io
 
             # csv.reader takes a string per line, split at LF, CR and CRLF as the file is
             lines = io.StringIO(block + tail + handle.readline(), newline="")
             return _read_rows(csv.reader(itertools.chain(lines, handle)), cells)
-        error = _split_block(block, cells)
-        if error is not None or not chunk:
-            return error
+        if not chunk:
+            return None
 
 
-def _split_block(block: str, cells: list):
-    """Append the rows of a block with no quote and no CR to cells.
+def _split_block(block: str, cells: list) -> bool:
+    """Append the rows of a block to cells if its lines can be cut at commas.
 
-    Returns None, or the (row, message) of the first row csv.reader would
-    refuse: one with a field over csv's size limit, or a wrong field count.
+    They can when the block holds no quote and no CR, and every non-blank
+    line holds one field per column and fits csv's size limit. Otherwise
+    returns False and leaves cells alone; so does an empty block.
     """
+    if '"' in block or "\r" in block:
+        return False
     lines = list(filter(None, block.split("\n")))
-    if not lines:
-        return None
-    n = len(cells)
-    limit = csv.field_size_limit()
-    if set(map(str.count, lines, itertools.repeat(","))) != {n - 1} or max(map(len, lines)) > limit:
-        for row, line in enumerate(lines, start=len(cells[0])):
-            fields = line.split(",")
-            if max(map(len, fields)) > limit:
-                return row, f"field larger than field limit ({limit})"
-            if len(fields) != n:
-                return row, f"expected {n} fields, got {len(fields)}"
-    joined = ",".join(lines).split(",")
-    for i, column in enumerate(cells):
-        column.extend(map(str.strip, joined[i::n]))
-    return None
+    commas = set(map(str.count, lines, itertools.repeat(",")))
+    if commas != {len(cells) - 1} or max(map(len, lines)) > csv.field_size_limit():
+        return False
+    _add_cells(cells, ",".join(lines).split(","))
+    return True
 
 
 def _read_rows(reader, cells: list):
     """Append csv.reader's non-blank rows to cells, _BLOCK_ROWS at a time.
 
-    Returns None or the first (row, message) error, as _split_block does.
+    Returns None, or the (row, message) of the first row csv.reader refuses
+    or that holds a wrong number of fields.
     """
-    rows = []
-    try:
-        for row in filter(None, reader):
-            rows.append(row)
-            if len(rows) == _BLOCK_ROWS:
-                error = _add_rows(rows, cells)
-                if error is not None:
-                    return error
-                rows = []
-    except csv.Error as exc:
-        failed = len(cells[0]) + len(rows), str(exc)
-        return _add_rows(rows, cells) or failed
-    return _add_rows(rows, cells)
-
-
-def _add_rows(rows: list, cells: list):
-    """Append rows of cells column-wise, or return the first wrong field count."""
     n = len(cells)
-    if set(map(len, rows)) - {n}:
-        row = next(i for i, fields in enumerate(rows) if len(fields) != n)
-        return len(cells[0]) + row, f"expected {n} fields, got {len(rows[row])}"
-    # not zip(*rows): an iterator per row sets off the cyclic collector
-    for i, column in enumerate(cells):
-        column.extend(map(str.strip, map(itemgetter(i), rows)))
+    flat = []
+    try:
+        for fields in filter(None, reader):
+            if len(fields) != n:
+                return len(cells[0]) + len(flat) // n, f"expected {n} fields, got {len(fields)}"
+            flat += fields
+            if len(flat) == n * _BLOCK_ROWS:
+                _add_cells(cells, flat)
+                flat = []
+    except csv.Error as exc:
+        return len(cells[0]) + len(flat) // n, str(exc)
+    _add_cells(cells, flat)
     return None
+
+
+def _add_cells(cells: list, flat: list):
+    """Append row-major cells, stripped, to the columns."""
+    n = len(cells)
+    for i, column in enumerate(cells):
+        column.extend(map(str.strip, flat[i::n]))
 
 
 def _fail_undecodable(path: str):
@@ -212,7 +202,7 @@ def _data_lines(path: str) -> list:
     lines keeps the number right after a quoted cell that spans lines.
     """
     lines = []
-    with _open_csv(path) as handle:
+    with _open_input(path) as handle:
         reader = csv.reader(handle)
         next(reader)
         try:
@@ -361,13 +351,13 @@ def _write_json(out_path: str, suffix: str, payload: dict):
 
 
 def cmd_adjust(args) -> int:
-    ids, p, e, p_missing = _load_hypotheses(args.input)
     try:
         spec = ProcedureSpec(
             args.procedure, alpha=args.alpha, tau=args.tau, calibrator=args.calibrator, merging=args.merging
         )
     except (ValueError, KeyError, BadCalibrator) as exc:
         _usage_error(str(exc))
+    ids, p, e, p_missing = _load_hypotheses(args.input)
     if spec.needs_p:
         _fail(args.input, [_flagged(p_missing, f"procedure {spec.name} needs a p-value but the cell is empty")])
     if args.lambda_shift is not None:
@@ -414,10 +404,8 @@ def cmd_simulate(args) -> int:
     from .sim import ConfigError, campaign_from_config, scenario_to_dict
 
     try:
-        with open(args.config, encoding="utf-8") as handle:
+        with _open_input(args.config) as handle:
             config = json.load(handle)
-    except OSError as exc:
-        raise CliInputError(f"cannot open {args.config}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliInputError(f"config is not valid JSON: {exc}") from None
     except UnicodeDecodeError:

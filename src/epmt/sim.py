@@ -212,10 +212,10 @@ def generate_adversarial_replicate(scenario: AdversarialScenario, rng: np.random
     a_k and a single U ~ Uniform(0, 1): every coordinate has mean exactly
     1, and the joint is comonotone, as far from positive regression
     dependence as it gets. Four fifths of the thresholds sit at
-    0.9 * level (a block whose simultaneous firing is just rejectable by
-    the e-value step-up at that level), the rest on an increasing ladder
-    below it, so the realized false discovery proportion is 1 with
-    probability close to 0.45 * level. p is all NaN.
+    0.9 * level, the rest on an increasing ladder up to it. At K = 50 and
+    level 0.1, the 41 at 0.9 * level alone give k * e_(k) / K = 9.11 < 10;
+    e-BH at that level rejects, with false discovery proportion 1, exactly
+    when U <= 0.45 * level, when 46 or more coordinates fire. p is all NaN.
     """
     k_total, level = scenario.n_hypotheses, scenario.level
     thresholds = np.full(k_total, 0.9 * level)

@@ -162,11 +162,13 @@ def test_adjust_usage_errors_exit_3(tmp_path, capsys):
 
 
 def test_adjust_bad_alpha_exits_3(tmp_path, capsys):
-    inp = write(tmp_path / "hyp.csv", HYP)
+    """Procedure flags are checked before the input is read, so a bad flag
+    is a usage error even when the input is malformed too."""
+    inp = write(tmp_path / "hyp.csv", "gene,pval,eval\ng1,0.1,2\n")
     code = cli.main(["adjust", "--input", inp, "--procedure", "p-bh",
                      "--alpha", "1.5", "--out", str(tmp_path / "o.csv")])
     assert code == 3
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: alpha must lie strictly in (0, 1), got 1.5\n"
 
 
 def test_adjust_infinite_evalue_round_trips(tmp_path):
@@ -570,6 +572,17 @@ def test_simulate_bad_json_exits_2(tmp_path, capsys):
     assert cli.main(["simulate", "--config", cfg, "--reps", "2",
                      "--out", str(tmp_path / "o.csv")]) == 2
     capsys.readouterr()
+
+
+def test_simulate_accepts_utf8_bom(tmp_path):
+    """A config saved with a byte-order mark runs as the same config without."""
+    plain = write(tmp_path / "plain.json", config_text())
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + config_text().encode())
+    for cfg, out in ((plain, "plain-out.csv"), (str(bom), "bom-out.csv")):
+        assert cli.main(["simulate", "--config", cfg, "--reps", "3",
+                         "--seed", "5", "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "bom-out.csv").read_bytes() == (tmp_path / "plain-out.csv").read_bytes()
 
 
 def test_simulate_flag_validation_exits_3(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Tests for scenario generators and the replication harness."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from epmt import sim
-from epmt.procedures import ProcedureSpec
+from epmt.procedures import ProcedureSpec, e_bh
 from epmt.sim import (
     AdversarialScenario,
     ConfigError,
@@ -226,6 +228,41 @@ def test_adversarial_evalues_mean_one():
     # the shared-threshold block (last 40 coordinates) is tight on its own
     block = coord_sum[10:] / reps
     assert abs(block.mean() - 1.0) < 0.1
+
+
+def test_adversarial_ebh_fdr_matches_exact_oracle():
+    """e-BH's FDR in the adversarial scenario, exactly and by Monte Carlo.
+
+    The one shared uniform U is the only randomness, and the e-values only
+    change where U crosses a firing threshold. So the FDR (every rejection
+    is false) is a finite sum: the total length of the U-intervals on which
+    e-BH rejects. The generator itself gives the breakpoints, since at U = 0
+    every coordinate fires with e = 1/threshold.
+
+    The value sits on a float boundary. For U in (0.045, 0.054], 45
+    coordinates fire with e = 1/0.09 at the 45th; k * e_(k) / K is then
+    exactly 1/alpha in real arithmetic but reads 9.999999999999998. So e-BH
+    rejects only when U <= 0.045, when 46 or more fire: FDR 0.045, not 0.054.
+    """
+    scenario = AdversarialScenario(50, level=0.1)
+
+    def fdp(rng):
+        _, e, _ = generate_adversarial_replicate(scenario, rng)
+        return 1.0 if e_bh(e, 0.1).rejected else 0.0
+
+    def fixed(u):
+        return SimpleNamespace(random=lambda: u)
+
+    _, e_all, _ = generate_adversarial_replicate(scenario, fixed(0.0))
+    edges = np.unique(np.concatenate([[0.0, 1.0], 1.0 / e_all]))
+    exact = sum((b - a) * fdp(fixed((a + b) / 2)) for a, b in zip(edges[:-1], edges[1:]))
+    assert abs(exact - 0.045) <= 1e-12
+
+    # criterion 01's Monte Carlo, held to the exact value from both sides
+    rng = np.random.default_rng(8101)
+    draws = np.array([fdp(rng) for _ in range(10_000)])
+    se = draws.std(ddof=1) / np.sqrt(draws.size)
+    assert abs(draws.mean() - exact) <= 3.0 * se, f"MC {draws.mean()} (se {se}) vs exact {exact}"
 
 
 def test_adversarial_replicate_all_null():
