@@ -181,16 +181,18 @@ def _trigamma_inverse(x: float) -> float:
     """Solve trigamma(y) = x for y > 0; trigamma decreases from inf to 0.
 
     Newton's method on 1/trigamma, which is nearly linear, as in limma.
+    trigamma(y) is zeta(2, y) and its derivative -2 zeta(3, y), the very
+    products scipy's polygamma forms, without its per-call overhead.
     """
     lo, hi = 1e-9, 1e9
-    if x >= special.polygamma(1, lo):
+    if x >= special.zeta(2.0, lo):
         return lo
-    if x <= special.polygamma(1, hi):
+    if x <= special.zeta(2.0, hi):
         return hi
     y = 0.5 + 1.0 / x
     for _ in range(100):  # convergence takes at most about 35 steps
-        tri = special.polygamma(1, y)
-        step = tri * (1.0 - tri / x) / special.polygamma(2, y)
+        tri = special.zeta(2.0, y)
+        step = tri * (1.0 - tri / x) / (-2.0 * special.zeta(3.0, y))
         y += step
         if abs(step) <= 1e-14 * y:
             break
@@ -210,6 +212,9 @@ def fit_limma_hyperparameters(s_sq, df) -> tuple[float, float]:
     minimum attainable under the model (mean trigamma(df_k/2)), the
     variances carry no detectable heterogeneity and (inf, exp(mean))
     is returned; downstream shrinkage then uses s2_prior alone.
+
+    digamma and trigamma are evaluated once per distinct df, not once per
+    hypothesis; df is usually one number or a few.
     """
     s_sq = np.atleast_1d(np.asarray(s_sq, dtype=float))
     df = np.broadcast_to(np.asarray(df, dtype=float), s_sq.shape)
@@ -219,9 +224,11 @@ def fit_limma_hyperparameters(s_sq, df) -> tuple[float, float]:
         raise MalformedValue("sample variances must be positive and finite")
     if (df <= 0.0).any() or not np.isfinite(df).all():
         raise MalformedValue("residual df must be positive and finite")
-    centered = np.log(s_sq) - special.digamma(df / 2.0) + np.log(df / 2.0)
+    levels, level_of = np.unique(df / 2.0, return_inverse=True)
+    centered = np.log(s_sq) - special.digamma(levels)[level_of] + np.log(df / 2.0)
     center_mean = float(centered.mean())
-    excess = float(centered.var(ddof=1)) - float(special.polygamma(1, df / 2.0).mean())
+    # trigamma is zeta(2, .), as scipy's polygamma(1, .) computes it
+    excess = float(centered.var(ddof=1)) - float(special.zeta(2.0, levels)[level_of].mean())
     if excess <= 0.0:
         return math.inf, math.exp(center_mean)
     half_df = _trigamma_inverse(excess)
@@ -233,16 +240,29 @@ GAMMA_GRID = np.logspace(-3.0, 3.0, 41)
 _LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
 
 
-def _t_logpdf(d):
+def _t_logpdf(d, x_max=math.inf):
     """Student's t log density on d df as a function of x, bit for bit as scipy computes it.
 
     d is finite throughout (it may vary per hypothesis) or infinite, which gives the normal.
+    Where x * x overflows (|x| above about 1.3e154), log1p(x * x / d) is taken as
+    2 log|x| - log d, which it exceeds by under d / x**2, far below one ulp; scipy
+    reads -inf there. x_max bounds |x| over every call, and when x_max * x_max is
+    finite that branch is left out.
     """
     if np.isinf(d).all():
         return lambda x: -x**2 / 2.0 - _LOG_SQRT_2PI
     log_norm = np.log(special.poch(0.5 * d, 0.5)) - 0.5 * (np.log(d) + np.log(np.pi))
     half_d1 = (d + 1) / 2
-    return lambda x: log_norm - half_d1 * np.log1p(x * x / d)
+    if x_max * x_max < math.inf:
+        return lambda x: log_norm - half_d1 * np.log1p(x * x / d)
+
+    def t_logpdf(x):
+        with np.errstate(over="ignore", divide="ignore"):
+            x_sq = x * x
+            log_term = np.where(np.isinf(x_sq), 2.0 * np.log(np.abs(x)) - np.log(d), np.log1p(x_sq / d))
+        return log_norm - half_d1 * log_term
+
+    return t_logpdf
 
 
 def fit_gamma(t_tilde, model: ModeratedTModel) -> float:
@@ -253,21 +273,30 @@ def fit_gamma(t_tilde, model: ModeratedTModel) -> float:
     log-spaced grid spanning [1e-3, 1e3]. Under the alternative the
     moderated t is scaled t: t / sqrt(1 + gamma_k) ~ t(d). The mixing
     proportion stays fixed at 1/2 and is never estimated. Returns the
-    best grid point, or 0.0 (the uninformative sentinel) when the
-    null-only model beats every grid point.
+    best grid point itself, or 0.0 (the uninformative sentinel) when
+    the null-only model beats every grid point; the scores are compared,
+    never returned, so their round-off does not reach the output.
     """
     t = np.atleast_1d(np.asarray(t_tilde, dtype=float))
-    t_logpdf = _t_logpdf(model.df_prior + np.asarray(model.df, dtype=float))
+    d = model.df_prior + np.asarray(model.df, dtype=float)
+    # |t / scale| <= |t|, so one bound on |t| serves every grid point
+    t_logpdf = _t_logpdf(d, float(np.max(np.abs(t), initial=0.0)))
     var_factor = np.asarray(model.var_factor, dtype=float)
     null_logpdf = t_logpdf(t)
     half_null = math.log(0.5) + null_logpdf
     best_gamma, best_ll = 0.0, float(null_logpdf.sum())
-    for gamma in GAMMA_GRID:
-        scale = np.sqrt(1.0 + gamma / var_factor)
-        alt_logpdf = t_logpdf(t / scale) - np.log(scale)
-        ll = float(np.logaddexp(half_null, math.log(0.5) + alt_logpdf).sum())
-        if ll > best_ll:
-            best_gamma, best_ll = float(gamma), ll
+    # At t = +-inf both halves are -inf and their difference NaN; a NaN score
+    # never beats the best one, just as np.logaddexp's -inf never did.
+    with np.errstate(invalid="ignore"):
+        for gamma in GAMMA_GRID:
+            scale = np.sqrt(1.0 + gamma / var_factor)
+            half_alt = math.log(0.5) + (t_logpdf(t / scale) - np.log(scale))
+            # log(e^a + e^b) without np.logaddexp, whose scalar libm loop is
+            # slower than these vector passes together
+            mixture = np.maximum(half_null, half_alt) + np.log1p(np.exp(-np.abs(half_null - half_alt)))
+            ll = float(mixture.sum())
+            if ll > best_ll:
+                best_gamma, best_ll = float(gamma), ll
     return best_gamma
 
 

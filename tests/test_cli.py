@@ -671,6 +671,30 @@ def test_moderate_rejects_non_finite_beta_hat(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_moderate_one_huge_beta_hat_keeps_the_gamma_fit(tmp_path, capsys):
+    """A finite beta_hat whose t-statistic squares past the float range
+    used to print an overflow warning and fit gamma = 0, setting every
+    e-value to 1."""
+    rng = np.random.default_rng(1407)
+    k = 199
+    sigma2 = 3.64 * 0.0144 / rng.chisquare(3.64, k)
+    beta_hat = rng.standard_normal(k) * np.sqrt(0.1 * sigma2)
+    beta_hat[:20] += rng.standard_normal(20) * np.sqrt(0.5 * sigma2[:20])
+    beta_hat[5] = 1e200
+    s_sq = sigma2 * rng.chisquare(38.0, k) / 38.0
+    lines = ["id,beta_hat,s_sq,v,nu"]
+    for i in range(k):
+        lines.append(f"g{i},{float(beta_hat[i])!r},{float(s_sq[i])!r},0.1,38")
+    inp = write(tmp_path / "m.csv", "\n".join(lines) + "\n")
+    out = tmp_path / "out.csv"
+    assert cli.main(["moderate", "--input", inp, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "out.json").read_text())
+    assert summary["gamma"] > 0.0
+    e = np.array([float(r["e"]) for r in read_rows(out)])
+    assert (e != 1.0).all()
+
+
 @pytest.mark.parametrize("column", ["s_sq", "v", "nu"])
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_moderate_rejects_a_variance_column_not_positive_and_finite(tmp_path, capsys, column, value):

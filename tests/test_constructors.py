@@ -294,6 +294,68 @@ def test_trigamma_inverse_matches_brentq():
     assert _trigamma_inverse(0.5 * special.polygamma(1, 1e9)) == 1e9
 
 
+def trigamma_inverse_polygamma(x):
+    """_trigamma_inverse's Newton iteration with scipy's polygamma."""
+    lo, hi = 1e-9, 1e9
+    if x >= special.polygamma(1, lo):
+        return lo
+    if x <= special.polygamma(1, hi):
+        return hi
+    y = 0.5 + 1.0 / x
+    for _ in range(100):
+        tri = special.polygamma(1, y)
+        step = tri * (1.0 - tri / x) / special.polygamma(2, y)
+        y += step
+        if abs(step) <= 1e-14 * y:
+            break
+    return float(y)
+
+
+def fit_limma_polygamma(s_sq, df):
+    """fit_limma_hyperparameters with digamma and polygamma on every hypothesis."""
+    s_sq = np.atleast_1d(np.asarray(s_sq, dtype=float))
+    df = np.broadcast_to(np.asarray(df, dtype=float), s_sq.shape)
+    centered = np.log(s_sq) - special.digamma(df / 2.0) + np.log(df / 2.0)
+    center_mean = float(centered.mean())
+    excess = float(centered.var(ddof=1)) - float(special.polygamma(1, df / 2.0).mean())
+    if excess <= 0.0:
+        return math.inf, math.exp(center_mean)
+    half_df = trigamma_inverse_polygamma(excess)
+    return 2.0 * half_df, math.exp(center_mean + float(special.digamma(half_df)) - math.log(half_df))
+
+
+def test_polygamma_is_the_zeta_products():
+    # scipy's polygamma(n, x) is (-1)^(n+1) n! zeta(n+1, x), so these hold bit for bit
+    x = np.logspace(-9.0, 9.0, 40_001)
+    np.testing.assert_array_equal(special.zeta(2.0, x), special.polygamma(1, x))
+    np.testing.assert_array_equal(-2.0 * special.zeta(3.0, x), special.polygamma(2, x))
+
+
+def test_trigamma_inverse_equals_polygamma_reference():
+    ends = [special.polygamma(1, 1e-9), 2.0 * special.polygamma(1, 1e-9), special.polygamma(1, 1e9), 1e-20]
+    for x in np.concatenate([np.logspace(-8.0, 17.0, 301), ends]):
+        assert _trigamma_inverse(x) == trigamma_inverse_polygamma(x), x
+    assert _trigamma_inverse(ends[1]) == 1e-9 and _trigamma_inverse(ends[3]) == 1e9
+
+
+@pytest.mark.parametrize("df_kind", ["scalar", "one level", "integer levels", "spread"])
+def test_fit_limma_equals_polygamma_reference(df_kind):
+    rng = np.random.default_rng(1404)
+    for k in (2, 3, 50, 2000):
+        df = {
+            "scalar": 38.0,
+            "one level": np.full(k, 8.0),
+            "integer levels": rng.choice([2.0, 4.0, 10.0, 38.0], k),
+            "spread": rng.uniform(0.5, 60.0, k),
+        }[df_kind]
+        for df_prior in (1.5, 3.64, 40.0, 1e6):
+            sigma2 = df_prior * 0.0144 / rng.chisquare(df_prior, k)
+            s_sq = sigma2 * rng.chisquare(df, k) / df
+            assert fit_limma_hyperparameters(s_sq, df) == fit_limma_polygamma(s_sq, df), (k, df_prior)
+    constant = np.full(50, 0.25)
+    assert fit_limma_hyperparameters(constant, 10.0) == fit_limma_polygamma(constant, 10.0)
+
+
 def test_fit_limma_validation():
     with pytest.raises(MalformedValue):
         fit_limma_hyperparameters([0.5], 10.0)
@@ -353,6 +415,85 @@ def test_fit_gamma_matches_scipy_stats_reference(df_prior, signal_fraction, seed
     n_signal = int(signal_fraction * t.size)
     t[:n_signal] *= np.sqrt(1.0 + 0.5 / 0.1)
     assert fit_gamma(t, model) == fit_gamma_reference(t, model)
+
+
+def fit_gamma_logaddexp(t, model):
+    """fit_gamma's grid search, scored with np.logaddexp."""
+    t_logpdf = _t_logpdf(model.df_prior + np.asarray(model.df, dtype=float))
+    var_factor = np.asarray(model.var_factor, dtype=float)
+    null_logpdf = t_logpdf(t)
+    best_gamma, best_ll = 0.0, float(null_logpdf.sum())
+    for gamma in GAMMA_GRID:
+        scale = np.sqrt(1.0 + gamma / var_factor)
+        alt_logpdf = t_logpdf(t / scale) - np.log(scale)
+        ll = float(np.logaddexp(math.log(0.5) + null_logpdf, math.log(0.5) + alt_logpdf).sum())
+        if ll > best_ll:
+            best_gamma, best_ll = float(gamma), ll
+    return best_gamma
+
+
+@pytest.mark.parametrize("k", [2, 50, 2000])
+@pytest.mark.parametrize("design", ["scalar", "per-hypothesis", "gaussian"])
+def test_fit_gamma_picks_the_logaddexp_reference_point(k, design):
+    rng = np.random.default_rng(1405)
+    for signal_fraction in (0.0, 0.02, 0.1, 0.5):
+        for _ in range(4):
+            if design == "scalar":
+                model = ModeratedTModel(0.1, 38.0, 3.64, 0.0144)
+            else:
+                var_factor = rng.choice([0.05, 0.1, 0.5], k)
+                df = rng.choice([4.0, 10.0, 38.0], k)
+                model = ModeratedTModel(var_factor, df, 3.64 if design == "per-hypothesis" else np.inf, 0.0144)
+            d = model.df_prior + np.asarray(model.df, dtype=float)
+            t = rng.standard_normal(k) if design == "gaussian" else rng.standard_t(np.broadcast_to(d, k))
+            n_signal = int(signal_fraction * k)
+            effect = rng.choice([0.1, 0.5, 5.0])
+            t[:n_signal] *= np.sqrt(1.0 + effect / np.broadcast_to(model.var_factor, k)[:n_signal])
+            assert fit_gamma(t, model) == fit_gamma_logaddexp(t, model), (signal_fraction, effect)
+
+
+@pytest.mark.parametrize("df_prior", [3.64, np.inf])
+def test_fit_gamma_infinite_t_gives_zero_without_warning(df_prior):
+    model = ModeratedTModel(0.1, 38.0, df_prior, 0.0144)
+    t = np.array([np.inf, 0.3, -2.5, 4.0, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fit_gamma(t, model) == fit_gamma_logaddexp(t, model) == 0.0
+        assert fit_gamma(t[:1], model) == 0.0
+
+
+def t_logpdf_mpmath(x, d):
+    import mpmath
+
+    with mpmath.workdps(50):
+        x, d = mpmath.mpf(float(x)), mpmath.mpf(float(d))
+        log_norm = mpmath.loggamma((d + 1) / 2) - mpmath.loggamma(d / 2) - mpmath.log(d * mpmath.pi) / 2
+        return float(log_norm - (d + 1) / 2 * mpmath.log1p(x * x / d))
+
+
+@pytest.mark.parametrize("d", [3.0, 41.6, 1000.5])
+def test_t_logpdf_past_the_square_overflow_matches_mpmath(d):
+    """x * x overflows above about 1.3e154; the log density stays finite."""
+    x = np.concatenate([np.logspace(155.0, 300.0, 146), -np.logspace(155.0, 300.0, 146), [1.35e154]])
+    want = np.array([t_logpdf_mpmath(xi, d) for xi in x])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t_logpdf in (_t_logpdf(d), _t_logpdf(np.full(x.size, d), float(np.abs(x).max()))):
+            got = t_logpdf(x)
+            assert np.isfinite(got).all()
+            np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def test_fit_gamma_with_one_huge_statistic_is_not_the_null_sentinel():
+    """One -inf log density used to tie every grid point with the null model."""
+    rng = np.random.default_rng(1406)
+    model = ModeratedTModel(0.1, 38.0, 3.64, 0.0144)
+    t = rng.standard_t(41.64, 2000)
+    t[:200] *= np.sqrt(1.0 + 0.5 / 0.1)
+    t[7] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fit_gamma(t, model) > 0.0
 
 
 @pytest.mark.parametrize("d", [3.0, 38.0, 41.6, np.inf])

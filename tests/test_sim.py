@@ -7,7 +7,8 @@ import pytest
 from scipy import stats
 
 from epmt import sim
-from epmt.procedures import ProcedureSpec, e_bh
+from epmt.core import fdp_and_power
+from epmt.procedures import ProcedureSpec, e_bh, ep_bh
 from epmt.sim import (
     AdversarialScenario,
     ConfigError,
@@ -263,6 +264,31 @@ def test_adversarial_ebh_fdr_matches_exact_oracle():
     draws = np.array([fdp(rng) for _ in range(10_000)])
     se = draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - exact) <= 3.0 * se, f"MC {draws.mean()} (se {se}) vs exact {exact}"
+
+
+def test_ep_bh_fdr_matches_exact_oracle():
+    """ep-BH's FDR with null e-values bounded by 1/alpha, held from both sides.
+
+    Given e, ep-BH is weighted BH with fixed weights e, and no null
+    threshold alpha * k * e_i / K reaches 1. With independent uniform null
+    p-values its FDR is then exactly (alpha / K) * sum of the null weights
+    (Genovese, Roeder and Wasserman 2006), so over e it is
+    (alpha / K) * sum_null E[e_i]. Nulls draw e from {0, 2} with equal
+    odds (mean 1) and non-nulls take e = 3 with Beta(0.1, 1) p-values:
+    FDR = 0.1 / 100 * 80 = 0.08.
+    """
+    k, k_null, alpha, replicates = 100, 80, 0.1, 100_000
+    exact = alpha / k * k_null * 1.0
+    is_null = np.arange(k) < k_null
+    e_alt = np.full(k - k_null, 3.0)
+    rng = np.random.default_rng(20261018)
+    fdp = np.empty(replicates)
+    for i in range(replicates):
+        p = np.concatenate([rng.random(k_null), rng.beta(0.1, 1.0, k - k_null)])
+        e = np.concatenate([2.0 * (rng.random(k_null) < 0.5), e_alt])
+        fdp[i] = fdp_and_power(ep_bh(p, e, alpha).mask, is_null)[0]
+    se = fdp.std(ddof=1) / np.sqrt(replicates)
+    assert abs(fdp.mean() - exact) <= 3.0 * se, f"MC {fdp.mean()} (se {se}) vs exact {exact}"
 
 
 def test_adversarial_replicate_all_null():
