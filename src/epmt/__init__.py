@@ -80,6 +80,7 @@ __all__ = [
     "fit_moderated_model",
     "generate_replicate",
     "moderated_t",
+    "moderated_t_pvalue",
     "moderated_t_evalue",
     "normalized_weights",
     "p_bh",

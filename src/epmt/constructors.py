@@ -120,27 +120,36 @@ class ModeratedTModel:
 
 
 def moderated_t(beta_hat, s_sq, model: ModeratedTModel):
-    """Moderated t-statistics and their two-sided p-values.
+    """Moderated t-statistics.
 
     The sample variance is shrunk toward the prior,
     s2_post = (df_prior * s2_prior + df * s_sq) / (df_prior + df), and
-    the t-statistic beta_hat / sqrt(s2_post * var_factor) is referred to
-    a t distribution on df_prior + df degrees of freedom (normal when
-    df_prior is infinite). Returns (t_tilde, p) as arrays matching the
-    input shape.
+    t_tilde = beta_hat / sqrt(s2_post * var_factor), an array matching
+    the input shape. A beta_hat near the float maximum may give t = +-inf,
+    whose p-value is 0 and whose e-value is its limit in t.
     """
     beta_hat = np.asarray(beta_hat, dtype=float)
     s_sq = np.asarray(s_sq, dtype=float)
     if (s_sq < 0).any() or np.isnan(s_sq).any():
         raise MalformedValue("sample variances must be >= 0")
-    df = np.asarray(model.df, dtype=float)
     if math.isinf(model.df_prior):
         s2_post = np.broadcast_to(model.s2_prior, s_sq.shape)
     else:
+        df = np.asarray(model.df, dtype=float)
         s2_post = (model.df_prior * model.s2_prior + df * s_sq) / (model.df_prior + df)
-    t_tilde = beta_hat / np.sqrt(s2_post * model.var_factor)
-    p = 2.0 * special.stdtr(model.df_prior + df, -np.abs(t_tilde))
-    return t_tilde, p
+    with np.errstate(over="ignore"):
+        return beta_hat / np.sqrt(s2_post * model.var_factor)
+
+
+def moderated_t_pvalue(t_tilde, model: ModeratedTModel):
+    """Two-sided p-values of moderated t-statistics.
+
+    t_tilde is referred to a t distribution on df_prior + df degrees of
+    freedom, normal when df_prior is infinite. Returns an array matching
+    the input shape.
+    """
+    t = np.asarray(t_tilde, dtype=float)
+    return 2.0 * special.stdtr(model.df_prior + np.asarray(model.df, dtype=float), -np.abs(t))
 
 
 def moderated_t_evalue(t_tilde, model: ModeratedTModel):
@@ -237,32 +246,6 @@ def fit_limma_hyperparameters(s_sq, df) -> tuple[float, float]:
 
 
 GAMMA_GRID = np.logspace(-3.0, 3.0, 41)
-_LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
-
-
-def _t_logpdf(d, x_max=math.inf):
-    """Student's t log density on d df as a function of x, bit for bit as scipy computes it.
-
-    d is finite throughout (it may vary per hypothesis) or infinite, which gives the normal.
-    Where x * x overflows (|x| above about 1.3e154), log1p(x * x / d) is taken as
-    2 log|x| - log d, which it exceeds by under d / x**2, far below one ulp; scipy
-    reads -inf there. x_max bounds |x| over every call, and when x_max * x_max is
-    finite that branch is left out.
-    """
-    if np.isinf(d).all():
-        return lambda x: -x**2 / 2.0 - _LOG_SQRT_2PI
-    log_norm = np.log(special.poch(0.5 * d, 0.5)) - 0.5 * (np.log(d) + np.log(np.pi))
-    half_d1 = (d + 1) / 2
-    if x_max * x_max < math.inf:
-        return lambda x: log_norm - half_d1 * np.log1p(x * x / d)
-
-    def t_logpdf(x):
-        with np.errstate(over="ignore", divide="ignore"):
-            x_sq = x * x
-            log_term = np.where(np.isinf(x_sq), 2.0 * np.log(np.abs(x)) - np.log(d), np.log1p(x_sq / d))
-        return log_norm - half_d1 * log_term
-
-    return t_logpdf
 
 
 def fit_gamma(t_tilde, model: ModeratedTModel) -> float:
@@ -270,33 +253,45 @@ def fit_gamma(t_tilde, model: ModeratedTModel) -> float:
 
     Scores an equal-mass two-component model (half null, half
     random-effect alternative) for each gamma on a fixed 41-point
-    log-spaced grid spanning [1e-3, 1e3]. Under the alternative the
-    moderated t is scaled t: t / sqrt(1 + gamma_k) ~ t(d). The mixing
-    proportion stays fixed at 1/2 and is never estimated. Returns the
-    best grid point itself, or 0.0 (the uninformative sentinel) when
-    the null-only model beats every grid point; the scores are compared,
-    never returned, so their round-off does not reach the output.
+    log-spaced grid spanning [1e-3, 1e3]. The null density cancels from
+    the mixture's likelihood ratio over the null-only model, leaving
+    sum_i log((1 + e_i(gamma)) / 2) with e_i the moderated_t_evalue; the
+    null-only model scores 0. The mixing proportion stays fixed at 1/2
+    and is never estimated. Returns the best grid point itself, or 0.0
+    (the uninformative sentinel) when no grid point scores above 0; the
+    scores are compared, never returned, so their round-off does not
+    reach the output.
+
+    Every score is finite for every t, +-inf included, except in the
+    Gaussian limit, where a t whose square overflows scores +inf at every
+    grid point; log e_i then grows with gamma, so the largest point wins.
     """
     t = np.atleast_1d(np.asarray(t_tilde, dtype=float))
-    d = model.df_prior + np.asarray(model.df, dtype=float)
-    # |t / scale| <= |t|, so one bound on |t| serves every grid point
-    t_logpdf = _t_logpdf(d, float(np.max(np.abs(t), initial=0.0)))
     var_factor = np.asarray(model.var_factor, dtype=float)
-    null_logpdf = t_logpdf(t)
-    half_null = math.log(0.5) + null_logpdf
-    best_gamma, best_ll = 0.0, float(null_logpdf.sum())
-    # At t = +-inf both halves are -inf and their difference NaN; a NaN score
-    # never beats the best one, just as np.logaddexp's -inf never did.
-    with np.errstate(invalid="ignore"):
-        for gamma in GAMMA_GRID:
-            scale = np.sqrt(1.0 + gamma / var_factor)
-            half_alt = math.log(0.5) + (t_logpdf(t / scale) - np.log(scale))
-            # log(e^a + e^b) without np.logaddexp, whose scalar libm loop is
-            # slower than these vector passes together
-            mixture = np.maximum(half_null, half_alt) + np.log1p(np.exp(-np.abs(half_null - half_alt)))
-            ll = float(mixture.sum())
-            if ll > best_ll:
-                best_gamma, best_ll = float(gamma), ll
+    gaussian = math.isinf(model.df_prior)
+    with np.errstate(over="ignore"):
+        if gaussian:
+            half_tsq = t * t / 2.0
+        else:
+            d = model.df_prior + np.asarray(model.df, dtype=float)
+            half_d, half_d1 = d / 2.0, (d + 1.0) / 2.0
+            # w = d / (d + t^2): 1 at t = 0, exactly 0 at t = +-inf
+            w = 1.0 / (1.0 + t * t / d)
+    null_share = t.size * math.log(2.0)
+    best_gamma, best_score = 0.0, 0.0
+    for gamma in GAMMA_GRID:
+        g = gamma / var_factor
+        if gaussian:
+            log_e = g / (1.0 + g) * half_tsq - 0.5 * np.log1p(g)
+        else:
+            # the e-value's bracket 1 - g t^2 / ((1 + g)(d + t^2)) is
+            # (1 + g w) / (1 + g), so every term stays finite
+            log_e = half_d * np.log1p(g) - half_d1 * np.log1p(g * w)
+        # log(1 + e) without np.logaddexp, whose scalar libm loop is slower
+        # than these vector passes together
+        score = float((np.maximum(log_e, 0.0) + np.log1p(np.exp(-np.abs(log_e)))).sum()) - null_share
+        if score > best_score or score == math.inf:
+            best_gamma, best_score = float(gamma), score
     return best_gamma
 
 
@@ -310,8 +305,8 @@ def fit_moderated_model(beta_hat, s_sq, var_factor, df) -> tuple[ModeratedTModel
     """
     df_prior, s2_prior = fit_limma_hyperparameters(s_sq, df)
     model = ModeratedTModel(var_factor, df, df_prior, s2_prior, gamma=0.0)
-    t_tilde, p = moderated_t(beta_hat, s_sq, model)
-    return replace(model, gamma=fit_gamma(t_tilde, model)), t_tilde, p
+    t_tilde = moderated_t(beta_hat, s_sq, model)
+    return replace(model, gamma=fit_gamma(t_tilde, model)), t_tilde, moderated_t_pvalue(t_tilde, model)
 
 
 def chisq_lr_evalue(s, df: float, ncp: float):

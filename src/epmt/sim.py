@@ -192,7 +192,7 @@ def generate_microarray_replicate(scenario: MicroarrayScenario, rng: np.random.G
     else:
         df_prior_hat, s2_prior_hat = scenario.df_prior, scenario.s2_prior
     model = ModeratedTModel(var_factor, df, df_prior_hat, s2_prior_hat, gamma=0.0)
-    t_tilde, _ = moderated_t(beta_hat, s_sq, model)
+    t_tilde = moderated_t(beta_hat, s_sq, model)
     if scenario.refit_hyperparameters:
         gamma_hat = fit_gamma(t_tilde, model)
     else:

@@ -254,7 +254,7 @@ def test_criterion_09_moderated_t_evalue_validity():
     sigma2 = 3.64 * 0.0144 / rng.chisquare(3.64, draws)
     beta_hat = rng.standard_normal(draws) * np.sqrt(sigma2)
     s_sq = sigma2 * rng.chisquare(38.0, draws) / 38.0
-    t_tilde, _ = moderated_t(beta_hat, s_sq, model)
+    t_tilde = moderated_t(beta_hat, s_sq, model)
     e = moderated_t_evalue(t_tilde, model)
     mean = e.mean()
     se = e.std(ddof=1) / np.sqrt(draws)

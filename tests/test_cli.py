@@ -15,7 +15,7 @@ from scipy import stats
 
 from epmt import cli
 from epmt.calib import sqrt_calibrator
-from epmt.constructors import fit_moderated_model, moderated_t, moderated_t_evalue
+from epmt.constructors import fit_moderated_model, moderated_t_evalue, moderated_t_pvalue
 from epmt.procedures import ep_bh, ep_storey
 
 
@@ -611,7 +611,7 @@ def test_moderate_matches_library(tmp_path):
     assert cli.main(["moderate", "--input", inp, "--out", str(out)]) == 0
 
     model, t, _ = fit_moderated_model(beta_hat, s_sq, np.full(k, 0.1), np.full(k, 38.0))
-    _, p = moderated_t(beta_hat, s_sq, model)
+    p = moderated_t_pvalue(t, model)
     e = moderated_t_evalue(t, model)
     rows = read_rows(out)
     got_t = np.array([float(r["t_tilde"]) for r in rows])
@@ -662,8 +662,8 @@ def test_moderate_rejects_bad_variance(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_moderate_rejects_non_finite_beta_hat(tmp_path, capsys, value):
-    """One non-finite coefficient would zero the fitted gamma and set
-    every e-value to 1; it is refused, naming its line."""
+    """A non-finite coefficient is no estimate (a NaN would zero the
+    fitted gamma and set every e-value to 1); it is refused, naming its line."""
     inp = write(tmp_path / "m.csv", f"id,beta_hat,s_sq,v,nu\ng1,0.5,0.02,0.1,38\ng2,{value},0.02,0.1,38\n")
     out = tmp_path / "o.csv"
     assert cli.main(["moderate", "--input", inp, "--out", str(out)]) == 2
@@ -671,21 +671,30 @@ def test_moderate_rejects_non_finite_beta_hat(tmp_path, capsys, value):
     assert not out.exists()
 
 
-def test_moderate_one_huge_beta_hat_keeps_the_gamma_fit(tmp_path, capsys):
-    """A finite beta_hat whose t-statistic squares past the float range
-    used to print an overflow warning and fit gamma = 0, setting every
-    e-value to 1."""
+def write_moderate_input(path, beta_hat, s_sq):
+    lines = ["id,beta_hat,s_sq,v,nu"]
+    for i in range(beta_hat.size):
+        lines.append(f"g{i},{float(beta_hat[i])!r},{float(s_sq[i])!r},0.1,38")
+    return write(path, "\n".join(lines) + "\n")
+
+
+def one_huge_beta_hat(value):
+    """199 rows from the hierarchical model, 20 with signal, one beta_hat set to value."""
     rng = np.random.default_rng(1407)
     k = 199
     sigma2 = 3.64 * 0.0144 / rng.chisquare(3.64, k)
     beta_hat = rng.standard_normal(k) * np.sqrt(0.1 * sigma2)
     beta_hat[:20] += rng.standard_normal(20) * np.sqrt(0.5 * sigma2[:20])
-    beta_hat[5] = 1e200
+    beta_hat[5] = value
     s_sq = sigma2 * rng.chisquare(38.0, k) / 38.0
-    lines = ["id,beta_hat,s_sq,v,nu"]
-    for i in range(k):
-        lines.append(f"g{i},{float(beta_hat[i])!r},{float(s_sq[i])!r},0.1,38")
-    inp = write(tmp_path / "m.csv", "\n".join(lines) + "\n")
+    return beta_hat, s_sq
+
+
+def test_moderate_one_huge_beta_hat_keeps_the_gamma_fit(tmp_path, capsys):
+    """A finite beta_hat whose t-statistic squares past the float range
+    used to print an overflow warning and fit gamma = 0, setting every
+    e-value to 1."""
+    inp = write_moderate_input(tmp_path / "m.csv", *one_huge_beta_hat(1e200))
     out = tmp_path / "out.csv"
     assert cli.main(["moderate", "--input", inp, "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
@@ -693,6 +702,36 @@ def test_moderate_one_huge_beta_hat_keeps_the_gamma_fit(tmp_path, capsys):
     assert summary["gamma"] > 0.0
     e = np.array([float(r["e"]) for r in read_rows(out)])
     assert (e != 1.0).all()
+
+
+def test_moderate_infinite_t_counts_as_its_limiting_evidence(tmp_path, capsys):
+    """A beta_hat near the float maximum gives t = inf, which fits the same
+    gamma as a t that is merely huge, with no warning."""
+    gammas, t_cells = [], []
+    for value in (1.7e308, 1e200):
+        inp = write_moderate_input(tmp_path / "m.csv", *one_huge_beta_hat(value))
+        out = tmp_path / "out.csv"
+        assert cli.main(["moderate", "--input", inp, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        gammas.append(json.loads((tmp_path / "out.json").read_text())["gamma"])
+        t_cells.append(read_rows(out)[5]["t_tilde"])
+    assert t_cells[0] == "inf" and np.isfinite(float(t_cells[1]))
+    assert gammas[0] == gammas[1] > 0.0
+
+
+def test_moderate_huge_beta_hat_in_the_gaussian_limit_takes_the_largest_gamma(tmp_path, capsys):
+    """With equal sample variances df_prior is inf; t = 1e200 / sqrt(s2 v)
+    squares past the float range, and its evidence grows without bound in
+    gamma, so the top of the grid is fitted."""
+    beta_hat = np.random.default_rng(1408).standard_normal(199) * np.sqrt(0.1 * 0.02)
+    beta_hat[5] = 1e200
+    inp = write_moderate_input(tmp_path / "m.csv", beta_hat, np.full(199, 0.02))
+    out = tmp_path / "out.csv"
+    assert cli.main(["moderate", "--input", inp, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "out.json").read_text())
+    assert summary["df_prior"] == "inf"
+    assert summary["gamma"] == 1000.0
 
 
 @pytest.mark.parametrize("column", ["s_sq", "v", "nu"])

@@ -4,11 +4,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, optimize, stats
 
 from epmt import sim
+from epmt.constructors import chisq_lr_evalue
 from epmt.core import fdp_and_power
-from epmt.procedures import ProcedureSpec, e_bh, ep_bh
+from epmt.procedures import ProcedureSpec, e_bh, ep_bh, ep_bonferroni
 from epmt.sim import (
     AdversarialScenario,
     ConfigError,
@@ -289,6 +290,34 @@ def test_ep_bh_fdr_matches_exact_oracle():
         fdp[i] = fdp_and_power(ep_bh(p, e, alpha).mask, is_null)[0]
     se = fdp.std(ddof=1) / np.sqrt(replicates)
     assert abs(fdp.mean() - exact) <= 3.0 * se, f"MC {fdp.mean()} (se {se}) vs exact {exact}"
+
+
+def test_ep_bonferroni_pfer_matches_exact_oracle():
+    """ep-Bonferroni's PFER in the full-null t-test scenario, held from both sides.
+
+    ep-Bonferroni rejects a null when p <= alpha * e / K. The t-test's null
+    p is uniform and, by Basu's theorem, independent of the total sum of
+    squares S ~ chisq(9) behind e = chisq_lr_evalue(S, 9, 10), so
+    PFER = K * E[min(alpha * e / K, 1)] = alpha * E[min(e, K / alpha)].
+    e is the ncx2(9, 10) over chisq(9) density ratio and increases in S;
+    with e(s*) = K / alpha, E[min(e, K / alpha)] = ncx2.cdf(s*) +
+    (K / alpha) * chi2.sf(s*), which quadrature confirms.
+    """
+    k, alpha, replicates = 500, 0.1, 10_000
+    cap = k / alpha
+    s_cap = optimize.brentq(lambda s: chisq_lr_evalue(s, 9.0, 10.0) - cap, 1.0, 1000.0, xtol=1e-13)
+    exact = alpha * (stats.ncx2.cdf(s_cap, 9.0, 10.0) + cap * stats.chi2.sf(s_cap, 9.0))
+    below, _ = integrate.quad(lambda s: chisq_lr_evalue(s, 9.0, 10.0) * stats.chi2.pdf(s, 9.0), 0.0, s_cap, epsabs=1e-13)
+    assert alpha * (below + cap * stats.chi2.sf(s_cap, 9.0)) == pytest.approx(exact, abs=1e-10)
+    assert exact == pytest.approx(0.0999514, abs=1e-7)
+    scenario = TTestScenario(n_hypotheses=k, null_fraction=1.0)
+    rng = np.random.default_rng(20261019)
+    n_false = np.empty(replicates)
+    for i in range(replicates):
+        p, e, _ = generate_replicate(scenario, rng)
+        n_false[i] = np.count_nonzero(ep_bonferroni(p, e, alpha).mask)
+    se = n_false.std(ddof=1) / np.sqrt(replicates)
+    assert abs(n_false.mean() - exact) <= 3.0 * se, f"MC {n_false.mean()} (se {se}) vs exact {exact}"
 
 
 def test_adversarial_replicate_all_null():
