@@ -171,7 +171,9 @@ def moderated_t_evalue(t_tilde, model: ModeratedTModel):
     t = np.asarray(t_tilde, dtype=float)
     g = model.gamma / np.asarray(model.var_factor, dtype=float)
     d = model.df_prior + np.asarray(model.df, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the bracket below rounds to 0 once g/(1+g) and t^2/(d+t^2) both round
+    # to 1, and its power overflows to +inf there, as the true value does
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         tsq = t * t
         if model.gamma == 0.0:
             ratio = np.ones(np.broadcast(t, g, d).shape)

@@ -56,7 +56,9 @@ def _check_merging(merging: str):
 
 def harmonic_number(k: int) -> float:
     """Sum of 1/j for j = 1..k, accumulated exactly (no log approximation)."""
-    return math.fsum(1.0 / j for j in range(1, k + 1))
+    # numpy divides as Python does, correctly rounded; fsum reads a list in
+    # about half the time it takes to step a generator
+    return math.fsum((1.0 / np.arange(1, k + 1)).tolist())
 
 
 def _step_up(stat: np.ndarray, passes, adjusted: np.ndarray) -> RejectionResult:

@@ -1,7 +1,8 @@
 """Tests for the command line interface.
 
-Most tests call cli.main() in process for speed; one subprocess test
-covers the `python -m` entry point.
+Most tests call cli.main() in process for speed; subprocess tests cover
+the `python -m` entry point, the writer's worker pool and what a fresh
+import loads.
 """
 
 import csv
@@ -734,6 +735,19 @@ def test_moderate_huge_beta_hat_in_the_gaussian_limit_takes_the_largest_gamma(tm
     assert summary["gamma"] == 1000.0
 
 
+def test_moderate_tiny_variance_factor_warns_nothing(tmp_path, capsys):
+    """With v = 1e-20 every t is in the billions, and the e-value bracket
+    rounds to 0 where the fitted gamma is large; e overflows to inf there
+    without the divide-by-zero warning numpy used to print."""
+    beta_hat, s_sq = one_huge_beta_hat(0.1)
+    rows = [f"g{i},{float(b)!r},{float(s)!r},1e-20,38" for i, (b, s) in enumerate(zip(beta_hat, s_sq))]
+    inp = write(tmp_path / "m.csv", "id,beta_hat,s_sq,v,nu\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "out.csv"
+    assert cli.main(["moderate", "--input", inp, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert "inf" in {r["e"] for r in read_rows(out)}
+
+
 @pytest.mark.parametrize("column", ["s_sq", "v", "nu"])
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_moderate_rejects_a_variance_column_not_positive_and_finite(tmp_path, capsys, column, value):
@@ -779,6 +793,34 @@ def test_module_entry_point(tmp_path):
     assert out.exists()
 
 
+def test_pooled_writer_in_dev_mode_writes_the_serial_bytes(tmp_path, monkeypatch):
+    """An output long enough for the writer's worker pool, written by
+    `python -X dev -W error -m epmt`, warns nothing and has the bytes of
+    the in-process serial writer. e-bh writes its e column twice, as e
+    and adjusted, and leaves the empty p cells empty."""
+    rows = cli._POOL_BLOCKS * cli._BLOCK_ROWS + 5
+    rng = np.random.default_rng(1016)
+    p, e = rng.random(rows).tolist(), rng.exponential(size=rows).tolist()
+    ids = [{3: f'"a,""b""\nc{i}"', 4: f"ü{i}"}.get(i % 97, f"h{i}") for i in range(rows)]
+    lines = [
+        f"{ids[i]},{'' if i % 89 == 0 else repr(p[i])},{'inf' if i % 101 == 0 else repr(e[i])}" for i in range(rows)
+    ]
+    lines[7] = "neg,-0.0,-0.0"
+    lines[8] = '"",0.5,'
+    inp = write(tmp_path / "h.csv", "id,p,e\n" + "\n".join(lines) + "\n")
+    argv = ["adjust", "--input", inp, "--procedure", "e-bh", "--alpha", "0.1"]
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert cli.main([*argv, "--out", str(tmp_path / "serial.csv")]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "epmt", *argv, "--out", str(tmp_path / "pooled.csv")],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert (tmp_path / "pooled.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
+
+
 def run_fresh(code: str) -> str:
     """Standard output of code run in a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -788,10 +830,13 @@ def run_fresh(code: str) -> str:
 
 def test_cli_import_loads_no_scipy_stats_or_optimize():
     """adjust and combine run on numpy alone: importing the package or the
-    command line, or printing the version, loads no scipy, sim or constructors."""
+    command line, or printing the version, loads no scipy, sim or
+    constructors, and none of the process pool modules the writer loads
+    only for a large output."""
     loaded = (
         "import sys; print(sorted(m for m in sys.modules"
-        " if m.partition('.')[0] == 'scipy' or m in ('epmt.sim', 'epmt.constructors')))"
+        " if m.partition('.')[0] in ('scipy', 'multiprocessing', 'concurrent')"
+        " or m in ('epmt.sim', 'epmt.constructors')))"
     )
     version = (
         "import runpy, sys; sys.argv = ['epmt', '--version']\n"

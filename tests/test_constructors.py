@@ -205,6 +205,17 @@ def test_moderated_t_evalue_limit_where_t_squared_overflows():
     np.testing.assert_array_equal(moderated_t_evalue(grid, model), closed)
 
 
+def test_moderated_t_evalue_bracket_rounding_to_zero_warns_nothing():
+    """At var_factor 1e-20 both g/(1+g) and t^2/(d+t^2) round to 1 for
+    t = 1e10, so the bracket is 0 and e overflows to +inf, as its true value
+    does; that used to print a divide-by-zero warning. pytest turns
+    RuntimeWarnings into errors."""
+    model = ModeratedTModel(1e-20, 38, 4.0, 0.014, 1000.0)
+    g, d = 1000.0 / 1e-20, 42.0
+    closed = (1.0 - g * 9.0 / ((1.0 + g) * (d + 9.0))) ** (-(d + 1.0) / 2.0) / np.sqrt(1.0 + g)
+    np.testing.assert_array_equal(moderated_t_evalue([1e10, 3.0], model), [np.inf, closed])
+
+
 def test_moderated_t_evalue_gaussian_limit():
     model = ModeratedTModel(1.0, 4.0, np.inf, 1.0, gamma=1.0)
     t = 2.0

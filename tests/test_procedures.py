@@ -1,5 +1,7 @@
 """Tests for the step-up procedures and the procedure registry."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,16 @@ def test_p_bh_no_rejections():
 def test_harmonic_number():
     assert harmonic_number(1) == 1.0
     assert harmonic_number(4) == pytest.approx(25.0 / 12.0, rel=1e-15)
+
+
+def test_harmonic_number_matches_the_generator_form_bit_for_bit():
+    """The array form sums the same correctly rounded reciprocals."""
+
+    def reference(k):
+        return math.fsum(1.0 / j for j in range(1, k + 1))
+
+    for k in [*range(1, 3001), 10**5]:
+        assert harmonic_number(k) == reference(k), k
 
 
 def test_p_bh_by_correction_oracle():

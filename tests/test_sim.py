@@ -320,6 +320,41 @@ def test_ep_bonferroni_pfer_matches_exact_oracle():
     assert abs(n_false.mean() - exact) <= 3.0 * se, f"MC {n_false.mean()} (se {se}) vs exact {exact}"
 
 
+def test_simulate_csv_pfer_and_fwer_match_their_exact_values(tmp_path):
+    """The same exact PFER, and the FWER it implies, read from `epmt
+    simulate`'s CSV at parallelism 2: through run_campaign's batches, its
+    aggregation and the writer. Each null is rejected independently with
+    probability PFER / K, so FWER = 1 - (1 - PFER / K)^K. Both are held
+    from both sides within 3 of the CSV's own standard errors."""
+    import csv
+    import json
+
+    from epmt import cli
+
+    pfer, k = 0.0999514, 500
+    fwer = 1.0 - (1.0 - pfer / k) ** k
+    assert fwer == pytest.approx(0.0951276, abs=1e-7)
+    config = tmp_path / "null.json"
+    config.write_text(
+        json.dumps(
+            {
+                "alpha": 0.1,
+                "scenarios": [{"kind": "ttest", "n_hypotheses": k, "null_fraction": 1.0}],
+                "procedures": ["ep-bonferroni"],
+            }
+        )
+    )
+    out = tmp_path / "null.csv"
+    argv = ["simulate", "--config", str(config), "--reps", "10000", "--seed", "1016", "--parallelism", "2"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    with open(out, newline="") as handle:
+        (row,) = csv.DictReader(handle)
+    assert row["replicates"] == "10000"
+    for rate, exact in (("pfer", pfer), ("fwer", fwer)):
+        got, se = float(row[rate]), float(row["se_" + rate])
+        assert abs(got - exact) <= 3.0 * se, f"{rate} {got} (se {se}) vs exact {exact}"
+
+
 def test_adversarial_replicate_all_null():
     scn = AdversarialScenario(n_hypotheses=50)
     p, e, is_null = generate_adversarial_replicate(scn, child_rng(0, 0, 0))
