@@ -13,21 +13,24 @@ The package covers four layers:
   permutation statistics, moderated t, chi-square likelihood ratios) and
   simulation scenarios with a seeded, parallel replication driver.
 
-Every name in `__all__` resolves on first access, from the first layer
-that holds it, and then stays in the module namespace. `constructors` and
-`sim` import scipy, which `adjust` and `combine` never need.
+Importing the package loads no layer, and so no numpy: each layer, and
+every name in `__all__`, resolves on first access, a name from the first
+layer that holds it, and then stays in the module namespace. `python -m
+epmt` and the `epmt` script can thus cap numpy's threads (see `__main__`)
+before numpy loads. `constructors` and `sim` import scipy, which `adjust`
+and `combine` never need.
 """
-
-# the numpy-only layers load with the package
-from . import calib, core, procedures
 
 _LAYERS = ("core", "calib", "procedures", "constructors", "sim")
 
 
 def __getattr__(name):
-    if name in __all__:
-        from importlib import import_module
+    from importlib import import_module
 
+    if name in _LAYERS:
+        # importing a submodule binds it in the package namespace
+        return import_module(f".{name}", __name__)
+    if name in __all__:
         # a module imports only from layers before its own, so the first
         # one holding the name defines it
         for layer in _LAYERS:
@@ -39,7 +42,7 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *_LAYERS, *__all__})
 
 
 __version__ = "0.1.0"

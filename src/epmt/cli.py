@@ -7,7 +7,8 @@ Subcommands:
   moderate  fit the moderated-t pipeline on summary statistics
 
 Exit codes: 0 success (even with zero rejections), 2 malformed input
-(reported with the first offending line or key), 3 usage errors.
+(reported with the first offending line or key) or an output that cannot
+be written, 3 usage errors.
 
 CSV conventions: floats are written with repr-level precision, the
 shortest round-trip (at most 17 significant digits); infinity is the
@@ -58,6 +59,25 @@ def _open_input(path: str):
         return open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise CliInputError(f"cannot open {path}: {exc}") from None
+
+
+def _open_output(path: str, newline=None):
+    """Open an output file for writing as text, or raise naming the path."""
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc}") from None
+
+
+def _check_out_dir(path: str):
+    """Refuse an --out path whose directory does not exist.
+
+    Runs before any input is read or worker forked, so the refusal costs
+    nothing; _open_output still names any other write error at the end.
+    """
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise CliInputError(f"cannot write {path}: no directory {directory}")
 
 
 # Characters read per pass of the CSV reader. A block's lines and cells are
@@ -373,8 +393,9 @@ def _write_csv(path: str, header: list, columns: list):
             # starts without importing numpy again, which takes about
             # 0.2 s, as long as the pool saves on 200k rows. A fork-started
             # pool forks every worker before it starts its own threads, and
-            # the only other thread here is OpenBLAS's, as when
-            # run_campaign's pool forks.
+            # the only other threads here are OpenBLAS's, which the command
+            # line does not start (see __main__), as when run_campaign's
+            # pool forks.
             context = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(workers, mp_context=context, initializer=_share, initargs=(columns,)) as pool:
                 # map submits every block at once, and the workers fork at the
@@ -391,7 +412,7 @@ def _float_column(column) -> tuple:
 
 
 def _write_blocks(path: str, header: list, texts):
-    with open(path, "w", newline="") as handle:
+    with _open_output(path, newline="") as handle:
         handle.write(",".join(_quoted(header)) + "\n")
         for text in texts:
             handle.write(text)
@@ -413,7 +434,7 @@ def _format_shared(lo: int) -> str:
 def _write_json(out_path: str, suffix: str, payload: dict):
     """Write payload beside the output CSV, as its stem plus suffix."""
     stem = out_path[:-4] if out_path.endswith(".csv") else out_path
-    with open(stem + suffix, "w") as handle:
+    with _open_output(stem + suffix) as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -655,6 +676,7 @@ def main(argv=None) -> int:
                 _usage_error("--seed must be >= 0")
             if args.parallelism < 1:
                 _usage_error("--parallelism must be >= 1")
+        _check_out_dir(args.out)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0

@@ -21,6 +21,7 @@ past the boundary would itself satisfy the step-up condition).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -54,8 +55,12 @@ def _check_merging(merging: str):
         raise ValueError(f"merging must be 'mean' or 'max', got {merging!r}")
 
 
+@functools.lru_cache
 def harmonic_number(k: int) -> float:
-    """Sum of 1/j for j = 1..k, accumulated exactly (no log approximation)."""
+    """Sum of 1/j for j = 1..k, accumulated exactly (no log approximation).
+
+    Cached per k: a campaign asks for the same K every replicate.
+    """
     # numpy divides as Python does, correctly rounded; fsum reads a list in
     # about half the time it takes to step a generator
     return math.fsum((1.0 / np.arange(1, k + 1)).tolist())

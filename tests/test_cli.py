@@ -7,8 +7,10 @@ import loads.
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +242,44 @@ def test_non_utf8_input_exits_2_naming_line(tmp_path, capsys, command):
     line = 2 if command == "simulate" else 3
     assert code == 2
     assert capsys.readouterr().err == f"error: line {line}: byte 0xff is not valid UTF-8\n"
+
+
+def out_argv(command, inp, out):
+    """argv running command on inp, a valid input unless missing, into out."""
+    source = {"simulate": "--config"}.get(command, "--input")
+    flags = {
+        "adjust": ["--procedure", "p-bh"],
+        "combine": ["--mode", "quotient"],
+        "moderate": [],
+        "simulate": ["--reps", "2", "--parallelism", "2"],
+    }[command]
+    return [command, source, str(inp), *flags, "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["adjust", "combine", "moderate", "simulate"])
+def test_out_in_a_missing_directory_exits_2_before_reading(tmp_path, capsys, command):
+    """The --out directory is checked before the input is read (here the
+    input does not exist either) and before any worker forks."""
+    out = tmp_path / "nodir" / "o.csv"
+    assert cli.main(out_argv(command, tmp_path / "missing", out)) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: no directory {out.parent}\n"
+    assert not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("adjust", "out.csv"), ("combine", "out.csv"), ("moderate", "out.csv"), ("simulate", "out.csv"),
+    ("adjust", "out.json"), ("moderate", "out.json"), ("simulate", "out.manifest.json"),
+])
+def test_output_that_cannot_be_opened_exits_2_naming_it(tmp_path, capsys, command, blocked):
+    """An output file that open refuses (here a directory stands in its
+    place) is named with the system's reason, not a traceback."""
+    text = {
+        "moderate": "id,beta_hat,s_sq,v,nu\ng1,1,1,0.1,38\ng2,0.5,2,0.1,38\n",
+        "simulate": config_text(),
+    }.get(command, HYP)
+    (tmp_path / blocked).mkdir()
+    assert cli.main(out_argv(command, write(tmp_path / "in", text), tmp_path / "out.csv")) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / blocked}: [Errno ")
 
 
 @pytest.mark.parametrize("rows", [1, 2000], ids=["first-chunk", "past-first-chunk"])
@@ -821,11 +861,20 @@ def test_pooled_writer_in_dev_mode_writes_the_serial_bytes(tmp_path, monkeypatch
     assert (tmp_path / "pooled.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
 
 
-def run_fresh(code: str) -> str:
-    """Standard output of code run in a fresh interpreter."""
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+def run_fresh(code: str, **env) -> str:
+    """Standard output of code run in a fresh interpreter, with
+    OPENBLAS_NUM_THREADS unset unless env sets it."""
+    environ = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**environ, **env})
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+RUN_VERSION = (
+    "import runpy, sys; sys.argv = ['epmt', '--version']\n"
+    "try:\n    runpy.run_module('epmt', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+)
 
 
 def test_cli_import_loads_no_scipy_stats_or_optimize():
@@ -838,14 +887,11 @@ def test_cli_import_loads_no_scipy_stats_or_optimize():
         " if m.partition('.')[0] in ('scipy', 'multiprocessing', 'concurrent')"
         " or m in ('epmt.sim', 'epmt.constructors')))"
     )
-    version = (
-        "import runpy, sys; sys.argv = ['epmt', '--version']\n"
-        "try:\n    runpy.run_module('epmt', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
-    )
-    assert run_fresh(f"import epmt; {loaded}") == "[]\n"
+    # the package itself loads no layer, so no numpy, and sets no environment
+    package = "import os, sys, epmt; print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    assert run_fresh(package + loaded) == "False None\n[]\n"
     assert run_fresh(f"import epmt.cli; {loaded}") == "[]\n"
-    assert run_fresh(version + loaded) == "epmt 0.1.0\n[]\n"
+    assert run_fresh(RUN_VERSION + loaded) == "epmt 0.1.0\n[]\n"
     # the names of sim and constructors still resolve, on first access
     # sim and constructors, which simulate and moderate load, import scipy.special only
     every_name = (
@@ -856,6 +902,61 @@ def test_cli_import_loads_no_scipy_stats_or_optimize():
         "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
     )
     assert run_fresh(every_name) == "True\nTrue\n[] []\n[]\n"
+
+
+def test_package_resolves_its_layers_on_first_access():
+    """A bare `import epmt` loads no layer; each resolves as an attribute."""
+    code = (
+        "import sys, epmt; layers = ('core', 'calib', 'procedures', 'constructors', 'sim')\n"
+        "print([m for m in sys.modules if m.startswith('epmt.')])\n"
+        "print([getattr(epmt, layer).__name__ for layer in layers], set(layers) <= set(dir(epmt)))"
+    )
+    assert run_fresh(code) == (
+        "[]\n['epmt.core', 'epmt.calib', 'epmt.procedures', 'epmt.constructors', 'epmt.sim'] True\n"
+    )
+
+
+THREADS = "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('Threads:')))\n"
+
+
+def test_command_loads_openblas_with_one_thread():
+    """`python -m epmt` caps OpenBLAS before numpy loads: after the
+    command, scipy's OpenBLAS loads capped too, and the process holds one
+    OS thread, the one it forks its worker pools from."""
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no /proc to count threads")
+    code = RUN_VERSION + "import os, epmt.sim; print(os.environ['OPENBLAS_NUM_THREADS'])\n" + THREADS
+    assert run_fresh(code) == "epmt 0.1.0\n1\n1\n"
+
+
+def test_command_keeps_the_callers_openblas_threads():
+    code = RUN_VERSION + "import os; print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    assert run_fresh(code, OPENBLAS_NUM_THREADS="2") == "epmt 0.1.0\n2\n"
+
+
+def test_importing_the_script_module_caps_threads_without_running_the_command():
+    code = "import os, epmt.__main__; print(os.environ['OPENBLAS_NUM_THREADS'], callable(epmt.__main__.entry))"
+    assert run_fresh(code) == "1 True\n"
+
+
+def test_installed_script_caps_openblas_before_numpy_loads():
+    """The `epmt` script of pyproject.toml names a function whose module
+    sets OPENBLAS_NUM_THREADS before numpy is first imported."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    module, _, function = pyproject["project"]["scripts"]["epmt"].partition(":")
+    code = (
+        "import importlib, os, sys\n"
+        "seen = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        f"entry = getattr(importlib.import_module({module!r}), {function!r})\n"
+        "print(seen, callable(entry))"
+    )
+    assert run_fresh(code) == "['1'] True\n"
 
 
 def test_help_exits_zero(capsys):

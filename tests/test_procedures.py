@@ -103,6 +103,18 @@ def test_harmonic_number_matches_the_generator_form_bit_for_bit():
         assert harmonic_number(k) == reference(k), k
 
 
+def test_harmonic_number_cache_returns_the_computed_bits():
+    """Each k computed once, then answered from the cache, with the bits of
+    the uncached function."""
+    uncached = harmonic_number.__wrapped__
+    harmonic_number.cache_clear()
+    for k in range(1, 3001):
+        computed = harmonic_number(k)
+        assert computed.hex() == uncached(k).hex() == harmonic_number(k).hex(), k
+    info = harmonic_number.cache_info()
+    assert (info.misses, info.hits) == (3000, 3000)
+
+
 def test_p_bh_by_correction_oracle():
     # alpha / H(4) = 0.05 / (25/12) = 0.024
     assert p_bh([0.01, 0.02, 0.40, 0.90], 0.05, by_correction=True).rejected == frozenset()

@@ -355,6 +355,35 @@ def test_simulate_csv_pfer_and_fwer_match_their_exact_values(tmp_path):
         assert abs(got - exact) <= 3.0 * se, f"{rate} {got} (se {se}) vs exact {exact}"
 
 
+def test_simulate_csv_adversarial_ebh_fdr_matches_its_exact_value(tmp_path):
+    """e-BH's exact adversarial FDR, 0.045 (see the oracle test above), read
+    from `epmt simulate`'s CSV at parallelism 2 and held from both sides
+    within 3 of the CSV's own standard error."""
+    import csv
+    import json
+
+    from epmt import cli
+
+    config = tmp_path / "adversarial.json"
+    config.write_text(
+        json.dumps(
+            {
+                "alpha": 0.1,
+                "scenarios": [{"kind": "adversarial", "n_hypotheses": 50, "level": 0.1}],
+                "procedures": ["e-bh"],
+            }
+        )
+    )
+    out = tmp_path / "adversarial.csv"
+    argv = ["simulate", "--config", str(config), "--reps", "20000", "--seed", "1017", "--parallelism", "2"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    with open(out, newline="") as handle:
+        (row,) = csv.DictReader(handle)
+    assert (row["scenario"], row["procedure"], row["replicates"]) == ("adversarial-0", "e-bh", "20000")
+    got, se = float(row["fdr"]), float(row["se_fdr"])
+    assert abs(got - 0.045) <= 3.0 * se, f"fdr {got} (se {se}) vs exact 0.045"
+
+
 def test_adversarial_replicate_all_null():
     scn = AdversarialScenario(n_hypotheses=50)
     p, e, is_null = generate_adversarial_replicate(scn, child_rng(0, 0, 0))
