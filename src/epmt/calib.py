@@ -65,17 +65,6 @@ class Calibrator:
                 out = np.where(arr > 0.0, self.kappa * arr ** (self.kappa - 1.0), np.inf)
         return float(out[0]) if np.ndim(p) == 0 else out
 
-    def mass_below(self, eps: float) -> float:
-        """Exact integral of h over [0, eps], the analytic tail at the pole."""
-        if not 0.0 <= eps <= 1.0:
-            raise ValueError("eps must lie in [0, 1]")
-        if self.family == "sqrt":
-            return 2.0 * np.sqrt(eps) - eps
-        return eps ** self.kappa
-
-    def label(self) -> str:
-        return "sqrt" if self.family == "sqrt" else f"kappa:{self.kappa:g}"
-
 
 def sqrt_calibrator() -> Calibrator:
     return Calibrator("sqrt")

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict
 from operator import eq
 
@@ -667,22 +668,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        if args.command == "simulate":
-            if args.reps < 1:
-                _usage_error("--reps must be >= 1")
-            if args.seed < 0:
-                _usage_error("--seed must be >= 0")
-            if args.parallelism < 1:
-                _usage_error("--parallelism must be >= 1")
-        _check_out_dir(args.out)
-        return args.func(args)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # the caller's filters still apply: `-W error` raises
+        warnings.showwarning = lambda message, *where: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = build_parser().parse_args(argv)
+            if args.command == "simulate":
+                if args.reps < 1:
+                    _usage_error("--reps must be >= 1")
+                if args.seed < 0:
+                    _usage_error("--seed must be >= 0")
+                if args.parallelism < 1:
+                    _usage_error("--parallelism must be >= 1")
+            _check_out_dir(args.out)
+            return args.func(args)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code is not None else 0
+        except CliInputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 def entry():  # console-script hook

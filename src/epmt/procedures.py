@@ -153,7 +153,10 @@ def ep_bh(p, e, alpha: float) -> RejectionResult:
     """Step-up on the quotients min(p/e, 1).
 
     This is weighted_p_bh with the raw e-values as weights: e-values act
-    as unnormalized weights without any rescaling.
+    as unnormalized weights without any rescaling. It controls FDR for
+    PRDS p-values and e-values independent of them. PAPER.md holds only
+    the abstract, so this comes from the standard references, not the
+    paper's theorems.
     """
     return weighted_p_bh(p, e, alpha)
 
@@ -161,8 +164,11 @@ def ep_bh(p, e, alpha: float) -> RejectionResult:
 def pe_bh(p, e, alpha: float, calibrator: Calibrator = DEFAULT_CALIBRATOR) -> RejectionResult:
     """e-BH on the product e-values h(p) * e.
 
-    Valid under arbitrary dependence between and across the two vectors,
-    at the price of never rejecting more than ep_bh does.
+    e-BH allows arbitrary dependence across hypotheses (Wang and Ramdas
+    2022), but h(p_i) * e_i is an e-value only when e_i is valid given
+    p_i. It never rejects more than ep_bh does. PAPER.md holds only the
+    abstract: these conditions come from the standard references, not
+    the paper's theorems.
     """
     return e_bh(combine_product(p, e, calibrator), alpha)
 

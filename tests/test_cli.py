@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from scipy import stats
 from epmt import cli
 from epmt.calib import sqrt_calibrator
 from epmt.constructors import fit_moderated_model, moderated_t_evalue, moderated_t_pvalue
-from epmt.procedures import ep_bh, ep_storey
+from epmt.procedures import SingleHypothesis, ep_bh, ep_storey
 
 
 def write(path, text):
@@ -831,6 +832,24 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_warning_prints_one_line_without_source(tmp_path):
+    """A library warning reaches stderr as one `warning: <message>` line,
+    not as the warning's source file and code line, and the outputs keep
+    their bytes. The caller's filters still apply: an error filter raises."""
+    inp = write(tmp_path / "one.csv", "id,p,e\na,0.01,30\n")
+    argv = ["adjust", "--input", inp, "--procedure", "adaptive-e-bh"]
+    out = tmp_path / "o.csv"
+    proc = subprocess.run([sys.executable, "-m", "epmt", *argv, "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == "warning: adaptive e-BH needs at least two hypotheses; falling back to plain e-BH\n"
+    assert out.read_bytes() == b"id,p,e,adjusted,rejected\na,0.01,30.0,30.0,1\n"
+    summary = '{\n  "alpha": 0.05,\n  "k_star": 1,\n  "n_rejected": 1,\n  "procedure": "adaptive-e-bh"\n}\n'
+    assert (tmp_path / "o.json").read_text() == summary
+    with warnings.catch_warnings(), pytest.raises(SingleHypothesis):
+        warnings.simplefilter("error", SingleHypothesis)
+        cli.main([*argv, "--out", str(tmp_path / "raised.csv")])
 
 
 def test_pooled_writer_in_dev_mode_writes_the_serial_bytes(tmp_path, monkeypatch):

@@ -6,7 +6,8 @@ into scipy; keeping these layers free of it lets the command line defer
 scipy to `simulate` and `moderate`, the subcommands that use it, and it
 does (tests/test_cli.py checks a fresh import). Public functions validate
 and compute in one place, so no module has a private `_name` twin beside
-one.
+one. Every public method of a public class is read somewhere in the
+package, so no member serves only the tests.
 """
 
 import ast
@@ -69,6 +70,65 @@ def test_numpy_only_layers_have_no_private_twins():
     assert {"cli.py", "constructors.py", "sim.py"} <= {path.name for path in modules}
     for path in modules:
         assert private_twins(path.read_text()) == [], path.name
+
+
+def public_members(source: str):
+    """(class, member) for each public method or property of a public top-level class."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield node.name, item.name
+
+
+def attributes_read(source: str) -> set:
+    """Every attribute name a module reads, as in `obj.name`."""
+    return {
+        node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_members(sources) -> list:
+    """Public members, as "Class.member", whose name no source reads as an attribute."""
+    read = set().union(*map(attributes_read, sources))
+    return sorted(f"{cls}.{name}" for source in sources for cls, name in public_members(source) if name not in read)
+
+
+# the members that may stay unread in the package, each with its reason
+UNREAD_EXEMPT = {
+    "RejectionResult.rejected": "bench/test_bench.py reads it; its removal waits for ROADMAP items 1 and 7",
+}
+
+
+PLANTED = """
+class Shown:
+    def used(self):
+        return self.unread_too
+
+    @property
+    def unread(self):
+        return 1
+
+    def _private(self):
+        pass
+
+
+class _Hidden:
+    def hidden(self):
+        pass
+
+
+def caller(x):
+    return x.used()
+"""
+
+
+def test_every_public_member_is_read_in_the_package():
+    """No public method or property exists only for the tests or the benchmark."""
+    # the scan sees an unread member when there is one
+    assert unread_members([PLANTED]) == ["Shown.unread"]
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unread_members(sources) == sorted(UNREAD_EXEMPT)
 
 
 def test_package_names_resolve_to_their_defining_module():

@@ -298,7 +298,7 @@ def test_pe_bh_known_case():
 
 
 @pytest.mark.parametrize(
-    "cal, seed", zip(ALL_CALIBRATORS, (71, 72, 73, 74)), ids=[c.label() for c in ALL_CALIBRATORS]
+    "cal, seed", zip(ALL_CALIBRATORS, (71, 72, 73, 74)), ids=["sqrt", "kappa:0.2", "kappa:0.5", "kappa:0.8"]
 )
 def test_pe_bh_subset_of_ep_bh(cal, seed):
     """pe-BH never rejects a hypothesis that ep-BH keeps."""

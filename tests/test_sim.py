@@ -1,12 +1,14 @@
 """Tests for scenario generators and the replication harness."""
 
+import csv
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize, stats
+from scipy import integrate, optimize, special, stats
 
-from epmt import sim
+from epmt import cli, sim
 from epmt.constructors import chisq_lr_evalue
 from epmt.core import fdp_and_power
 from epmt.procedures import ProcedureSpec, e_bh, ep_bh, ep_bonferroni
@@ -320,36 +322,31 @@ def test_ep_bonferroni_pfer_matches_exact_oracle():
     assert abs(n_false.mean() - exact) <= 3.0 * se, f"MC {n_false.mean()} (se {se}) vs exact {exact}"
 
 
+def simulate_row(tmp_path, scenario, procedure, reps, seed):
+    """The one CSV row of `epmt simulate` at parallelism 2 on one scenario
+    and one procedure at alpha 0.1."""
+    config = tmp_path / "campaign.json"
+    config.write_text(json.dumps({"alpha": 0.1, "scenarios": [scenario], "procedures": [procedure]}))
+    out = tmp_path / "campaign.csv"
+    argv = ["simulate", "--config", str(config), "--reps", str(reps), "--seed", str(seed), "--parallelism", "2"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    with open(out, newline="") as handle:
+        (row,) = csv.DictReader(handle)
+    assert (row["procedure"], row["replicates"]) == (procedure, str(reps))
+    return row
+
+
 def test_simulate_csv_pfer_and_fwer_match_their_exact_values(tmp_path):
     """The same exact PFER, and the FWER it implies, read from `epmt
     simulate`'s CSV at parallelism 2: through run_campaign's batches, its
     aggregation and the writer. Each null is rejected independently with
     probability PFER / K, so FWER = 1 - (1 - PFER / K)^K. Both are held
     from both sides within 3 of the CSV's own standard errors."""
-    import csv
-    import json
-
-    from epmt import cli
-
     pfer, k = 0.0999514, 500
     fwer = 1.0 - (1.0 - pfer / k) ** k
     assert fwer == pytest.approx(0.0951276, abs=1e-7)
-    config = tmp_path / "null.json"
-    config.write_text(
-        json.dumps(
-            {
-                "alpha": 0.1,
-                "scenarios": [{"kind": "ttest", "n_hypotheses": k, "null_fraction": 1.0}],
-                "procedures": ["ep-bonferroni"],
-            }
-        )
-    )
-    out = tmp_path / "null.csv"
-    argv = ["simulate", "--config", str(config), "--reps", "10000", "--seed", "1016", "--parallelism", "2"]
-    assert cli.main([*argv, "--out", str(out)]) == 0
-    with open(out, newline="") as handle:
-        (row,) = csv.DictReader(handle)
-    assert row["replicates"] == "10000"
+    scenario = {"kind": "ttest", "n_hypotheses": k, "null_fraction": 1.0}
+    row = simulate_row(tmp_path, scenario, "ep-bonferroni", reps=10_000, seed=1016)
     for rate, exact in (("pfer", pfer), ("fwer", fwer)):
         got, se = float(row[rate]), float(row["se_" + rate])
         assert abs(got - exact) <= 3.0 * se, f"{rate} {got} (se {se}) vs exact {exact}"
@@ -359,29 +356,67 @@ def test_simulate_csv_adversarial_ebh_fdr_matches_its_exact_value(tmp_path):
     """e-BH's exact adversarial FDR, 0.045 (see the oracle test above), read
     from `epmt simulate`'s CSV at parallelism 2 and held from both sides
     within 3 of the CSV's own standard error."""
-    import csv
-    import json
-
-    from epmt import cli
-
-    config = tmp_path / "adversarial.json"
-    config.write_text(
-        json.dumps(
-            {
-                "alpha": 0.1,
-                "scenarios": [{"kind": "adversarial", "n_hypotheses": 50, "level": 0.1}],
-                "procedures": ["e-bh"],
-            }
-        )
-    )
-    out = tmp_path / "adversarial.csv"
-    argv = ["simulate", "--config", str(config), "--reps", "20000", "--seed", "1017", "--parallelism", "2"]
-    assert cli.main([*argv, "--out", str(out)]) == 0
-    with open(out, newline="") as handle:
-        (row,) = csv.DictReader(handle)
-    assert (row["scenario"], row["procedure"], row["replicates"]) == ("adversarial-0", "e-bh", "20000")
+    scenario = {"kind": "adversarial", "n_hypotheses": 50, "level": 0.1}
+    row = simulate_row(tmp_path, scenario, "e-bh", reps=20_000, seed=1017)
+    assert row["scenario"] == "adversarial-0"
     got, se = float(row["fdr"]), float(row["se_fdr"])
     assert abs(got - 0.045) <= 3.0 * se, f"fdr {got} (se {se}) vs exact 0.045"
+
+
+def test_simulate_csv_p_bh_fdr_matches_its_exact_value(tmp_path):
+    """p-BH on independent p-values with uniform nulls has FDR exactly
+    alpha * K0 / K (Benjamini and Hochberg 1995): 0.1 * 475 / 500 = 0.095 in
+    the t-test scenario at K = 500 and null fraction 0.95. Read from `epmt
+    simulate`'s CSV and held from both sides within 3 of its own SE."""
+    scenario = {"kind": "ttest", "n_hypotheses": 500, "null_fraction": 0.95}
+    row = simulate_row(tmp_path, scenario, "p-bh", reps=10_000, seed=1018)
+    got, se = float(row["fdr"]), float(row["se_fdr"])
+    assert abs(got - 0.095) <= 3.0 * se, f"fdr {got} (se {se}) vs exact 0.095"
+
+
+def ep_bonferroni_ttest_power(k=2000, alpha=0.1, effect=2.5):
+    """Exact ep-Bonferroni power in the t-test scenario, by quadrature.
+
+    A non-null's p and e are functions of D = ybar - xbar ~ N(-effect, 2/5)
+    and of the within-group sum of squares W ~ chisq(8), which are
+    independent: t = 2 sqrt(5) D / sqrt(W), p = 2 stdtr(8, -|t|), and
+    e = chisq_lr_evalue(W + 2.5 D^2, 9, 10). For fixed W, p falls and e
+    rises in |D|, so the hypothesis is rejected (p <= alpha * e / K)
+    exactly when |D| >= r(W), the root of the difference; the power is
+    the chisq(8) mean over W of P(|D| >= r(W)).
+    """
+    sd = np.sqrt(2.0 / 5.0)
+
+    def gap(d, w):
+        t = 2.0 * np.sqrt(5.0) * d / np.sqrt(w)
+        return 2.0 * special.stdtr(8, -t) - alpha * chisq_lr_evalue(w + 2.5 * d * d, 9.0, 10.0) / k
+
+    def rejected(w):
+        if gap(0.0, w) <= 0.0:
+            return 1.0
+        hi = 1.0
+        while gap(hi, w) > 0.0:
+            hi *= 2.0
+        r = optimize.brentq(gap, 0.0, hi, args=(w,), xtol=1e-12)
+        return stats.norm.cdf((effect - r) / sd) + stats.norm.cdf((-effect - r) / sd)
+
+    power, _ = integrate.quad(lambda w: rejected(w) * stats.chi2.pdf(w, 8), 0.0, np.inf, epsabs=1e-10, limit=200)
+    return power
+
+
+def test_simulate_csv_ep_bonferroni_power_matches_its_exact_value(tmp_path):
+    """The power column against an exact value: ep-Bonferroni in the default
+    t-test scenario (K = 2000, effect 2.5, null fraction 0.95, alpha 0.1).
+    The quadrature's boundary roots agree with an earlier grid estimate,
+    0.38202, which resolved the boundary to about 1e-4. Every non-null has
+    the same rejection probability, so the mean per-replicate power has
+    that expectation; it is held from both sides within 3 of the CSV's SE."""
+    exact = ep_bonferroni_ttest_power()
+    assert exact == pytest.approx(0.38202, abs=1e-4)
+    scenario = {"kind": "ttest", "n_hypotheses": 2000, "null_fraction": 0.95, "effect": 2.5}
+    row = simulate_row(tmp_path, scenario, "ep-bonferroni", reps=600, seed=1019)
+    got, se = float(row["power"]), float(row["se_power"])
+    assert abs(got - exact) <= 3.0 * se, f"power {got} (se {se}) vs exact {exact}"
 
 
 def test_adversarial_replicate_all_null():
