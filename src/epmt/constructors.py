@@ -228,14 +228,18 @@ def fit_limma_hyperparameters(s_sq, df) -> tuple[float, float]:
     hypothesis; df is usually one number or a few.
     """
     s_sq = np.atleast_1d(np.asarray(s_sq, dtype=float))
-    df = np.broadcast_to(np.asarray(df, dtype=float), s_sq.shape)
+    df = np.asarray(df, dtype=float)
+    np.broadcast_to(df, s_sq.shape)  # raises unless df gives one value per hypothesis
     if s_sq.size < 2:
         raise MalformedValue("need at least two sample variances to fit a prior")
     if not ((s_sq > 0.0) & (s_sq < np.inf)).all():
         raise MalformedValue("sample variances must be positive and finite")
     if (df <= 0.0).any() or not np.isfinite(df).all():
         raise MalformedValue("residual df must be positive and finite")
+    # the levels come from df as given, not from a copy per hypothesis; the
+    # index is one per hypothesis, so each mean below is over all of them
     levels, level_of = np.unique(df / 2.0, return_inverse=True)
+    level_of = np.broadcast_to(level_of.reshape(df.shape), s_sq.shape)
     centered = np.log(s_sq) - special.digamma(levels)[level_of] + np.log(df / 2.0)
     center_mean = float(centered.mean())
     # trigamma is zeta(2, .), as scipy's polygamma(1, .) computes it
@@ -248,6 +252,9 @@ def fit_limma_hyperparameters(s_sq, df) -> tuple[float, float]:
 
 
 GAMMA_GRID = np.logspace(-3.0, 3.0, 41)
+
+# grid points times hypotheses that _gamma_scores scores at once
+_SLAB_ELEMENTS = 16384
 
 
 def fit_gamma(t_tilde, model: ModeratedTModel) -> float:
@@ -264,10 +271,27 @@ def fit_gamma(t_tilde, model: ModeratedTModel) -> float:
     scores are compared, never returned, so their round-off does not
     reach the output.
 
+    The grid is scored in slabs: consecutive grid points by all
+    hypotheses, about 16,384 terms a slab (_SLAB_ELEMENTS), so from K =
+    16,384 on a slab is one grid point. A score is its row's sum
+    along the last axis, to the last bit the same pairwise sum as that of
+    its grid point's terms alone, and the points are compared in grid
+    order.
+
     Every score is finite for every t, +-inf included, except in the
     Gaussian limit, where a t whose square overflows scores +inf at every
     grid point; log e_i then grows with gamma, so the largest point wins.
     """
+    best_gamma, best_score = 0.0, 0.0
+    for gamma, score in zip(GAMMA_GRID, _gamma_scores(t_tilde, model)):
+        if score > best_score or score == math.inf:
+            best_gamma, best_score = float(gamma), float(score)
+    return best_gamma
+
+
+def _gamma_scores(t_tilde, model: ModeratedTModel) -> np.ndarray:
+    """fit_gamma's score at each point of GAMMA_GRID, in grid order,
+    scored in slabs as fit_gamma describes."""
     t = np.atleast_1d(np.asarray(t_tilde, dtype=float))
     var_factor = np.asarray(model.var_factor, dtype=float)
     gaussian = math.isinf(model.df_prior)
@@ -279,22 +303,29 @@ def fit_gamma(t_tilde, model: ModeratedTModel) -> float:
             half_d, half_d1 = d / 2.0, (d + 1.0) / 2.0
             # w = d / (d + t^2): 1 at t = 0, exactly 0 at t = +-inf
             w = 1.0 / (1.0 + t * t / d)
-    null_share = t.size * math.log(2.0)
-    best_gamma, best_score = 0.0, 0.0
-    for gamma in GAMMA_GRID:
-        g = gamma / var_factor
+    sums = np.empty(GAMMA_GRID.size)
+    points = max(1, _SLAB_ELEMENTS // max(t.size, 1))
+    for lo in range(0, GAMMA_GRID.size, points):
+        g = GAMMA_GRID[lo : lo + points, None] / var_factor
         if gaussian:
-            log_e = g / (1.0 + g) * half_tsq - 0.5 * np.log1p(g)
+            log_e = g / (1.0 + g) * half_tsq
+            log_e -= 0.5 * np.log1p(g)
         else:
             # the e-value's bracket 1 - g t^2 / ((1 + g)(d + t^2)) is
             # (1 + g w) / (1 + g), so every term stays finite
-            log_e = half_d * np.log1p(g) - half_d1 * np.log1p(g * w)
-        # log(1 + e) without np.logaddexp, whose scalar libm loop is slower
-        # than these vector passes together
-        score = float((np.maximum(log_e, 0.0) + np.log1p(np.exp(-np.abs(log_e)))).sum()) - null_share
-        if score > best_score or score == math.inf:
-            best_gamma, best_score = float(gamma), score
-    return best_gamma
+            log_e = np.log1p(g * w)
+            log_e *= half_d1
+            np.subtract(half_d * np.log1p(g), log_e, out=log_e)
+        # log(1 + e) = max(log e, 0) + log1p(exp(-|log e|)), in place; not
+        # np.logaddexp, whose scalar libm loop is slower than these passes
+        tail = np.abs(log_e)
+        np.negative(tail, out=tail)
+        np.exp(tail, out=tail)
+        np.log1p(tail, out=tail)
+        np.maximum(log_e, 0.0, out=log_e)
+        log_e += tail
+        sums[lo : lo + points] = log_e.sum(axis=-1)
+    return sums - t.size * math.log(2.0)
 
 
 def fit_moderated_model(beta_hat, s_sq, var_factor, df) -> tuple[ModeratedTModel, np.ndarray, np.ndarray]:

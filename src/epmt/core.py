@@ -46,9 +46,10 @@ def _as_vector(values, kind: str, upper: float, interval: str) -> np.ndarray:
         raise MalformedValue(f"{kind}-values must form a 1-d vector")
     if arr.size == 0:
         raise EmptyInput("no hypotheses given")
-    bad = ~((arr >= 0.0) & (arr <= upper))  # NaN fails both comparisons
-    if bad.any():
-        i = int(np.argmax(bad))
+    # NaN propagates through both reductions and fails both comparisons;
+    # the mask that names the first bad position is built only on failure
+    if not (np.minimum.reduce(arr) >= 0.0 and np.maximum.reduce(arr) <= upper):
+        i = int(np.argmax(~((arr >= 0.0) & (arr <= upper))))
         raise MalformedValue(f"{kind}-value out of {interval} at position {i}: {arr[i]!r}", i)
     return arr
 

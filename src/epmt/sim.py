@@ -10,7 +10,8 @@ parallelism level.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import sys
+import warnings
 from dataclasses import asdict, dataclass, replace
 from typing import Union
 
@@ -147,24 +148,42 @@ def generate_ttest_replicate(scenario: TTestScenario, rng: np.random.Generator):
     k_null = round(k_total * scenario.null_fraction)
     is_null = np.arange(k_total) < k_null
     n = 5
-    shift = np.where(is_null, 0.0, scenario.effect)
-    x = rng.standard_normal((k_total, n)) + shift[:, None]
-    y = rng.standard_normal((k_total, n))
-    x_mean = x.mean(axis=1)
-    y_mean = y.mean(axis=1)
+    # one row per draw within a sample, one column per hypothesis
+    x = rng.standard_normal((k_total, n)).T.copy()
+    x += np.where(is_null, 0.0, scenario.effect)
+    y = rng.standard_normal((k_total, n)).T.copy()
+    # a sum adds the n draws in draw order, as numpy's row sum does
+    x_mean = _sum_rows(x) / n
+    y_mean = _sum_rows(y) / n
     # sample variances, i.e. within-group sums of squares over n - 1
-    sx = x.var(axis=1, ddof=1)
-    sy = y.var(axis=1, ddof=1)
+    dev = x - x_mean
+    dev *= dev
+    sx = _sum_rows(dev) / (n - 1)
+    np.subtract(y, y_mean, out=dev)
+    dev *= dev
+    sy = _sum_rows(dev) / (n - 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.sqrt(float(n)) * (y_mean - x_mean) / np.sqrt(sx + sy)
     p = 2.0 * special.stdtr(2 * n - 2, -np.abs(t))
     # total sum of squares around the grand mean: chisq(2n - 1) under the null
     grand = 0.5 * (x_mean + y_mean)
-    ssq = ((x - grand[:, None]) ** 2).sum(axis=1) + ((y - grand[:, None]) ** 2).sum(axis=1)
-    e = chisq_lr_evalue(ssq, 2 * n - 1, scenario.ncp)
+    x -= grand
+    x *= x
+    y -= grand
+    y *= y
+    e = chisq_lr_evalue(_sum_rows(x) + _sum_rows(y), 2 * n - 1, scenario.ncp)
     if scenario.null_e_scale != 1.0:
         e = np.where(is_null, scenario.null_e_scale * e, e)
     return p, e, is_null
+
+
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """Column sums of a, adding the rows top to bottom: the bits of
+    a.T.sum(axis=1) for a short axis, without numpy's loop per column."""
+    total = a[0] + a[1]
+    for row in a[2:]:
+        total += row
+    return total
 
 
 def generate_microarray_replicate(scenario: MicroarrayScenario, rng: np.random.Generator):
@@ -283,6 +302,18 @@ def _replicate_batch(args):
     return out
 
 
+def _pooled_batch(args):
+    """_replicate_batch in a pool worker, and the warnings it raised.
+
+    They are recorded under the worker's filters, which are the caller's
+    (an error filter still raises), as (message, filename, lineno), for
+    run_campaign to issue in the calling process.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        block = _replicate_batch(args)
+    return block, [(w.message, w.filename, w.lineno) for w in caught]
+
+
 def run_campaign(
     scenarios,
     procedures,
@@ -297,6 +328,8 @@ def run_campaign(
     own child generator derived from (master_seed, scenario index,
     replicate index), so results are bit-identical for every parallelism
     level; aggregation sums per-replicate statistics in replicate order.
+    A pool worker's warnings are issued again in the calling process, in
+    task order, so stderr does not depend on the parallelism level either.
     """
     scenarios = list(scenarios)
     specs = list(procedures)
@@ -319,8 +352,28 @@ def run_campaign(
     if workers == 1:
         blocks = list(map(_replicate_batch, tasks))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_replicate_batch, tasks))
+        # loaded only here: a serial campaign never loads the pool modules
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Fork where the platform can: a forked worker starts without
+        # importing numpy and scipy again. Two workers on a one-replicate
+        # task took 0.02 s forked and 0.6 s spawned or forkserver-started
+        # on a 2-CPU Xeon. The command line starts no OpenBLAS threads (see
+        # __main__), and a fork-started pool forks every worker before it
+        # starts its own threads.
+        fork = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
+        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+            results = list(pool.map(_pooled_batch, tasks))
+        # one registry for every task: a warning shown once per location is
+        # shown once, as in a serial campaign, not once per worker; the
+        # module name lets a filter that names one match as it did there
+        registry = {}
+        modules = {getattr(module, "__file__", None): name for name, module in list(sys.modules.items())}
+        for _, caught in results:
+            for message, filename, lineno in caught:
+                warnings.warn_explicit(message, type(message), filename, lineno, modules.get(filename), registry)
+        blocks = [block for block, _ in results]
     # blocks come back in task order: each scenario's replicates in order
     replicate_stats = {
         (scenario_index, spec.name): stats_array[:, col, :]

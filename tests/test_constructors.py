@@ -12,6 +12,7 @@ from epmt.constructors import (
     GAMMA_GRID,
     ModeratedTModel,
     PermutationStatistics,
+    _gamma_scores,
     _trigamma_inverse,
     chisq_lr_evalue,
     fit_gamma,
@@ -371,6 +372,20 @@ def test_fit_limma_equals_polygamma_reference(df_kind):
     assert fit_limma_hyperparameters(constant, 10.0) == fit_limma_polygamma(constant, 10.0)
 
 
+def test_fit_limma_scalar_df_is_the_full_length_df():
+    """One df, given as a number or as one per hypothesis, gives the same
+    bits, in the fitted branch and in the df_prior = inf branch."""
+    rng = np.random.default_rng(1407)
+    for k in (2, 3, 300, 2000, 60_000):
+        for df in (4.0, 38.0, 37.5):
+            sigma2 = 3.64 * 0.0144 / rng.chisquare(3.64, k)
+            for s_sq in (sigma2 * rng.chisquare(df, k) / df, np.full(k, 0.25)):
+                want = fit_limma_hyperparameters(s_sq, np.full(k, df))
+                assert repr(fit_limma_hyperparameters(s_sq, df)) == repr(want)
+                assert repr(fit_limma_hyperparameters(s_sq, np.array([df]))) == repr(want)
+    assert fit_limma_hyperparameters(np.full(50, 0.25), 10.0)[0] == math.inf
+
+
 def test_fit_limma_validation():
     with pytest.raises(MalformedValue):
         fit_limma_hyperparameters([0.5], 10.0)
@@ -450,6 +465,63 @@ def test_fit_gamma_picks_the_logaddexp_reference_point(k, design):
             effect = rng.choice([0.1, 0.5, 5.0])
             t[:n_signal] *= np.sqrt(1.0 + effect / np.broadcast_to(model.var_factor, k)[:n_signal])
             assert fit_gamma(t, model) == fit_gamma_reference(t, model), (signal_fraction, effect)
+
+
+def gamma_scores_point_by_point(t, model):
+    """fit_gamma's scores computed one grid point at a time, each summed
+    over a vector of its own."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    var_factor = np.asarray(model.var_factor, dtype=float)
+    gaussian = math.isinf(model.df_prior)
+    with np.errstate(over="ignore"):
+        if gaussian:
+            half_tsq = t * t / 2.0
+        else:
+            d = model.df_prior + np.asarray(model.df, dtype=float)
+            w = 1.0 / (1.0 + t * t / d)
+    scores = []
+    for gamma in GAMMA_GRID:
+        g = gamma / var_factor
+        if gaussian:
+            log_e = g / (1.0 + g) * half_tsq - 0.5 * np.log1p(g)
+        else:
+            log_e = d / 2.0 * np.log1p(g) - (d + 1.0) / 2.0 * np.log1p(g * w)
+        terms = np.maximum(log_e, 0.0) + np.log1p(np.exp(-np.abs(log_e)))
+        scores.append(float(terms.sum()) - t.size * math.log(2.0))
+    return np.array(scores)
+
+
+def pick_first_best(scores):
+    best_gamma, best_score = 0.0, 0.0
+    for gamma, score in zip(GAMMA_GRID, scores):
+        if score > best_score or score == math.inf:
+            best_gamma, best_score = float(gamma), score
+    return best_gamma
+
+
+@pytest.mark.parametrize("k", [1, 399, 400, 2000, 16384, 16385])
+@pytest.mark.parametrize("design", ["scalar", "per-hypothesis", "gaussian"])
+def test_fit_gamma_slabs_give_the_point_by_point_scores(k, design):
+    """Scoring the grid in slabs gives each point's score to the last bit,
+    and the pick of the first best point, at the sizes where a slab holds
+    every point (K = 399), two slabs split the grid (K = 400), and a slab
+    is one point (K = 16384 on); with +-inf and an all-zero t."""
+    rng = np.random.default_rng(1406 + k)
+    var_factor = rng.choice([0.05, 0.1, 0.5], k) if design != "scalar" else 0.1
+    df = rng.choice([4.0, 10.0, 38.0], k) if design != "scalar" else 38.0
+    model = ModeratedTModel(var_factor, df, math.inf if design == "gaussian" else 3.64, 0.0144, gamma=0.0)
+    t = rng.standard_t(6.0, k) * rng.choice([1.0, 1.0, 3.0], k)
+    infinite = t.copy()
+    infinite[:: max(1, k // 3)] = np.inf
+    infinite[1 :: max(2, k // 2)] = -np.inf
+    for case in (t, infinite, np.zeros(k)):
+        want = gamma_scores_point_by_point(case, model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _gamma_scores(case, model)
+        assert got.tobytes() == want.tobytes()
+        assert fit_gamma(case, model) == pick_first_best(want)
+    assert fit_gamma(np.zeros(k), model) == 0.0
 
 
 def fit_gamma_mpmath(t, model):

@@ -60,6 +60,38 @@ def test_as_pvector_reports_position():
     assert "position 2" in str(info.value)
 
 
+def mask_refusal(values, kind, upper, interval):
+    """The refusal of a vector checked the mask way: every value is
+    compared, and the first failing position is named."""
+    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    bad = ~((arr >= 0.0) & (arr <= upper))
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return f"{kind}-value out of {interval} at position {i}: {arr[i]!r}", i
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.5, -5e-324, 1.0000000000000002, 7.0, -np.inf, np.inf])
+@pytest.mark.parametrize("where", [0, 3, 6])
+def test_vector_checks_refuse_as_the_mask_does(bad, where):
+    """as_pvector and as_evector check the range by a min and a max; a
+    refusal has the message and record id of the full mask's first
+    failing position, and -0.0 and e = +inf pass."""
+    checks = ((as_pvector, "p", 1.0, "[0, 1]"), (as_evector, "e", np.inf, "[0, +inf]"))
+    values = [0.5, -0.0, 1.0, 0.25, 0.0, 1.0, 0.75]
+    values[where] = bad
+    # the value alone, then after or before a second bad value
+    for case in (values, values + [np.nan], [-2.0] + values):
+        for check, kind, upper, interval in checks:
+            want = mask_refusal(case, kind, upper, interval)
+            if want is None:
+                assert check(case).tobytes() == np.asarray(case, dtype=float).tobytes()
+                continue
+            with pytest.raises(MalformedValue) as info:
+                check(case)
+            assert (str(info.value), info.value.record_id) == want
+
+
 def test_as_pvector_rejects_matrix():
     with pytest.raises(MalformedValue):
         as_pvector([[0.1, 0.2], [0.3, 0.4]])

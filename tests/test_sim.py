@@ -1,7 +1,10 @@
 """Tests for scenario generators and the replication harness."""
 
+import concurrent.futures
 import csv
 import json
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -141,6 +144,42 @@ def test_ttest_null_e_scale_inflates_only_nulls():
     _, e1, _ = generate_ttest_replicate(scaled, child_rng(5, 0, 0))
     np.testing.assert_allclose(e1[is_null], 1.5 * e0[is_null])
     np.testing.assert_allclose(e1[~is_null], e0[~is_null])
+
+
+def ttest_by_row_reductions(scenario, rng):
+    """The t-test replicate computed with numpy's reductions along each
+    hypothesis' row of 5 draws."""
+    k_total = scenario.n_hypotheses
+    is_null = np.arange(k_total) < round(k_total * scenario.null_fraction)
+    x = rng.standard_normal((k_total, 5)) + np.where(is_null, 0.0, scenario.effect)[:, None]
+    y = rng.standard_normal((k_total, 5))
+    x_mean, y_mean = x.mean(axis=1), y.mean(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.sqrt(5.0) * (y_mean - x_mean) / np.sqrt(x.var(axis=1, ddof=1) + y.var(axis=1, ddof=1))
+    p = 2.0 * special.stdtr(8, -np.abs(t))
+    grand = 0.5 * (x_mean + y_mean)
+    ssq = ((x - grand[:, None]) ** 2).sum(axis=1) + ((y - grand[:, None]) ** 2).sum(axis=1)
+    e = chisq_lr_evalue(ssq, 9, scenario.ncp)
+    if scenario.null_e_scale != 1.0:
+        e = np.where(is_null, scenario.null_e_scale * e, e)
+    return p, e, is_null
+
+
+@pytest.mark.parametrize("k", [1, 2, 37, 2000])
+@pytest.mark.parametrize(
+    "design",
+    [{}, {"null_fraction": 0.0}, {"null_fraction": 1.0}, {"effect": 0.0}, {"null_e_scale": 2.0}],
+    ids=["default", "all-alternative", "all-null", "no-effect", "null-e-scale"],
+)
+def test_ttest_replicate_has_the_bits_of_row_reductions(k, design):
+    """The generator sums each sample's draws in draw order; p, e and
+    is_null keep every bit of numpy's row reductions, on 200 seeds."""
+    scenario = TTestScenario(n_hypotheses=k, **design)
+    for seed in range(200):
+        got = generate_ttest_replicate(scenario, child_rng(seed, 0, 0))
+        want = ttest_by_row_reductions(scenario, child_rng(seed, 0, 0))
+        for name, a, b in zip(("p", "e", "is_null"), got, want):
+            assert a.tobytes() == b.tobytes(), (seed, name)
 
 
 # ---------------------------------------------------------------- microarray generator
@@ -496,12 +535,15 @@ def test_run_campaign_replicate_stats_are_the_metrics_columns():
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the start
+    method, maps in process."""
 
     created = []
+    start_methods = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         self.created.append(max_workers)
+        self.start_methods.append(mp_context.get_start_method())
 
     def __enter__(self):
         return self
@@ -520,11 +562,14 @@ class RecordingPool:
 )
 def test_run_campaign_starts_no_worker_beyond_the_tasks(monkeypatch, replicates, parallelism, workers):
     monkeypatch.setattr(RecordingPool, "created", [])
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "start_methods", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     scn = AdversarialScenario(n_hypotheses=20)
     specs = [ProcedureSpec("e-bh")]
     pooled = run_campaign([scn], specs, replicates=replicates, master_seed=4, parallelism=parallelism)
     assert RecordingPool.created == workers
+    # forked, not the platform default, so a worker imports nothing again
+    assert RecordingPool.start_methods == ["fork"] * len(workers)
     serial = run_campaign([scn], specs, replicates=replicates, master_seed=4)
     np.testing.assert_array_equal(pooled.replicate_stats[(0, "e-bh")], serial.replicate_stats[(0, "e-bh")])
 
@@ -548,3 +593,65 @@ def test_run_campaign_seed_changes_results():
     a = run_campaign([scn], [ProcedureSpec("ep-bh")], replicates=10, master_seed=1)
     b = run_campaign([scn], [ProcedureSpec("ep-bh")], replicates=10, master_seed=2)
     assert a.metrics[(0, "ep-bh")] != b.metrics[(0, "ep-bh")]
+
+
+def run_python(*args):
+    """`python <args>` in a fresh interpreter, as (exit code, stderr)."""
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True)
+    return proc.returncode, proc.stderr
+
+
+def test_simulate_warns_once_at_every_parallelism(tmp_path):
+    """A warning raised in pool workers is issued once by the command, as
+    in a serial campaign, not once per worker: stderr and the CSV are the
+    same at parallelism 1 and 2. A filter that names the module still
+    matches, and an error filter still raises, with no output written."""
+    config = tmp_path / "one.json"
+    one = {"scenarios": [{"kind": "ttest", "n_hypotheses": 1}], "procedures": ["adaptive-e-bh"]}
+    config.write_text(json.dumps(one))
+    message = "adaptive e-BH needs at least two hypotheses; falling back to plain e-BH"
+    seen = {}
+    for parallelism in (1, 2):
+        argv = ["-m", "epmt", "simulate", "--config", str(config), "--reps", "20", "--parallelism", str(parallelism)]
+        for name, filters in (("default", []), ("always", ["-W", "always::UserWarning:epmt.procedures"])):
+            out = tmp_path / f"{name}{parallelism}.csv"
+            seen[name, parallelism] = (run_python(*filters, *argv, "--out", str(out)), out.read_bytes())
+        code, stderr = run_python("-W", "error", *argv, "--out", str(tmp_path / "raised.csv"))
+        assert (code, stderr.splitlines()[-1]) == (1, f"epmt.procedures.SingleHypothesis: {message}")
+        assert not (tmp_path / "raised.csv").exists()
+    assert seen["default", 1][0] == (0, f"warning: {message}\n")
+    assert seen["always", 1][0] == (0, f"warning: {message}\n" * 20)
+    for name in ("default", "always"):
+        assert seen[name, 2] == seen[name, 1]
+
+
+def test_serial_campaign_loads_no_process_pool_module():
+    """A serial campaign imports neither multiprocessing nor the process
+    pool; they load only when a pool starts."""
+    code = (
+        "import sys\n"
+        "from epmt.procedures import ProcedureSpec\n"
+        "from epmt.sim import TTestScenario, run_campaign\n"
+        "run_campaign([TTestScenario(n_hypotheses=50)], [ProcedureSpec('ep-bh')], replicates=3)\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'multiprocessing'"
+        " or m == 'concurrent.futures.process'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_pooled_simulate_in_dev_mode_writes_the_serial_bytes(tmp_path):
+    """`python -X dev -W error -m epmt simulate` at parallelism 2, on the
+    t-test and microarray scenarios and the six procedures of the mixed
+    benchmark, warns nothing and writes the bytes of the in-process serial
+    run: forked workers, in-place kernels and all."""
+    procedures = ["p-bh", "e-bh", "ep-bh", "pe-bh", {"name": "ep-storey", "tau": 0.5}, "wbh-storey-normalized"]
+    scenarios = [{"kind": "ttest", "n_hypotheses": 500, "effect": 2.5}, {"kind": "microarray", "n_hypotheses": 500}]
+    config = tmp_path / "mixed.json"
+    config.write_text(json.dumps({"alpha": 0.1, "scenarios": scenarios, "procedures": procedures}))
+    argv = ["simulate", "--config", str(config), "--reps", "20", "--seed", "11"]
+    assert cli.main([*argv, "--out", str(tmp_path / "serial.csv")]) == 0
+    pooled = [*argv, "--parallelism", "2", "--out", str(tmp_path / "pooled.csv")]
+    assert run_python("-X", "dev", "-W", "error", "-m", "epmt", *pooled) == (0, "")
+    for suffix in (".csv", ".manifest.json"):
+        assert (tmp_path / f"pooled{suffix}").read_bytes() == (tmp_path / f"serial{suffix}").read_bytes()
