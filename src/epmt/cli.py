@@ -99,38 +99,30 @@ def _read_columns(path: str, columns: tuple) -> list:
     cells = [[] for _ in columns]
     with _open_input(path) as handle:
         try:
-            header_error = _header_error(handle, columns)
-            error = None if header_error else _read_blocks(handle, cells)
-            if header_error or error:
-                # a byte that is not UTF-8 is named before any other error,
-                # wherever the text reader's decoded chunks happen to end
-                while handle.read(_READ_CHARS):
-                    pass
-        except UnicodeDecodeError:
+            _check_header(handle, columns)
+            _fail(path, [_read_blocks(handle, cells)])
+        except (CliInputError, UnicodeDecodeError):
+            # a byte that is not UTF-8 is named before any other error,
+            # wherever the text reader's decoded chunks happen to end
             _fail_undecodable(path)
-    if header_error:
-        raise CliInputError(header_error)
-    _fail(path, [error])
+            raise
     if not cells[0]:
         raise CliInputError("line 2: no data rows")
     return cells
 
 
-def _header_error(handle, columns: tuple):
-    """Read the header row, leaving the handle at the first data line.
-
-    Returns None, or the message naming what is wrong with the header.
-    """
+def _check_header(handle, columns: tuple):
+    """Read the header row, leaving the handle at the first data line, or
+    raise naming what is wrong with it."""
     reader = csv.reader(handle)
     try:
         header = next(reader, None)
     except csv.Error as exc:
-        return f"line {reader.line_num}: {exc}"
+        raise CliInputError(f"line {reader.line_num}: {exc}") from None
     if header is None:
-        return "line 1: empty file, expected a header row"
+        raise CliInputError("line 1: empty file, expected a header row")
     if [h.strip() for h in header] != list(columns):
-        return f"line 1: expected header {','.join(columns)}, got {','.join(header)}"
-    return None
+        raise CliInputError(f"line 1: expected header {','.join(columns)}, got {','.join(header)}")
 
 
 def _read_blocks(handle, cells: list):
@@ -201,7 +193,8 @@ def _add_cells(cells: list, flat: list):
 
 
 def _fail_undecodable(path: str):
-    """Raise naming the physical line of the first byte that is not UTF-8.
+    """Raise naming the physical line of the first byte that is not UTF-8,
+    if the file holds one.
 
     The text reader decodes ahead of the csv parser, so the error it
     raises cannot say where the byte is; the raw bytes can.
@@ -283,20 +276,19 @@ def _flagged(bad: np.ndarray, message: str):
 
 
 def _load_hypotheses(path: str):
-    """Parse an id,p,e file: returns (ids, p, e, p_missing).
+    """Parse an id,p,e file: returns (ids, p, e).
 
     A missing p reads as NaN (as 0 for the range check), a missing e as 1.
     """
     ids, p_cells, e_cells = _read_columns(path, ("id", "p", "e"))
-    p_missing = np.array([not cell for cell in p_cells], dtype=bool)
     p, p_error = _parse_column(p_cells, "p", fill="0")
     e, e_error = _parse_column(e_cells, "e", fill="1")
     p_error = _refused(as_pvector, p, "p-value must lie in [0, 1]") or p_error
     e_error = _refused(as_evector, e, "e-value must lie in [0, +inf]") or e_error
     _fail(path, [p_error, e_error])
-    p[p_missing] = np.nan
+    p[[not cell for cell in p_cells]] = np.nan
     _check_unique(path, ids)
-    return ids, p, e, p_missing
+    return ids, p, e
 
 
 def _check_unique(path: str, ids: list):
@@ -343,23 +335,21 @@ def _quoted(cells: list) -> list:
 def _format_block(columns: list, lo: int, hi: int) -> str:
     """CSV text of rows lo to hi of the columns, each row ending in LF.
 
-    A column is a list of str cells, quoted as needed, or a (float array,
-    blank mask or None) pair written at repr precision, the rows flagged in
-    the mask left empty. Two columns holding the same pair share its cells.
+    A column is a list of str cells, quoted as needed, or a float array
+    written at repr precision, NaN as an empty cell. Two columns holding
+    the same array share its cells.
     """
     floats, block = {}, []
     for column in columns:
         if isinstance(column, list):
             block.append(_quoted(column[lo:hi]))
             continue
-        key = tuple(map(id, column))
-        if key not in floats:
-            values, blank = column
-            cells = floats[key] = list(map(repr, values[lo:hi].tolist()))
-            if blank is not None:
-                for row in np.flatnonzero(blank[lo:hi]).tolist():
-                    cells[row] = ""
-        block.append(floats[key])
+        if id(column) not in floats:
+            values = column[lo:hi]
+            cells = floats[id(column)] = list(map(repr, values.tolist()))
+            for row in np.flatnonzero(np.isnan(values)).tolist():
+                cells[row] = ""
+        block.append(floats[id(column)])
     return "\n".join(map(",".join, zip(*block))) + "\n"
 
 
@@ -374,13 +364,12 @@ def _usable_cpus() -> int:
 def _write_csv(path: str, header: list, columns: list):
     """Write a CSV of the header over equally long columns.
 
-    A column is a list of str cells, a float array, or a (float array,
-    blank mask) pair whose flagged rows are left empty. Each block of
-    _BLOCK_ROWS rows is formatted by _format_block; from _POOL_BLOCKS
-    blocks on, on every usable CPU, if there is more than one and worker
-    processes can be forked. The bytes are the same on either path.
+    A column is a list of str cells or a float array, whose NaNs are left
+    empty. Each block of _BLOCK_ROWS rows is formatted by _format_block;
+    from _POOL_BLOCKS blocks on, on every usable CPU, if there is more
+    than one and worker processes can be forked. The bytes are the same on
+    either path.
     """
-    columns = [column if isinstance(column, list) else _float_column(column) for column in columns]
     starts = range(0, len(columns[0]), _BLOCK_ROWS)
     workers = min(_usable_cpus(), len(starts)) if len(starts) >= _POOL_BLOCKS else 1
     if workers > 1:
@@ -404,12 +393,6 @@ def _write_csv(path: str, header: list, columns: list):
                 _write_blocks(path, header, pool.map(_format_shared, starts))
             return
     _write_blocks(path, header, (_format_block(columns, lo, lo + _BLOCK_ROWS) for lo in starts))
-
-
-def _float_column(column) -> tuple:
-    """A float column as _format_block takes it: a mask flagging no row is None."""
-    values, blank = column if isinstance(column, tuple) else (column, None)
-    return np.asarray(values, dtype=float), blank if blank is not None and blank.any() else None
 
 
 def _write_blocks(path: str, header: list, texts):
@@ -447,9 +430,9 @@ def cmd_adjust(args) -> int:
         )
     except (ValueError, KeyError, BadCalibrator) as exc:
         _usage_error(str(exc))
-    ids, p, e, p_missing = _load_hypotheses(args.input)
+    ids, p, e = _load_hypotheses(args.input)
     if spec.needs_p:
-        _fail(args.input, [_flagged(p_missing, f"procedure {spec.name} needs a p-value but the cell is empty")])
+        _fail(args.input, [_flagged(np.isnan(p), f"procedure {spec.name} needs a p-value but the cell is empty")])
     if args.lambda_shift is not None:
         try:
             e = shift_evalue(e, args.lambda_shift)
@@ -459,7 +442,7 @@ def cmd_adjust(args) -> int:
     _write_csv(
         args.out,
         ["id", "p", "e", "adjusted", "rejected"],
-        [ids, (p, p_missing), e, result.adjusted, np.where(result.mask, "1", "0").tolist()],
+        [ids, p, e, result.adjusted, np.where(result.mask, "1", "0").tolist()],
     )
     _write_json(
         args.out,
@@ -549,8 +532,8 @@ def cmd_combine(args) -> int:
             calibrator = parse_calibrator(args.calibrator)
         except BadCalibrator as exc:
             _usage_error(str(exc))
-    ids, p, e, p_missing = _load_hypotheses(args.input)
-    _fail(args.input, [_flagged(p_missing, "combiners need a p-value but the cell is empty")])
+    ids, p, e = _load_hypotheses(args.input)
+    _fail(args.input, [_flagged(np.isnan(p), "combiners need a p-value but the cell is empty")])
     if args.mode == "quotient":
         combined = combine_quotient(p, e)
     elif args.mode == "bonferroni":

@@ -125,20 +125,23 @@ def moderated_t(beta_hat, s_sq, model: ModeratedTModel):
     The sample variance is shrunk toward the prior,
     s2_post = (df_prior * s2_prior + df * s_sq) / (df_prior + df), and
     t_tilde = beta_hat / sqrt(s2_post * var_factor), an array matching
-    the input shape. A beta_hat near the float maximum may give t = +-inf,
-    whose p-value is 0 and whose e-value is its limit in t.
+    the input shape. A beta_hat near the float maximum, or a scale that
+    underflows to 0, may give t = +-inf, whose p-value is 0 and whose
+    e-value is its limit in t; a beta_hat of +-0 gives t = beta_hat.
     """
     beta_hat = np.asarray(beta_hat, dtype=float)
     s_sq = np.asarray(s_sq, dtype=float)
-    if (s_sq < 0).any() or np.isnan(s_sq).any():
+    # NaN propagates through the reduction and fails the comparison
+    if not np.minimum.reduce(s_sq, axis=None, initial=np.inf) >= 0.0:
         raise MalformedValue("sample variances must be >= 0")
     if math.isinf(model.df_prior):
         s2_post = np.broadcast_to(model.s2_prior, s_sq.shape)
     else:
         df = np.asarray(model.df, dtype=float)
         s2_post = (model.df_prior * model.s2_prior + df * s_sq) / (model.df_prior + df)
-    with np.errstate(over="ignore"):
-        return beta_hat / np.sqrt(s2_post * model.var_factor)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # a zero beta_hat over a scale that underflowed to 0 is 0/0
+        return np.where(beta_hat == 0.0, beta_hat, beta_hat / np.sqrt(s2_post * model.var_factor))
 
 
 def moderated_t_pvalue(t_tilde, model: ModeratedTModel):
@@ -357,7 +360,8 @@ def chisq_lr_evalue(s, df: float, ncp: float):
     ncp > 0, s = +inf gives +inf; for finite df and ncp, no s gives NaN.
     """
     s_arr = np.asarray(s, dtype=float)
-    if (s_arr < 0).any() or np.isnan(s_arr).any():
+    # NaN propagates through the reduction and fails the comparison
+    if not np.minimum.reduce(s_arr, axis=None, initial=np.inf) >= 0.0:
         raise MalformedValue("chi-square statistics must be >= 0")
     if not 0 < df < math.inf:
         raise MalformedValue(f"df must be positive and finite, got {df!r}")

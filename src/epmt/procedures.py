@@ -288,13 +288,7 @@ class ProcedureSpec:
 
     def build(self):
         """Return a callable (p, e) -> RejectionResult."""
-        runner = REGISTRY[self.name][2]
-        cal = parse_calibrator(self.calibrator)
-
-        def run(p, e):
-            return runner(self, cal, p, e)
-
-        return run
+        return functools.partial(REGISTRY[self.name][2], self, parse_calibrator(self.calibrator))
 
     @property
     def needs_p(self) -> bool:

@@ -377,6 +377,20 @@ def test_field_count_after_a_quote_names_physical_line(tmp_path, monkeypatch, ca
     assert capsys.readouterr().err == "error: line 25: expected 3 fields, got 2\n"
 
 
+@pytest.mark.parametrize("row", ["g,0.5\n", quoted_cell("x" * 200_000) + ",0.5,1\n"], ids=["short", "oversized"])
+def test_non_utf8_byte_is_named_before_a_row_error_found_first(tmp_path, monkeypatch, capsys, row):
+    """The reader stops at a short row or an oversized cell on line 22,
+    before it has decoded a byte tens of KiB further on that is not UTF-8,
+    and still names the byte."""
+    monkeypatch.setattr(cli, "_READ_CHARS", 64)
+    filler = (PLAIN_ROWS * 100).replace("g", "h")
+    inp = tmp_path / "in.csv"
+    inp.write_bytes(f"id,p,e\n{PLAIN_ROWS}{row}{filler}".encode() + b"g\xff,0.2,1\n")
+    code = cli.main(["adjust", "--input", str(inp), "--procedure", "p-bh", "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: line 2023: byte 0xff is not valid UTF-8\n"
+
+
 # ---------------------------------------------------------------- combine
 
 
@@ -819,6 +833,21 @@ def test_moderate_rejects_repeated_id(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 5: s_sq must be positive and finite\n"
 
 
+def test_moderate_zero_beta_hat_over_an_underflowed_scale_is_zero(tmp_path, capsys):
+    """Where s2_post * v underflows to 0, a beta_hat of 0 gives t = 0, not
+    0/0 = NaN, which wrote `nan` cells and zeroed the gamma fit; a nonzero
+    beta_hat gives t = inf, with no numpy warning either way."""
+    rows = "a,0,1e-300,1e-300,4\nb,1,1e-300,1e-300,4\nc,0.5,2,0.1,4\nd,0.2,3,0.1,4\n"
+    inp = write(tmp_path / "m.csv", "id,beta_hat,s_sq,v,nu\n" + rows)
+    out = tmp_path / "out.csv"
+    assert cli.main(["moderate", "--input", inp, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    written = read_rows(out)
+    assert [(r["t_tilde"], r["p"]) for r in written[:2]] == [("0.0", "1.0"), ("inf", "0.0")]
+    assert all(cell != "nan" for row in written for cell in row.values())
+    assert json.loads((tmp_path / "out.json").read_text())["gamma"] > 0.0
+
+
 # ---------------------------------------------------------------- entry point
 
 
@@ -850,6 +879,35 @@ def test_warning_prints_one_line_without_source(tmp_path):
     with warnings.catch_warnings(), pytest.raises(SingleHypothesis):
         warnings.simplefilter("error", SingleHypothesis)
         cli.main([*argv, "--out", str(tmp_path / "raised.csv")])
+
+
+NO_FILE = "cannot open {path}: [Errno 2] No such file or directory: '{path}'"
+
+
+@pytest.mark.parametrize("argv, text, code, message", [
+    (["adjust", "--procedure", "p-bh"], None, 2, NO_FILE),
+    (["combine", "--mode", "quotient"], None, 2, NO_FILE),
+    (["moderate"], None, 2, NO_FILE),
+    (["adjust", "--procedure", "p-bh"], "", 2, "line 1: empty file, expected a header row"),
+    (["moderate"], "", 2, "line 1: empty file, expected a header row"),
+    (["moderate"], "id,beta_hat,s_sq,v,nu\ng1,1,1,0.1,38\n", 2, "need at least two sample variances to fit a prior"),
+    (["simulate", "--parallelism", "0"], config_text(), 3, "--parallelism must be >= 1"),
+    (["simulate"], "[]", 2, "config must be a JSON object"),
+    (["simulate"], config_text(scenarios=[]), 2, "config key 'scenarios' is missing or empty"),
+    (["simulate"], config_text(procedures=[{}]), 2, "each procedure entry must be a name or an object with 'name'"),
+], ids=["adjust-no-file", "combine-no-file", "moderate-no-file", "adjust-empty-file", "moderate-empty-file",
+        "moderate-one-row", "simulate-parallelism-0", "simulate-config-list", "simulate-no-scenarios",
+        "simulate-procedure-without-name"])
+def test_refusal_under_an_error_filter_prints_one_line(tmp_path, argv, text, code, message):
+    """Each refusal exits with its code and one `error:` line under
+    `python -W error`: no traceback and no warning."""
+    path = tmp_path / "in"
+    if text is not None:
+        path.write_text(text)
+    source = "--config" if argv[0] == "simulate" else "--input"
+    command = [sys.executable, "-W", "error", "-m", "epmt", *argv, source, str(path), "--out", str(tmp_path / "o.csv")]
+    proc = subprocess.run(command, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (code, f"error: {message.format(path=path)}\n")
 
 
 def test_pooled_writer_in_dev_mode_writes_the_serial_bytes(tmp_path, monkeypatch):

@@ -156,6 +156,16 @@ def test_moderated_t_pvalue_matches_scipy_stats(df_prior):
     np.testing.assert_allclose(p, 2.0 * stats.t.sf(np.abs(t), df_prior + 38.0), rtol=1e-14, atol=0.0)
 
 
+def test_moderated_t_zero_beta_hat_over_an_underflowed_scale_keeps_its_sign():
+    # s2_post * var_factor underflows to 0: +-0 / 0 would be NaN
+    model = ModeratedTModel(1e-300, 4.0, 4.0, 1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = moderated_t(np.array([0.0, -0.0, 1.0, -1.0]), np.full(4, 1e-300), model)
+    np.testing.assert_array_equal(t, [0.0, 0.0, np.inf, -np.inf])
+    np.testing.assert_array_equal(np.signbit(t), [False, True, False, True])
+
+
 def test_moderated_t_evalue_at_zero():
     model = ModeratedTModel(1.0, 4.0, 4.0, 1.0, gamma=1.0)
     assert moderated_t_evalue(0.0, model) == pytest.approx(1.0 / np.sqrt(2.0))
@@ -704,6 +714,26 @@ def test_chisq_lr_refuses_non_finite_parameters(df, ncp):
     # each of these used to pass validation and return NaN
     with pytest.raises(MalformedValue):
         chisq_lr_evalue(np.array([0.0, 1.0, 50.0]), df, ncp)
+
+
+NONNEGATIVE = {"0-d": np.array(-0.0), "1-d": np.array([0.0, -0.0, np.inf, 3.0]), "empty": np.array([])}
+
+
+@pytest.mark.parametrize("shape", NONNEGATIVE)
+def test_nonnegative_statistics_check_over_shapes(shape):
+    """chisq_lr_evalue's statistics and moderated_t's sample variances take
+    -0.0, +inf and empty input in any shape, and refuse a negative or NaN
+    entry with their messages."""
+    values = NONNEGATIVE[shape]
+    model = ModeratedTModel(1.0, 4.0, 4.0, 1.0)
+    assert np.shape(chisq_lr_evalue(values, 9.0, 10.0)) == values.shape
+    assert np.shape(moderated_t(np.ones_like(values), values, model)) == values.shape
+    for bad in (-5e-324, np.nan):
+        spoiled = np.append(values, bad) if values.ndim else np.array(bad)
+        with pytest.raises(MalformedValue, match="chi-square statistics must be >= 0"):
+            chisq_lr_evalue(spoiled, 9.0, 10.0)
+        with pytest.raises(MalformedValue, match="sample variances must be >= 0"):
+            moderated_t(np.ones_like(spoiled), spoiled, model)
 
 
 # ---------------------------------------------------------------- lambda shift

@@ -250,13 +250,13 @@ VALUE = st.one_of(P_CELL, E_CELL, st.sampled_from([-0.0, -np.inf, np.nan]))
 @given(st.lists(st.tuples(ID, VALUE, st.booleans()), min_size=3, max_size=12), st.sampled_from([1, 2]))
 def test_csv_writer_pool_writes_the_serial_bytes(rows, block_rows):
     """Blocks formatted on two forked workers give the bytes of blocks
-    formatted in process, with quoted ids, blank cells, inf, -0.0 and NaN,
-    and with one (array, mask) pair in two columns, as `adjust` writes p-bh's
-    p and adjusted."""
+    formatted in process, with quoted ids, inf, -0.0 and NaN written as an
+    empty cell, and with one array in two columns, as `adjust` writes p-bh's
+    p and adjusted: the serial writer formats that array once per block."""
     ids = [row[0] for row in rows]
     values = np.array([row[1] for row in rows])
-    blank = np.array([row[2] for row in rows])
-    columns = [ids, (values, blank), values, (values, blank), ["1" if v > 0.5 else "0" for v in values]]
+    blanked = np.where([row[2] for row in rows], np.nan, values)
+    columns = [ids, blanked, values, blanked, ["1" if v > 0.5 else "0" for v in values]]
     header = ["id", "blanked", "value", "again", "flag"]
     written = {}
     with tempfile.TemporaryDirectory() as work, mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
@@ -266,15 +266,17 @@ def test_csv_writer_pool_writes_the_serial_bytes(rows, block_rows):
                 mock.patch.object(cli, "_POOL_BLOCKS", 2),
                 mock.patch.object(cli, "_usable_cpus", return_value=cpus),
                 mock.patch.object(cli, "_format_block", wraps=cli._format_block) as formatted,
+                mock.patch.object(cli, "repr", wraps=repr, create=True) as formats,
             ):
                 cli._write_csv(str(path), header, columns)
-            # the pool's workers format every block, in their own copy of the mock
+            # the pool's workers format every block, in their own copy of the mocks
             assert formatted.call_count == (-(-len(rows) // block_rows) if cpus == 1 else 0)
+            assert formats.call_count == (2 * len(rows) if cpus == 1 else 0)
             written[cpus] = path.read_bytes()
     assert written[2] == written[1]
     with io.StringIO(written[1].decode("utf-8"), newline="") as text:
         got = list(csv.reader(text))
-    cells = [["" if b else repr(v) for v, b in zip(values.tolist(), blank)], [repr(v) for v in values.tolist()]]
+    cells = [["" if np.isnan(v) else repr(v) for v in column.tolist()] for column in (blanked, values)]
     assert got[1:] == [[i, c, v, c, f] for i, c, v, f in zip(ids, *cells, columns[-1])]
 
 
