@@ -19,6 +19,7 @@ a quote, CR or LF is quoted. Output is locale-independent.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import itertools
 import json
@@ -42,7 +43,7 @@ from .calib import (
     parse_calibrator,
     shift_evalue,
 )
-from .core import MalformedValue, as_evector, as_pvector
+from .core import MalformedValue, as_evector, as_pvector, pool_map
 from .procedures import REGISTRY, ProcedureSpec
 
 # `sim` and `constructors` import scipy, which `adjust` and `combine` never
@@ -197,17 +198,34 @@ def _fail_undecodable(path: str):
     if the file holds one.
 
     The text reader decodes ahead of the csv parser, so the error it
-    raises cannot say where the byte is; the raw bytes can.
+    raises cannot say where the byte is; the raw bytes can. They are
+    decoded, and on finding such a byte read again up to it to count its
+    line, _READ_CHARS bytes at a time.
     """
+    decoder = codecs.getincrementaldecoder("utf-8")()
     with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the sentinel makes the line holding the bad byte count even when
-        # the byte starts it; splitlines breaks at \n, \r and \r\n as csv does
-        line = len((data[: exc.start] + b"?").splitlines())
-        raise CliInputError(f"line {line}: byte 0x{data[exc.start]:02x} is not valid UTF-8") from None
+        end = 0
+        while True:
+            chunk = handle.read(_READ_CHARS)
+            end += len(chunk)
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                # exc.object is the bytes the decoder held back, then chunk
+                bad, byte = end - len(exc.object) + exc.start, exc.object[exc.start]
+                break
+            if not chunk:
+                return
+        handle.seek(0)
+        breaks, after_cr = 0, False
+        while handle.tell() < bad:
+            chunk = handle.read(min(_READ_CHARS, bad - handle.tell()))
+            # breaks at LF, CR and CRLF, as csv and bytes.splitlines count
+            # them, a CRLF split between two reads once
+            breaks += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            breaks -= after_cr and chunk.startswith(b"\n")
+            after_cr = chunk.endswith(b"\r")
+    raise CliInputError(f"line {breaks + 1}: byte 0x{byte:02x} is not valid UTF-8")
 
 
 def _data_lines(path: str) -> list:
@@ -365,54 +383,17 @@ def _write_csv(path: str, header: list, columns: list):
     """Write a CSV of the header over equally long columns.
 
     A column is a list of str cells or a float array, whose NaNs are left
-    empty. Each block of _BLOCK_ROWS rows is formatted by _format_block;
-    from _POOL_BLOCKS blocks on, on every usable CPU, if there is more
-    than one and worker processes can be forked. The bytes are the same on
-    either path.
+    empty. Each block of _BLOCK_ROWS rows is formatted by _format_block,
+    through core.pool_map: from _POOL_BLOCKS blocks on, on every usable
+    CPU, whose workers fork before the output file is opened. The bytes
+    are the same on either path.
     """
     starts = range(0, len(columns[0]), _BLOCK_ROWS)
     workers = min(_usable_cpus(), len(starts)) if len(starts) >= _POOL_BLOCKS else 1
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            # Fork, not spawn: a forked worker shares the columns without
-            # pickling them (the ids of 200k rows alone take 70 ms) and
-            # starts without importing numpy again, which takes about
-            # 0.2 s, as long as the pool saves on 200k rows. A fork-started
-            # pool forks every worker before it starts its own threads, and
-            # the only other threads here are OpenBLAS's, which the command
-            # line does not start (see __main__), as when run_campaign's
-            # pool forks.
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context, initializer=_share, initargs=(columns,)) as pool:
-                # map submits every block at once, and the workers fork at the
-                # first submit: before the output file is open
-                _write_blocks(path, header, pool.map(_format_shared, starts))
-            return
-    _write_blocks(path, header, (_format_block(columns, lo, lo + _BLOCK_ROWS) for lo in starts))
-
-
-def _write_blocks(path: str, header: list, texts):
+    texts = pool_map(lambda lo: _format_block(columns, lo, lo + _BLOCK_ROWS), starts, workers)
     with _open_output(path, newline="") as handle:
         handle.write(",".join(_quoted(header)) + "\n")
-        for text in texts:
-            handle.write(text)
-
-
-# The columns a pool worker formats, set once per worker process by _share.
-_shared_columns = None
-
-
-def _share(columns: list):
-    global _shared_columns
-    _shared_columns = columns
-
-
-def _format_shared(lo: int) -> str:
-    return _format_block(_shared_columns, lo, lo + _BLOCK_ROWS)
+        handle.writelines(texts)
 
 
 def _write_json(out_path: str, suffix: str, payload: dict):
@@ -485,17 +466,17 @@ def cmd_simulate(args) -> int:
         _fail_undecodable(args.config)
     try:
         scenarios, specs = campaign_from_config(config)
+        campaign = run_campaign(
+            scenarios,
+            specs,
+            replicates=args.reps,
+            master_seed=args.seed,
+            parallelism=args.parallelism,
+        )
     except ConfigError as exc:
         raise CliInputError(str(exc)) from None
     described = [scenario_to_dict(s) for s in scenarios]
     labels = [f"{scenario['kind']}-{index}" for index, scenario in enumerate(described)]
-    campaign = run_campaign(
-        scenarios,
-        specs,
-        replicates=args.reps,
-        master_seed=args.seed,
-        parallelism=args.parallelism,
-    )
     rates = ["fdr", "se_fdr", "power", "se_power", "fwer", "se_fwer", "pfer", "se_pfer"]
     pairs = [(index, spec.name) for index in range(len(labels)) for spec in specs]
     metrics = [campaign.metrics[pair] for pair in pairs]

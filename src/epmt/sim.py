@@ -10,8 +10,6 @@ parallelism level.
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from dataclasses import asdict, dataclass, replace
 from typing import Union
 
@@ -26,7 +24,7 @@ from .constructors import (
     moderated_t,
     moderated_t_evalue,
 )
-from .core import ErrorMetrics, fdp_and_power
+from .core import ErrorMetrics, MalformedValue, fdp_and_power, pool_map
 from .procedures import ProcedureSpec
 
 # Calibration of the location arm in the microarray scenario: non-null
@@ -162,18 +160,20 @@ def generate_ttest_replicate(scenario: TTestScenario, rng: np.random.Generator):
     np.subtract(y, y_mean, out=dev)
     dev *= dev
     sy = _sum_rows(dev) / (n - 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a huge effect or null_e_scale overflows squares and e-values to inf,
+    # which is their value
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = np.sqrt(float(n)) * (y_mean - x_mean) / np.sqrt(sx + sy)
-    p = 2.0 * special.stdtr(2 * n - 2, -np.abs(t))
-    # total sum of squares around the grand mean: chisq(2n - 1) under the null
-    grand = 0.5 * (x_mean + y_mean)
-    x -= grand
-    x *= x
-    y -= grand
-    y *= y
-    e = chisq_lr_evalue(_sum_rows(x) + _sum_rows(y), 2 * n - 1, scenario.ncp)
-    if scenario.null_e_scale != 1.0:
-        e = np.where(is_null, scenario.null_e_scale * e, e)
+        p = 2.0 * special.stdtr(2 * n - 2, -np.abs(t))
+        # total sum of squares around the grand mean: chisq(2n - 1) under the null
+        grand = 0.5 * (x_mean + y_mean)
+        x -= grand
+        x *= x
+        y -= grand
+        y *= y
+        e = chisq_lr_evalue(_sum_rows(x) + _sum_rows(y), 2 * n - 1, scenario.ncp)
+        if scenario.null_e_scale != 1.0:
+            e = np.where(is_null, scenario.null_e_scale * e, e)
     return p, e, is_null
 
 
@@ -289,29 +289,17 @@ def _replicate_batch(args):
     runners = [spec.build() for spec in specs]
     out = np.empty((len(rep_indices), len(runners), 4))
     for row, rep in enumerate(rep_indices):
-        rng = child_rng(master_seed, scenario_index, rep)
         try:
-            p, e, is_null = generate_replicate(scenario, rng)
-        except Exception as exc:
-            raise RuntimeError(
-                f"scenario {scenario_index} replicate {rep} failed during generation"
-            ) from exc
-        for col, run in enumerate(runners):
-            fdp, power, n_false = fdp_and_power(run(p, e).mask, is_null)
-            out[row, col] = (fdp, power, float(n_false > 0), float(n_false))
+            p, e, is_null = generate_replicate(scenario, child_rng(master_seed, scenario_index, rep))
+            for col, run in enumerate(runners):
+                fdp, power, n_false = fdp_and_power(run(p, e).mask, is_null)
+                out[row, col] = (fdp, power, float(n_false > 0), float(n_false))
+        except MalformedValue as exc:
+            # the config passed its checks, yet its values drew numbers that
+            # no kernel accepts: as bad a config as one a check refuses
+            label = f"{scenario_to_dict(scenario)['kind']}-{scenario_index}"
+            raise ConfigError(f"scenario {label} replicate {rep}: {exc}") from None
     return out
-
-
-def _pooled_batch(args):
-    """_replicate_batch in a pool worker, and the warnings it raised.
-
-    They are recorded under the worker's filters, which are the caller's
-    (an error filter still raises), as (message, filename, lineno), for
-    run_campaign to issue in the calling process.
-    """
-    with warnings.catch_warnings(record=True) as caught:
-        block = _replicate_batch(args)
-    return block, [(w.message, w.filename, w.lineno) for w in caught]
 
 
 def run_campaign(
@@ -328,8 +316,9 @@ def run_campaign(
     own child generator derived from (master_seed, scenario index,
     replicate index), so results are bit-identical for every parallelism
     level; aggregation sums per-replicate statistics in replicate order.
-    A pool worker's warnings are issued again in the calling process, in
-    task order, so stderr does not depend on the parallelism level either.
+    The tasks run through core.pool_map, on at most parallelism workers
+    and never more than there are tasks, so stderr does not depend on the
+    parallelism level either.
     """
     scenarios = list(scenarios)
     specs = list(procedures)
@@ -347,33 +336,8 @@ def run_campaign(
     size = -(-replicates // parallelism)
     chunks = [range(lo, min(lo + size, replicates)) for lo in range(0, replicates, size)]
     tasks = [(scenario, specs, master_seed, index, reps) for index, scenario in enumerate(scenarios) for reps in chunks]
-    # a fork-started pool launches every worker at the first submit
-    workers = min(parallelism, len(tasks))
-    if workers == 1:
-        blocks = list(map(_replicate_batch, tasks))
-    else:
-        # loaded only here: a serial campaign never loads the pool modules
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Fork where the platform can: a forked worker starts without
-        # importing numpy and scipy again. Two workers on a one-replicate
-        # task took 0.02 s forked and 0.6 s spawned or forkserver-started
-        # on a 2-CPU Xeon. The command line starts no OpenBLAS threads (see
-        # __main__), and a fork-started pool forks every worker before it
-        # starts its own threads.
-        fork = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
-        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-            results = list(pool.map(_pooled_batch, tasks))
-        # one registry for every task: a warning shown once per location is
-        # shown once, as in a serial campaign, not once per worker; the
-        # module name lets a filter that names one match as it did there
-        registry = {}
-        modules = {getattr(module, "__file__", None): name for name, module in list(sys.modules.items())}
-        for _, caught in results:
-            for message, filename, lineno in caught:
-                warnings.warn_explicit(message, type(message), filename, lineno, modules.get(filename), registry)
-        blocks = [block for block, _ in results]
+    # _replicate_batch is looked up here, where a tracer may have wrapped it
+    blocks = list(pool_map(_replicate_batch, tasks, min(parallelism, len(tasks))))
     # blocks come back in task order: each scenario's replicates in order
     replicate_stats = {
         (scenario_index, spec.name): stats_array[:, col, :]
@@ -400,7 +364,8 @@ SCENARIO_KINDS = {
 
 
 class ConfigError(ValueError):
-    """A simulate config that cannot run; the message names the key."""
+    """A simulate config that cannot run; the message names the key, or the
+    scenario and replicate whose draws a kernel refused."""
 
 
 @dataclass(frozen=True)

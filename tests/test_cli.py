@@ -391,6 +391,66 @@ def test_non_utf8_byte_is_named_before_a_row_error_found_first(tmp_path, monkeyp
     assert capsys.readouterr().err == "error: line 2023: byte 0xff is not valid UTF-8\n"
 
 
+# the header and one row, 15 bytes: line 3 starts one byte before the
+# boundary of 16-byte reads
+TWO_LINES = b"id,p,e\na,0.1,1\n"
+ACROSS_READS = {
+    "bad-byte-before-boundary": (TWO_LINES + b"\xff,0.1,1\n", 3, 0xFF),
+    "bad-byte-at-boundary": (TWO_LINES + b"b\xff,0.1,1\n", 3, 0xFF),
+    "bad-byte-after-boundary": (TWO_LINES + b"bb\xff,0.1,1\n", 3, 0xFF),
+    "2-byte-char-across": (TWO_LINES + "é".encode() + b",0.1,1\nc\xfe,0.1,1\n", 4, 0xFE),
+    "3-byte-char-across": (TWO_LINES + "€".encode() + b",0.1,1\nc\xfe,0.1,1\n", 4, 0xFE),
+    "crlf-across": (b"id,p,e\r\na,0.1,1\r\nb\xff,0.1,1\r\n", 3, 0xFF),
+    "lone-cr-before-boundary": (b"id,p,e\r\na,0.1,1\rb\xff,0.1,1\r\n", 3, 0xFF),
+    "bom": (b"\xef\xbb\xbf" + TWO_LINES + b"b\xff,0.1,1\n", 3, 0xFF),
+    "truncated-at-eof": (TWO_LINES + b"b,0.1,1\nc,0.1,1" + "€".encode()[:2], 4, 0xE2),
+}
+
+
+def whole_file_error(data: bytes):
+    """The undecodable-byte message from one decode of all of data, or None."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start] + b"?").splitlines())
+        return f"line {line}: byte 0x{data[exc.start]:02x} is not valid UTF-8"
+    return None
+
+
+@pytest.mark.parametrize("case", sorted(ACROSS_READS))
+def test_non_utf8_byte_is_named_wherever_the_reads_split_the_file(tmp_path, monkeypatch, capsys, case):
+    """The byte is found 16 bytes at a time, and its line is the one a
+    decode of the whole file names, whatever straddles a read boundary."""
+    data, line, byte = ACROSS_READS[case]
+    assert whole_file_error(data) == f"line {line}: byte 0x{byte:02x} is not valid UTF-8"
+    monkeypatch.setattr(cli, "_READ_CHARS", 16)
+    inp = tmp_path / "in.csv"
+    inp.write_bytes(data)
+    code = cli.main(["adjust", "--input", str(inp), "--procedure", "p-bh", "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {whole_file_error(data)}\n"
+
+
+def test_non_utf8_byte_search_agrees_with_a_whole_file_decode(tmp_path, monkeypatch):
+    """Seeded random byte strings, of line breaks, ASCII, multi-byte
+    characters and broken sequences, read 1 to 9 bytes at a time."""
+    rng = np.random.default_rng(22)
+    pieces = [b"a", b",", b"\n", b"\r", b"\r\n", "é".encode(), "€".encode(), "𝄞".encode(), b"\xff", b"\xe2\x82", b"\x80"]
+    weights = np.array([30, 5, 8, 5, 5, 3, 3, 2, 0.3, 0.3, 0.3])
+    path = tmp_path / "in.csv"
+    for _ in range(500):
+        data = b"".join(rng.choice(pieces, size=rng.integers(0, 60), p=weights / weights.sum()))
+        path.write_bytes(data)
+        monkeypatch.setattr(cli, "_READ_CHARS", int(rng.integers(1, 10)))
+        expected = whole_file_error(data)
+        if expected is None:
+            assert cli._fail_undecodable(str(path)) is None
+        else:
+            with pytest.raises(cli.CliInputError) as raised:
+                cli._fail_undecodable(str(path))
+            assert str(raised.value) == expected
+
+
 # ---------------------------------------------------------------- combine
 
 
@@ -979,6 +1039,22 @@ def test_cli_import_loads_no_scipy_stats_or_optimize():
         "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
     )
     assert run_fresh(every_name) == "True\nTrue\n[] []\n[]\n"
+
+
+def test_adjust_on_one_block_loads_no_process_pool_module(tmp_path):
+    """An output of one block is written in process: a fresh `adjust`
+    imports neither multiprocessing nor the process pool."""
+    inp = write(tmp_path / "in.csv", HYP)
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['epmt', 'adjust', '--input', {inp!r}, '--procedure', 'ep-bh', '--out', {str(tmp_path / 'o.csv')!r}]\n"
+        "try:\n    runpy.run_module('epmt', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'multiprocessing'"
+        " or m == 'concurrent.futures.process'))\n"
+    )
+    assert run_fresh(code) == "[]\n"
+    assert (tmp_path / "o.csv").exists()
 
 
 def test_package_resolves_its_layers_on_first_access():

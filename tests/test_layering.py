@@ -1,5 +1,6 @@
 """The numpy-only layers import neither scipy nor the modules built on it,
-and every module keeps one function per computation.
+every module keeps one function per computation, and one module starts
+worker processes.
 
 core, calib and procedures serve `adjust` and `combine`, which never call
 into scipy; keeping these layers free of it lets the command line defer
@@ -7,7 +8,9 @@ scipy to `simulate` and `moderate`, the subcommands that use it, and it
 does (tests/test_cli.py checks a fresh import). Public functions validate
 and compute in one place, so no module has a private `_name` twin beside
 one. Every public method of a public class is read somewhere in the
-package, so no member serves only the tests.
+package, so no member serves only the tests. Only core imports
+multiprocessing or concurrent.futures: its pool_map is the one process
+pool, and decides how workers start.
 """
 
 import ast
@@ -31,10 +34,15 @@ def imported_modules(path):
             yield from (f"{module}.{alias.name}" for alias in node.names)
 
 
-def forbidden_imports(path):
+def imports_under(path, packages) -> list:
+    """The modules a source file imports from any of the packages."""
     return sorted(
-        name for name in set(imported_modules(path)) if any(name == f or name.startswith(f + ".") for f in FORBIDDEN)
+        name for name in set(imported_modules(path)) if any(name == p or name.startswith(p + ".") for p in packages)
     )
+
+
+def forbidden_imports(path):
+    return imports_under(path, FORBIDDEN)
 
 
 def test_numpy_only_layers_import_no_scipy_constructors_or_sim():
@@ -43,6 +51,20 @@ def test_numpy_only_layers_import_no_scipy_constructors_or_sim():
     assert "epmt.sim" in forbidden_imports(PACKAGE / "cli.py")
     for module in ("core", "calib", "procedures"):
         assert forbidden_imports(PACKAGE / f"{module}.py") == [], module
+
+
+POOL_MODULES = ("multiprocessing", "concurrent.futures")
+
+
+def test_only_core_imports_the_process_pool_modules(tmp_path):
+    """core.pool_map alone starts worker processes, so one module decides
+    how they start."""
+    # the scan sees a pool import, also one deferred into a function
+    planted = tmp_path / "planted.py"
+    planted.write_text("def f():\n    from concurrent import futures\n    import multiprocessing.context\n")
+    assert imports_under(planted, POOL_MODULES) == ["concurrent.futures", "multiprocessing.context"]
+    importers = [path.name for path in sorted(PACKAGE.glob("*.py")) if imports_under(path, POOL_MODULES)]
+    assert importers == ["core.py"]
 
 
 def defined_names(source: str) -> set:

@@ -5,6 +5,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -144,6 +145,16 @@ def test_ttest_null_e_scale_inflates_only_nulls():
     _, e1, _ = generate_ttest_replicate(scaled, child_rng(5, 0, 0))
     np.testing.assert_allclose(e1[is_null], 1.5 * e0[is_null])
     np.testing.assert_allclose(e1[~is_null], e0[~is_null])
+
+
+@pytest.mark.parametrize("field", [{"effect": 1e200}, {"null_e_scale": 1e308}], ids=["effect", "null_e_scale"])
+def test_ttest_values_past_the_float_range_are_inf_without_a_warning(field):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p, e, is_null = generate_ttest_replicate(TTestScenario(n_hypotheses=200, **field), child_rng(5, 0, 0))
+    inflated = ~is_null if "effect" in field else is_null
+    assert np.isposinf(e[inflated]).any()
+    assert not np.isnan(p).any() and not np.isnan(e).any()
 
 
 def ttest_by_row_reductions(scenario, rng):
@@ -536,14 +547,15 @@ def test_run_campaign_replicate_stats_are_the_metrics_columns():
 
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers and the start
-    method, maps in process."""
+    method, runs the worker initializer and maps in process."""
 
     created = []
     start_methods = []
 
-    def __init__(self, max_workers, mp_context=None):
+    def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
         self.created.append(max_workers)
         self.start_methods.append(mp_context.get_start_method())
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -655,3 +667,38 @@ def test_pooled_simulate_in_dev_mode_writes_the_serial_bytes(tmp_path):
     assert run_python("-X", "dev", "-W", "error", "-m", "epmt", *pooled) == (0, "")
     for suffix in (".csv", ".manifest.json"):
         assert (tmp_path / f"pooled{suffix}").read_bytes() == (tmp_path / f"serial{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("field", [{"effect": 1e200}, {"null_e_scale": 1e308}], ids=["effect", "null_e_scale"])
+def test_simulate_on_values_past_the_float_range_warns_nothing(tmp_path, field):
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"scenarios": [{"kind": "ttest", **field}], "procedures": ["p-bh", "ep-bh"]}))
+    argv = ["simulate", "--config", str(config), "--reps", "3", "--out", str(tmp_path / "huge.csv")]
+    assert run_python("-W", "error", "-m", "epmt", *argv) == (0, "")
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize(
+    "scenario,cause",
+    [
+        # chisquare(0.01) draws zeros, so some sigma2 is inf
+        ({"kind": "microarray", "df_prior": 0.01}, "sample variances must be positive and finite"),
+        # the sums of five draws overflow, so every non-null p is NaN
+        ({"kind": "ttest", "effect": 1e308}, "p-value out of [0, 1] at position 1900: "),
+    ],
+    ids=["df_prior", "effect"],
+)
+def test_simulate_refuses_a_scenario_whose_draws_a_kernel_refuses(tmp_path, scenario, cause, parallelism):
+    """A scenario the config checks accept, but whose draws a kernel
+    refuses, exits 2 naming the scenario and replicate, as a bad config
+    does: no traceback and no output. At parallelism 2 the error comes
+    from a pool worker."""
+    config = tmp_path / "drawn.json"
+    scenarios = [{"kind": "ttest", "n_hypotheses": 100}, scenario]
+    config.write_text(json.dumps({"scenarios": scenarios, "procedures": ["ep-bh"]}))
+    argv = ["simulate", "--config", str(config), "--reps", "2", "--parallelism", str(parallelism)]
+    code, stderr = run_python("-m", "epmt", *argv, "--out", str(tmp_path / "drawn.csv"))
+    assert code == 2
+    assert stderr.splitlines()[-1].startswith(f"error: scenario {scenario['kind']}-1 replicate 0: {cause}")
+    assert "Traceback" not in stderr
+    assert list(tmp_path.iterdir()) == [config]
