@@ -110,7 +110,7 @@ def combine_product(p, e, calibrator: Calibrator = DEFAULT_CALIBRATOR):
     """
     p_arr, e_arr, scalar = _paired(p, e)
     hp = calibrator(p_arr)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # a product past the float maximum is inf
         out = np.where(np.isinf(hp) | np.isinf(e_arr), np.inf, hp * e_arr)
     return float(out[0]) if scalar else out
 

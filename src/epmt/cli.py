@@ -13,7 +13,7 @@ be written, 3 usage errors.
 CSV conventions: floats are written with repr-level precision, the
 shortest round-trip (at most 17 significant digits); infinity is the
 literal `inf`, and an empty cell means missing. A cell holding a comma,
-a quote, CR or LF is quoted. Output is locale-independent.
+a quote, CR or LF is quoted. Output is UTF-8 in any locale.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import csv
+import functools
 import itertools
 import json
 import math
@@ -43,7 +44,7 @@ from .calib import (
     parse_calibrator,
     shift_evalue,
 )
-from .core import MalformedValue, as_evector, as_pvector, pool_map
+from .core import MalformedValue, as_evector, as_pvector
 from .procedures import REGISTRY, ProcedureSpec
 
 # `sim` and `constructors` import scipy, which `adjust` and `combine` never
@@ -63,10 +64,10 @@ def _open_input(path: str):
         raise CliInputError(f"cannot open {path}: {exc}") from None
 
 
-def _open_output(path: str, newline=None):
-    """Open an output file for writing as text, or raise naming the path."""
+def _open_output(path: str, mode: str, **kwargs):
+    """Open an output file for writing, or raise naming the path."""
     try:
-        return open(path, "w", newline=newline)
+        return open(path, mode, **kwargs)
     except OSError as exc:
         raise CliInputError(f"cannot write {path}: {exc}") from None
 
@@ -330,12 +331,6 @@ def _check_unique(path: str, ids: list):
 # 200k-row `adjust` peaked at 106 MB with 8k-row blocks, 124 MB with 64k-row
 # blocks and 145 MB with one block.
 _BLOCK_ROWS = 8192
-# Blocks from which the writer formats on a worker pool. Starting and joining
-# the pool costs about as much as one block of `adjust` output takes to
-# format. On a shared two-core host, `epmt adjust` with the pool beat the
-# serial writer in 38% of alternating runs at 4 blocks, 56% at 5, 43% at 6,
-# 73% at 7, 60% at 8, 85% at 12 and 90% at 25.
-_POOL_BLOCKS = 7
 _SPECIAL = (",", '"', "\r", "\n")
 
 
@@ -350,56 +345,177 @@ def _quoted(cells: list) -> list:
     return ['"' + cell.replace('"', '""') + '"' if any(c in cell for c in _SPECIAL) else cell for cell in cells]
 
 
-def _format_block(columns: list, lo: int, hi: int) -> str:
-    """CSV text of rows lo to hi of the columns, each row ending in LF.
+# Veltkamp's splitter, 2**27 + 1: it cuts a double into two halves of at
+# most 26 significant bits, whose products are exact.
+_SPLIT = 134217729.0
 
-    A column is a list of str cells, quoted as needed, or a float array
-    written at repr precision, NaN as an empty cell. Two columns holding
-    the same array share its cells.
+
+@functools.cache
+def _float_tables():
+    """The tables of _float_cells, built on its first call.
+
+    10**k for k <= 22, each an exact double, with its Veltkamp halves; the
+    ASCII of every 4-digit group as a uint32, then b"-0.\\0"; and the
+    layout templates. A template gives, for one sign, decimal point
+    position and digit count, the byte of a row that each byte of the
+    repr copies. A row is six uint32: b"-0.\\0", then the 17 digits at
+    bytes 7 to 23. Byte 3, the NUL, pads the repr to 24 bytes.
+    """
+    powers = 10.0 ** np.arange(23)
+    split = _SPLIT * powers
+    high = split - (split - powers)
+    ascii = np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0")
+    groups = np.append(ascii.astype(np.uint8).view(np.uint32), np.frombuffer(b"-0.\0", np.uint32))
+    templates = np.full((2, 20, 17, 24), 3, np.int32)
+    for sign in (0, 1):
+        for point in range(-3, 17):
+            for count in range(1, 18):
+                digits = list(range(7, 7 + count))
+                if point <= 0:  # 0.000ddd
+                    body = [1, 2] + [1] * -point + digits
+                elif point < count:  # ddd.ddd
+                    body = digits[:point] + [2] + digits[point:]
+                else:  # ddd000.0
+                    body = digits + [1] * (point - count) + [2, 1]
+                body = [0] * sign + body
+                templates[sign, point + 3, count - 1, : len(body)] = body
+    return powers, high, powers - high, groups, templates.reshape(-1, 24)
+
+
+def _times_power_of_ten(a: np.ndarray, k: np.ndarray):
+    """(ph, pl): ph = fl(a * 10**k) and ph + pl = a * 10**k exactly.
+
+    Dekker's (1971) two-product, which needs no fused multiply-add: it
+    holds for any product that neither overflows nor underflows.
+    """
+    powers, p_high, p_low = _float_tables()[:3]
+    split = _SPLIT * a
+    a_high = split - (split - a)
+    a_low = a - a_high
+    b_high, b_low = p_high[k], p_low[k]
+    ph = a * powers[k]
+    return ph, ((a_high * b_high - ph) + a_high * b_low + a_low * b_high) + a_low * b_low
+
+
+def _float_cells(values: np.ndarray) -> list:
+    """repr(v).encode() of each value of a float64 array, and b"" for NaN.
+
+    A finite x with 1e-4 <= |x| < 1e16, which repr writes in fixed
+    notation, is written without repr. Scaled by 10**k into [1e16, 1e17),
+    |x| is y = ph + pl exactly, so its 15-, 16- and 17-digit roundings
+    follow from int64 arithmetic. A rounding D reads back as x iff
+    |D - y| is less than the half gap to x's neighbour on D's side, times
+    10**k, which is exact; below a power of two that gap is half the one
+    above. The first rounding of 15, 16 and 17 digits that reads back,
+    stripped of trailing zeros, is repr's: the fewest digits, then the
+    closest. Each value whose digits this cannot prove goes to repr: 0,
+    inf and exponent notation, an exact rounding tie, a difference from y
+    that rounds onto the edge of the interval, a power of two whose 15
+    digits fail, and a rounding that carries into the next decade.
+    """
+    powers, _, _, groups, templates = _float_tables()
+    size = values.size
+    a = np.abs(values)
+    fixed = (a >= 1e-4) & (a < 1e16)
+    a = np.where(fixed, a, 1.0)  # any value in range: the rest go to repr
+    k = 16 - np.floor(np.log10(a)).astype(np.intp)
+    ph, pl = _times_power_of_ten(a, k)
+    # log10 rounds across a decade edge: one step moves y back into range
+    under = (ph < 1e16) | ((ph == 1e16) & (pl < 0))
+    over = (ph > 1e17) | ((ph == 1e17) & (pl >= 0))
+    moved = np.flatnonzero(under | over)
+    if moved.size:
+        k[moved] += np.where(under[moved], 1, -1)
+        ph[moved], pl[moved] = _times_power_of_ten(a[moved], k[moved])
+    # ph > 2**53 is an even integer and |pl| <= 8, so y = top + f with the
+    # integer top = ph + floor(pl) and f = pl - floor(pl) in [0, 1): f > 0
+    # and f > 1/2 are exact comparisons of pl
+    whole = ph.astype(np.int64)
+    floor = np.floor(pl)
+    top = whole + floor.astype(np.int64)
+    frac = pl > floor
+    half = floor + 0.5
+    q10 = top // 10
+    r10 = top - q10 * 10
+    q100 = top // 100
+    r100 = top - q100 * 100
+    d15 = (q100 + ((r100 > 50) | ((r100 == 50) & frac))) * 100
+    d16 = (q10 + ((r10 > 5) | ((r10 == 5) & frac))) * 10
+    d17 = top + (pl > half)  # always reads back
+    # half the gap above |x| times 10**k, exact: 10**k is 2**k * 5**k, 5**k < 2**53
+    fraction, exponent = np.frexp(a)
+    gap = np.ldexp(powers[k], exponent - 54)
+    power_of_two = fraction == 0.5
+    gap_below = np.where(power_of_two, gap / 2, gap)
+
+    def reads_back(rounded):
+        # D - ph is a small exact integer, and rounding the difference to
+        # D - y is monotonic: it decides against the gaps unless it lands on one
+        diff = (rounded - whole).astype(float) - pl
+        return (diff < gap) & (diff > -gap_below), (diff == gap) | (diff == -gap_below)
+
+    ok15, edge15 = reads_back(d15)
+    ok16, edge16 = reads_back(d16)
+    mantissa = np.where(ok15, d15, np.where(ok16, d16, d17))
+    tie = np.where(ok16, (r10 == 5) & ~frac, pl == half)
+    slow = ~fixed | edge15 | (~ok15 & (power_of_two | edge16 | tie)) | (mantissa >= 10**17)
+
+    rows = np.empty((size, 6), np.uint32)
+    rows[:, 0] = groups[10000]
+    high = mantissa // 10**8
+    first = high // 10**8
+    rows[:, 1] = groups[first % 10]  # 10 only on a carry, which goes to repr
+    for column, part in ((2, high - first * 10**8), (4, mantissa - high * 10**8)):
+        upper = part // 10000
+        rows[:, column] = groups[upper]
+        rows[:, column + 1] = groups[part - upper * 10000]
+    text = rows.view(np.uint8)
+    count = 17 - np.argmax(text[:, :6:-1] != ord("0"), axis=1)  # digits up to the last nonzero one
+    layout = templates.take(((values < 0) * 20 + 20 - k) * 17 + count - 1, axis=0)
+    layout += np.arange(0, size * 24, 24)[:, None]
+    cells = text.ravel().take(layout).view("S24").ravel().tolist()
+    where = np.flatnonzero(slow)
+    for row, value in zip(where.tolist(), values[where].tolist()):
+        cells[row] = repr(value).encode() if value == value else b""
+    return cells
+
+
+def _format_block(columns: list, lo: int, hi: int) -> bytes:
+    """UTF-8 CSV of rows lo to hi of the columns, each row ending in LF.
+
+    A column is a list of str cells, quoted as needed, or a float64 array
+    written by _float_cells. Two columns holding the same array share its
+    cells.
     """
     floats, block = {}, []
     for column in columns:
         if isinstance(column, list):
-            block.append(_quoted(column[lo:hi]))
+            block.append(list(map(str.encode, _quoted(column[lo:hi]))))
             continue
         if id(column) not in floats:
-            values = column[lo:hi]
-            cells = floats[id(column)] = list(map(repr, values.tolist()))
-            for row in np.flatnonzero(np.isnan(values)).tolist():
-                cells[row] = ""
+            floats[id(column)] = _float_cells(column[lo:hi])
         block.append(floats[id(column)])
-    return "\n".join(map(",".join, zip(*block))) + "\n"
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
+    return b"\n".join(map(b",".join, zip(*block))) + b"\n"
 
 
 def _write_csv(path: str, header: list, columns: list):
-    """Write a CSV of the header over equally long columns.
+    """Write a UTF-8 CSV of the header over equally long columns.
 
-    A column is a list of str cells or a float array, whose NaNs are left
-    empty. Each block of _BLOCK_ROWS rows is formatted by _format_block,
-    through core.pool_map: from _POOL_BLOCKS blocks on, on every usable
-    CPU, whose workers fork before the output file is opened. The bytes
-    are the same on either path.
+    A column is a list of str cells or a float64 array, whose NaNs are
+    left empty. Each block of _BLOCK_ROWS rows is formatted by
+    _format_block and written as it is made, in this process; the bytes
+    do not depend on the locale.
     """
-    starts = range(0, len(columns[0]), _BLOCK_ROWS)
-    workers = min(_usable_cpus(), len(starts)) if len(starts) >= _POOL_BLOCKS else 1
-    texts = pool_map(lambda lo: _format_block(columns, lo, lo + _BLOCK_ROWS), starts, workers)
-    with _open_output(path, newline="") as handle:
-        handle.write(",".join(_quoted(header)) + "\n")
-        handle.writelines(texts)
+    with _open_output(path, "wb") as handle:
+        handle.write(",".join(_quoted(header)).encode() + b"\n")
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            handle.write(_format_block(columns, lo, lo + _BLOCK_ROWS))
 
 
 def _write_json(out_path: str, suffix: str, payload: dict):
     """Write payload beside the output CSV, as its stem plus suffix."""
     stem = out_path[:-4] if out_path.endswith(".csv") else out_path
-    with _open_output(stem + suffix) as handle:
+    with _open_output(stem + suffix, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 

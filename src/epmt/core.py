@@ -1,5 +1,5 @@
 """Input validation, rejection results, error accounting, and pool_map,
-the one process pool: the CSV writer and the campaign harness both run on it.
+the one process pool, on which the campaign harness runs its batches.
 
 p-values live in [0, 1]; e-values live in [0, +inf] with infinity allowed
 and meaningful (conclusive evidence). NaN is rejected everywhere.
@@ -134,14 +134,16 @@ class ErrorMetrics:
 def pool_map(fn, items, workers: int):
     """fn(item) for each item, in item order, as an iterator.
 
-    With workers > 1, where the platform can fork, the items run on that
-    many forked processes, every one forked before this returns. A forked
-    worker inherits fn and what it closes over, so only items and results
-    are pickled, and imports nothing again: two workers on a one-replicate
-    campaign took 0.02 s forked and 0.6 s spawned on a 2-CPU Xeon. The
-    pool forks before it starts a thread, and the command line starts no
-    OpenBLAS threads (see __main__). A worker's warnings are issued again
-    here, in item order. Otherwise, as on Windows, this is map(fn, items).
+    sim.run_campaign is the one caller. With workers > 1, where the
+    platform can fork, the items run on that many forked processes, every
+    one forked before this returns. A forked worker inherits fn and what
+    it closes over, so only items and results are pickled, and imports
+    nothing again: two workers on a one-replicate campaign took 0.02 s
+    forked and 0.6 s spawned on a 2-CPU Xeon. The pool forks before it
+    starts a thread, and the command line starts no OpenBLAS threads (see
+    __main__). A worker's warnings are issued again here, in item order,
+    those of an item that raised before its exception. Otherwise, as on
+    Windows, this is map(fn, items).
     """
     if workers > 1:
         # loaded only here: a serial run never loads the pool modules
@@ -166,9 +168,11 @@ def _pooled(fn, items, workers: int, context):
         # name lets a filter that names one match as it did there
         registry = {}
         modules = {getattr(module, "__file__", None): name for name, module in list(sys.modules.items())}
-        for result, caught in results:
+        for result, raised, caught in results:
             for message, filename, lineno in caught:
                 warnings.warn_explicit(message, type(message), filename, lineno, modules.get(filename), registry)
+            if raised is not None:
+                raise raised
             yield result
 
 
@@ -182,12 +186,18 @@ def _set_task(fn):
 
 
 def _run_task(item):
-    """_task(item) in a pool worker, and the warnings it raised.
+    """(result, exception, warnings) of _task(item) in a pool worker.
 
-    They are recorded under the worker's filters, which are the caller's
-    (an error filter still raises), as (message, filename, lineno), for
-    the caller to issue again.
+    The exception is the one the task raised, else None. The warnings are
+    recorded under the worker's filters, which are the caller's (an error
+    filter still raises), as (message, filename, lineno), for the caller
+    to issue again, and to issue before it raises the task's exception,
+    as a serial run does.
     """
+    result = raised = None
     with warnings.catch_warnings(record=True) as caught:
-        result = _task(item)
-    return result, [(w.message, w.filename, w.lineno) for w in caught]
+        try:
+            result = _task(item)
+        except Exception as exc:  # raised again by the caller
+            raised = exc
+    return result, raised, [(w.message, w.filename, w.lineno) for w in caught]

@@ -110,7 +110,13 @@ def e_bh(e, alpha: float) -> RejectionResult:
     # steps up on -e (exact, so s_(k) = -e_[k] with e_[k] the k-th largest)
     # and tests k* = max{k : k * e_[k] / K >= 1/alpha} in the e scale
     k_total = e.size
-    return _step_up(-e, lambda ranked, ranks: ranks * -ranked / k_total >= 1.0 / alpha, e)
+
+    def passes(ranked, ranks):
+        # k * e_[k] past the float maximum is inf, which passes, as it should
+        with np.errstate(over="ignore"):
+            return ranks * -ranked / k_total >= 1.0 / alpha
+
+    return _step_up(-e, passes, e)
 
 
 def weighted_p_bh(p, w, alpha: float) -> RejectionResult:
@@ -188,7 +194,8 @@ def ep_storey(p, e, alpha: float, tau: float = 0.5) -> RejectionResult:
     """
     p, e = as_pair(p, e)
     tau = _check_tau(tau)
-    w = np.where(p <= tau, e / storey_pi0(p, tau), 0.0)
+    with np.errstate(over="ignore"):  # a weight past the float maximum is inf
+        w = np.where(p <= tau, e / storey_pi0(p, tau), 0.0)
     return weighted_p_bh(p, w, alpha)
 
 
@@ -232,7 +239,7 @@ def simes_evalue(e) -> float:
     e = as_evector(e)
     ranked = np.sort(e)[::-1]
     ranks = np.arange(1, e.size + 1, dtype=float)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         stats = ranks * ranked / e.size
     return float(np.max(stats))
 
@@ -256,7 +263,8 @@ def adaptive_e_bh(e, alpha: float, merging: str = "mean") -> RejectionResult:
             stacklevel=2,
         )
         return e_bh(e, alpha)
-    merged = float(e.mean()) if merging == "mean" else simes_evalue(e)
+    with np.errstate(over="ignore"):  # a sum past the float maximum is inf
+        merged = float(e.mean()) if merging == "mean" else simes_evalue(e)
     if merged < 1.0 / alpha:
         return RejectionResult(np.zeros(k_total, dtype=bool), e)
     return e_bh(e, k_total * alpha / (k_total - 1.0))

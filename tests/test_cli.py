@@ -1,8 +1,8 @@
 """Tests for the command line interface.
 
 Most tests call cli.main() in process for speed; subprocess tests cover
-the `python -m` entry point, the writer's worker pool and what a fresh
-import loads.
+the `python -m` entry point, the output's bytes in a C locale and what a
+fresh import loads.
 """
 
 import csv
@@ -970,12 +970,12 @@ def test_refusal_under_an_error_filter_prints_one_line(tmp_path, argv, text, cod
     assert (proc.returncode, proc.stderr) == (code, f"error: {message.format(path=path)}\n")
 
 
-def test_pooled_writer_in_dev_mode_writes_the_serial_bytes(tmp_path, monkeypatch):
-    """An output long enough for the writer's worker pool, written by
-    `python -X dev -W error -m epmt`, warns nothing and has the bytes of
-    the in-process serial writer. e-bh writes its e column twice, as e
-    and adjusted, and leaves the empty p cells empty."""
-    rows = cli._POOL_BLOCKS * cli._BLOCK_ROWS + 5
+def test_writer_in_dev_mode_writes_the_in_process_bytes(tmp_path):
+    """An output of several blocks, written by `python -X dev -W error -m
+    epmt`, warns nothing and has the bytes of the writer called in process.
+    e-bh writes its e column twice, as e and adjusted, and leaves the
+    empty p cells empty."""
+    rows = 7 * cli._BLOCK_ROWS + 5
     rng = np.random.default_rng(1016)
     p, e = rng.random(rows).tolist(), rng.exponential(size=rows).tolist()
     ids = [{3: f'"a,""b""\nc{i}"', 4: f"ü{i}"}.get(i % 97, f"h{i}") for i in range(rows)]
@@ -986,16 +986,63 @@ def test_pooled_writer_in_dev_mode_writes_the_serial_bytes(tmp_path, monkeypatch
     lines[8] = '"",0.5,'
     inp = write(tmp_path / "h.csv", "id,p,e\n" + "\n".join(lines) + "\n")
     argv = ["adjust", "--input", inp, "--procedure", "e-bh", "--alpha", "0.1"]
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    assert cli.main([*argv, "--out", str(tmp_path / "serial.csv")]) == 0
+    assert cli.main([*argv, "--out", str(tmp_path / "inprocess.csv")]) == 0
     proc = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error", "-m", "epmt", *argv, "--out", str(tmp_path / "pooled.csv")],
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "epmt", *argv, "--out", str(tmp_path / "dev.csv")],
         capture_output=True,
         text=True,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
-    assert (tmp_path / "pooled.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
+    assert (tmp_path / "dev.csv").read_bytes() == (tmp_path / "inprocess.csv").read_bytes()
+    assert (tmp_path / "dev.json").read_bytes() == (tmp_path / "inprocess.json").read_bytes()
+
+
+C_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+
+
+@pytest.mark.parametrize(
+    "argv", [["adjust", "--procedure", "ep-bh"], ["combine", "--mode", "quotient"]], ids=["adjust", "combine"]
+)
+def test_output_is_utf8_in_a_c_locale(tmp_path, argv):
+    """In a C locale, whose text encoding is ASCII, a non-ASCII id is
+    written as UTF-8, with the bytes of a UTF-8 locale."""
+    inp = write(tmp_path / "in.csv", "id,p,e\ncafé,0.01,2\nb,0.5,1\n")
+    written = {}
+    for name, env in (("utf8", {"PYTHONUTF8": "1"}), ("c", C_LOCALE)):
+        out = tmp_path / f"{name}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "epmt", *argv, "--input", inp, "--out", str(out)],
+            capture_output=True,
+            env={**os.environ, **env},
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        written[name] = out.read_bytes()
+    assert written["c"] == written["utf8"]
+    assert written["c"].splitlines()[1].startswith(b"caf\xc3\xa9,")
+
+
+@pytest.mark.parametrize(
+    "procedure",
+    [["e-bh"], ["pe-bh"], ["ep-storey"], ["adaptive-e-bh"], ["adaptive-e-bh", "--merging", "max"]],
+    ids=["e-bh", "pe-bh", "ep-storey", "adaptive-e-bh-mean", "adaptive-e-bh-max"],
+)
+def test_adjust_on_evalues_near_the_float_maximum_warns_nothing(tmp_path, procedure):
+    """Products, quotients and sums of e-values past the float maximum are
+    inf, the intended value: under `-W error` no overflow is raised, and
+    the rejections are those of a run that ignores warnings."""
+    inp = write(tmp_path / "in.csv", "id,p,e\na,0.01,1.7e308\nb,0.2,1.7e308\nc,0.3,1.5\nd,0.04,0.5\n")
+    argv = ["adjust", "--input", inp, "--procedure", *procedure]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main([*argv, "--out", str(tmp_path / "ignored.csv")]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "epmt", *argv, "--out", str(tmp_path / "raised.csv")],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert read_rows(tmp_path / "raised.csv") == read_rows(tmp_path / "ignored.csv")
+    assert [row["rejected"] for row in read_rows(tmp_path / "raised.csv")][:2] == ["1", "1"]
 
 
 def run_fresh(code: str, **env) -> str:
@@ -1017,8 +1064,7 @@ RUN_VERSION = (
 def test_cli_import_loads_no_scipy_stats_or_optimize():
     """adjust and combine run on numpy alone: importing the package or the
     command line, or printing the version, loads no scipy, sim or
-    constructors, and none of the process pool modules the writer loads
-    only for a large output."""
+    constructors, and none of the process pool modules."""
     loaded = (
         "import sys; print(sorted(m for m in sys.modules"
         " if m.partition('.')[0] in ('scipy', 'multiprocessing', 'concurrent')"
@@ -1041,10 +1087,13 @@ def test_cli_import_loads_no_scipy_stats_or_optimize():
     assert run_fresh(every_name) == "True\nTrue\n[] []\n[]\n"
 
 
-def test_adjust_on_one_block_loads_no_process_pool_module(tmp_path):
-    """An output of one block is written in process: a fresh `adjust`
-    imports neither multiprocessing nor the process pool."""
-    inp = write(tmp_path / "in.csv", HYP)
+def test_adjust_on_nine_blocks_loads_no_process_pool_module(tmp_path):
+    """The writer formats every block in process: a fresh `adjust` on a
+    file of nine blocks imports neither multiprocessing nor the process
+    pool."""
+    rows = 9 * cli._BLOCK_ROWS
+    p = np.random.default_rng(9).random(rows).tolist()
+    inp = write(tmp_path / "in.csv", "id,p,e\n" + "".join(f"h{i},{p[i]!r},2\n" for i in range(rows)))
     code = (
         "import runpy, sys\n"
         f"sys.argv = ['epmt', 'adjust', '--input', {inp!r}, '--procedure', 'ep-bh', '--out', {str(tmp_path / 'o.csv')!r}]\n"
@@ -1054,7 +1103,7 @@ def test_adjust_on_one_block_loads_no_process_pool_module(tmp_path):
         " or m == 'concurrent.futures.process'))\n"
     )
     assert run_fresh(code) == "[]\n"
-    assert (tmp_path / "o.csv").exists()
+    assert len(read_rows(tmp_path / "o.csv")) == rows
 
 
 def test_package_resolves_its_layers_on_first_access():

@@ -248,36 +248,92 @@ VALUE = st.one_of(P_CELL, E_CELL, st.sampled_from([-0.0, -np.inf, np.nan]))
 
 @settings(FIXED, max_examples=50)
 @given(st.lists(st.tuples(ID, VALUE, st.booleans()), min_size=3, max_size=12), st.sampled_from([1, 2]))
-def test_csv_writer_pool_writes_the_serial_bytes(rows, block_rows):
-    """Blocks formatted on two forked workers give the bytes of blocks
-    formatted in process, with quoted ids, inf, -0.0 and NaN written as an
-    empty cell, and with one array in two columns, as `adjust` writes p-bh's
-    p and adjusted: the serial writer formats that array once per block."""
+def test_csv_writer_formats_each_shared_array_once(rows, block_rows):
+    """The writer's bytes read back as quoted ids, inf, -0.0 and NaN
+    written as an empty cell, with one array in two columns, as `adjust`
+    writes p-bh's p and adjusted: it formats that array once per block."""
     ids = [row[0] for row in rows]
     values = np.array([row[1] for row in rows])
     blanked = np.where([row[2] for row in rows], np.nan, values)
     columns = [ids, blanked, values, blanked, ["1" if v > 0.5 else "0" for v in values]]
     header = ["id", "blanked", "value", "again", "flag"]
-    written = {}
-    with tempfile.TemporaryDirectory() as work, mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+    with (
+        tempfile.TemporaryDirectory() as work,
+        mock.patch.object(cli, "_BLOCK_ROWS", block_rows),
+        mock.patch.object(cli, "_float_cells", wraps=cli._float_cells) as formatted,
+    ):
         path = Path(work) / "out.csv"
-        for cpus in (1, 2):
-            with (
-                mock.patch.object(cli, "_POOL_BLOCKS", 2),
-                mock.patch.object(cli, "_usable_cpus", return_value=cpus),
-                mock.patch.object(cli, "_format_block", wraps=cli._format_block) as formatted,
-                mock.patch.object(cli, "repr", wraps=repr, create=True) as formats,
-            ):
-                cli._write_csv(str(path), header, columns)
-            # the pool's workers format every block, in their own copy of the mocks
-            assert formatted.call_count == (-(-len(rows) // block_rows) if cpus == 1 else 0)
-            assert formats.call_count == (2 * len(rows) if cpus == 1 else 0)
-            written[cpus] = path.read_bytes()
-    assert written[2] == written[1]
-    with io.StringIO(written[1].decode("utf-8"), newline="") as text:
+        cli._write_csv(str(path), header, columns)
+        written = path.read_bytes()
+    # two distinct arrays, each formatted once in each block
+    assert formatted.call_count == 2 * -(-len(rows) // block_rows)
+    with io.StringIO(written.decode("utf-8"), newline="") as text:
         got = list(csv.reader(text))
     cells = [["" if np.isnan(v) else repr(v) for v in column.tolist()] for column in (blanked, values)]
-    assert got[1:] == [[i, c, v, c, f] for i, c, v, f in zip(ids, *cells, columns[-1])]
+    assert got == [header, *([i, c, v, c, f] for i, c, v, f in zip(ids, *cells, columns[-1]))]
+
+
+def _repr_cells(values) -> list:
+    """What cli._float_cells must return: repr's bytes, NaN as b''."""
+    return [b"" if v != v else repr(v).encode() for v in np.asarray(values, dtype=float).tolist()]
+
+
+@settings(FIXED, max_examples=1000)
+@given(st.lists(st.floats(), min_size=1, max_size=50))
+def test_float_kernel_writes_the_bytes_of_repr(values):
+    """The float kernel writes repr's bytes for any float, subnormals,
+    -0.0, inf and NaN (an empty cell) included."""
+    assert cli._float_cells(np.array(values, dtype=float)) == _repr_cells(values)
+
+
+def _powers_and_neighbours() -> np.ndarray:
+    """Every power of ten from 1e-5 to 1e17 and of two from 2**-15 to
+    2**54, each with its two neighbours, and their negatives: the decade
+    edges where log10 rounds and the binades whose lower gap is half."""
+    powers = np.concatenate([10.0 ** np.arange(-5, 18), 2.0 ** np.arange(-15, 55)])
+    around = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])
+    return np.concatenate([around, -around])
+
+
+def test_float_kernel_matches_repr_on_powers_ties_and_random_bits():
+    """Powers of ten and two with their neighbours, exact rounding ties
+    at the 16th and 17th digit, and 10**6 random bit patterns: nine in
+    ten with a binary exponent in repr's fixed range, where the kernel
+    does the work, the rest drawn over every double."""
+    rng = np.random.default_rng(2024)
+    ties = np.concatenate(
+        [
+            8.0 + np.arange(1, 4096, 2) / 2.0**16,  # 17 digits ending in 5: ties at 16 digits
+            2.0**50 + np.arange(1000) + 0.75,  # ties at 17 digits
+        ]
+    )
+    bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64)
+    exponent = np.uint64(0x7FF) << np.uint64(52)
+    fixed = rng.integers(1023 - 14, 1023 + 54, 9 * 10**5, dtype=np.uint64) << np.uint64(52)
+    bits[: fixed.size] = (bits[: fixed.size] & ~exponent) | fixed
+    for values in (_powers_and_neighbours(), ties, bits.view(np.float64)):
+        for lo in range(0, values.size, cli._BLOCK_ROWS):
+            block = values[lo : lo + cli._BLOCK_ROWS]
+            assert cli._float_cells(block) == _repr_cells(block)
+
+
+def test_float_kernel_formats_common_values_without_repr():
+    """Uniform p-values and log-normal e-values never fall back to repr;
+    each value outside repr's fixed notation does, once, and so does
+    each power of two whose 15 digits do not read back."""
+    rng = np.random.default_rng(8192)
+    for values in (rng.uniform(1e-4, 1.0, 8192), np.exp(rng.normal(size=8192))):
+        with mock.patch.object(cli, "repr", wraps=repr, create=True) as fallback:
+            assert cli._float_cells(values) == _repr_cells(values)
+        assert fallback.call_count == 0
+    special = [0.0, -0.0, np.inf, -np.inf, 1e-5, 1e16, 5e-324]
+    with mock.patch.object(cli, "repr", wraps=repr, create=True) as fallback:
+        assert cli._float_cells(np.array([np.nan, 0.5, *special, 0.25])) == _repr_cells([np.nan, 0.5, *special, 0.25])
+    assert [call.args[0] for call in fallback.call_args_list] == special
+    powers = 2.0 ** np.arange(-13, 54)  # every power of two repr writes in fixed notation
+    with mock.patch.object(cli, "repr", wraps=repr, create=True) as fallback:
+        cli._float_cells(powers)
+    assert [call.args[0] for call in fallback.call_args_list] == [2.0**50, 2.0**51, 2.0**52, 2.0**53]
 
 
 # cells the split path takes, cells only csv.reader can take, raw text

@@ -15,7 +15,7 @@ from scipy import integrate, optimize, special, stats
 from epmt import cli, sim
 from epmt.constructors import chisq_lr_evalue
 from epmt.core import fdp_and_power
-from epmt.procedures import ProcedureSpec, e_bh, ep_bh, ep_bonferroni
+from epmt.procedures import REGISTRY, ProcedureSpec, e_bh, ep_bh, ep_bonferroni
 from epmt.sim import (
     AdversarialScenario,
     ConfigError,
@@ -702,3 +702,35 @@ def test_simulate_refuses_a_scenario_whose_draws_a_kernel_refuses(tmp_path, scen
     assert stderr.splitlines()[-1].startswith(f"error: scenario {scenario['kind']}-1 replicate 0: {cause}")
     assert "Traceback" not in stderr
     assert list(tmp_path.iterdir()) == [config]
+
+
+def test_simulate_on_evalues_near_the_float_maximum_warns_nothing_for_any_procedure(tmp_path):
+    """Null e-values scaled to about 1e308 overflow to inf inside the
+    procedures, the intended value: every procedure runs under `-W error`
+    without a warning and writes the rates of a run that ignores them."""
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"scenarios": [{"kind": "ttest", "null_e_scale": 1e308}], "procedures": sorted(REGISTRY)}))
+    argv = ["simulate", "--config", str(config), "--reps", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main([*argv, "--out", str(tmp_path / "ignored.csv")]) == 0
+    assert run_python("-W", "error", "-m", "epmt", *argv, "--out", str(tmp_path / "raised.csv")) == (0, "")
+    assert (tmp_path / "raised.csv").read_bytes() == (tmp_path / "ignored.csv").read_bytes()
+
+
+def test_pooled_campaign_issues_the_warnings_of_a_task_that_raises(tmp_path):
+    """A replicate that warns and then raises prints its warnings before
+    its error at every parallelism, as a serial run does."""
+    config = tmp_path / "drawn.json"
+    scenarios = [{"kind": "ttest", "n_hypotheses": 100}, {"kind": "microarray", "df_prior": 0.01}]
+    config.write_text(json.dumps({"scenarios": scenarios, "procedures": ["ep-bh"]}))
+    seen = []
+    for parallelism in (1, 2):
+        argv = ["simulate", "--config", str(config), "--reps", "2", "--parallelism", str(parallelism)]
+        seen.append(run_python("-m", "epmt", *argv, "--out", str(tmp_path / "drawn.csv")))
+    assert seen[1] == seen[0]
+    code, stderr = seen[0]
+    lines = stderr.splitlines()
+    assert code == 2 and len(lines) > 1
+    assert all(line.startswith("warning: ") for line in lines[:-1])
+    assert lines[-1].startswith("error: scenario microarray-1 replicate 0: ")
