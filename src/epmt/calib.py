@@ -58,7 +58,8 @@ class Calibrator:
         p is a scalar or a non-empty 1-d vector; a scalar gives a float.
         """
         arr = as_pvector(p)
-        with np.errstate(divide="ignore"):
+        # a small kappa's power of a subnormal p overflows to inf, its value
+        with np.errstate(divide="ignore", over="ignore"):
             if self.family == "sqrt":
                 out = np.where(arr > 0.0, arr ** -0.5 - 1.0, np.inf)
             else:

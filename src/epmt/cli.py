@@ -571,7 +571,7 @@ def run_campaign(*args, **kwargs):
 
 
 def cmd_simulate(args) -> int:
-    from .sim import ConfigError, campaign_from_config, scenario_to_dict
+    from .sim import ConfigError, TooManyReplicates, campaign_from_config, scenario_to_dict
 
     try:
         with _open_input(args.config) as handle:
@@ -591,6 +591,8 @@ def cmd_simulate(args) -> int:
         )
     except ConfigError as exc:
         raise CliInputError(str(exc)) from None
+    except TooManyReplicates as exc:
+        _usage_error(f"--reps {args.reps} is too large: {exc}")
     described = [scenario_to_dict(s) for s in scenarios]
     labels = [f"{scenario['kind']}-{index}" for index, scenario in enumerate(described)]
     rates = ["fdr", "se_fdr", "power", "se_power", "fwer", "se_fwer", "pfer", "se_pfer"]

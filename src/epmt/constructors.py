@@ -22,6 +22,8 @@ from scipy import special
 
 from .core import MalformedValue
 
+_FLOAT_MAX = np.finfo(float).max
+
 
 @dataclass(frozen=True)
 class PermutationStatistics:
@@ -117,6 +119,9 @@ class ModeratedTModel:
             raise MalformedValue("df_prior must be positive (+inf allowed)")
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise MalformedValue("gamma must be finite and >= 0")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.gamma / np.asarray(self.var_factor, dtype=float)).all():
+                raise MalformedValue("gamma / var_factor must be finite")
 
 
 def moderated_t(beta_hat, s_sq, model: ModeratedTModel):
@@ -138,7 +143,11 @@ def moderated_t(beta_hat, s_sq, model: ModeratedTModel):
         s2_post = np.broadcast_to(model.s2_prior, s_sq.shape)
     else:
         df = np.asarray(model.df, dtype=float)
-        s2_post = (model.df_prior * model.s2_prior + df * s_sq) / (model.df_prior + df)
+        with np.errstate(over="ignore"):
+            s2_post = (model.df_prior * model.s2_prior + df * s_sq) / (model.df_prior + df)
+            # where the numerator overflows, the same weighted mean of finite terms
+            weight = df / (model.df_prior + df)
+            s2_post = np.where(np.isinf(s2_post), (1.0 - weight) * model.s2_prior + weight * s_sq, s2_post)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # a zero beta_hat over a scale that underflowed to 0 is 0/0
         return np.where(beta_hat == 0.0, beta_hat, beta_hat / np.sqrt(s2_post * model.var_factor))
@@ -243,10 +252,15 @@ def fit_limma_hyperparameters(s_sq, df) -> tuple[float, float]:
     # index is one per hypothesis, so each mean below is over all of them
     levels, level_of = np.unique(df / 2.0, return_inverse=True)
     level_of = np.broadcast_to(level_of.reshape(df.shape), s_sq.shape)
-    centered = np.log(s_sq) - special.digamma(levels)[level_of] + np.log(df / 2.0)
-    center_mean = float(centered.mean())
-    # trigamma is zeta(2, .), as scipy's polygamma(1, .) computes it
-    excess = float(centered.var(ddof=1)) - float(special.zeta(2.0, levels)[level_of].mean())
+    # below a df of about 1e-154, trigamma(df / 2) and the moments overflow
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        centered = np.log(s_sq) - special.digamma(levels)[level_of] + np.log(df / 2.0)
+        center_mean = float(centered.mean())
+        # trigamma is zeta(2, .), as scipy's polygamma(1, .) computes it
+        excess = float(centered.var(ddof=1)) - float(special.zeta(2.0, levels)[level_of].mean())
+    # digamma(y) < log(y), so s2_prior < exp(center_mean) below
+    if not (math.isfinite(excess) and center_mean < math.log(_FLOAT_MAX)):
+        raise MalformedValue("cannot fit a variance prior: its moments or scale leave the float range")
     if excess <= 0.0:
         return math.inf, math.exp(center_mean)
     half_df = _trigamma_inverse(excess)
@@ -292,24 +306,28 @@ def fit_gamma(t_tilde, model: ModeratedTModel) -> float:
     return best_gamma
 
 
+# a g = gamma / v past the float range is capped, and a d whose d log(1 + g)
+# overflows, inf - inf in the bracket below, scores as its Gaussian limit
+@np.errstate(over="ignore", invalid="ignore")
 def _gamma_scores(t_tilde, model: ModeratedTModel) -> np.ndarray:
     """fit_gamma's score at each point of GAMMA_GRID, in grid order,
     scored in slabs as fit_gamma describes."""
     t = np.atleast_1d(np.asarray(t_tilde, dtype=float))
     var_factor = np.asarray(model.var_factor, dtype=float)
     gaussian = math.isinf(model.df_prior)
-    with np.errstate(over="ignore"):
-        if gaussian:
-            half_tsq = t * t / 2.0
-        else:
-            d = model.df_prior + np.asarray(model.df, dtype=float)
-            half_d, half_d1 = d / 2.0, (d + 1.0) / 2.0
-            # w = d / (d + t^2): 1 at t = 0, exactly 0 at t = +-inf
-            w = 1.0 / (1.0 + t * t / d)
+    if gaussian:
+        half_tsq = t * t / 2.0
+    else:
+        d = model.df_prior + np.asarray(model.df, dtype=float)
+        half_d, half_d1 = d / 2.0, (d + 1.0) / 2.0
+        # w = d / (d + t^2): 1 at t = 0, exactly 0 at t = +-inf
+        w = 1.0 / (1.0 + t * t / d)
+        # log(1 + g) <= log(_FLOAT_MAX), so only a d past about 5e305 overflows
+        huge = half_d1 * math.log(_FLOAT_MAX) == math.inf
     sums = np.empty(GAMMA_GRID.size)
     points = max(1, _SLAB_ELEMENTS // max(t.size, 1))
     for lo in range(0, GAMMA_GRID.size, points):
-        g = GAMMA_GRID[lo : lo + points, None] / var_factor
+        g = np.minimum(GAMMA_GRID[lo : lo + points, None] / var_factor, _FLOAT_MAX)
         if gaussian:
             log_e = g / (1.0 + g) * half_tsq
             log_e -= 0.5 * np.log1p(g)
@@ -319,6 +337,9 @@ def _gamma_scores(t_tilde, model: ModeratedTModel) -> np.ndarray:
             log_e = np.log1p(g * w)
             log_e *= half_d1
             np.subtract(half_d * np.log1p(g), log_e, out=log_e)
+            if np.any(huge):
+                # there t^2 / d is below 1e-16 or e overflows either way
+                log_e = np.where(huge, g / (1.0 + g) * (t * t / 2.0) - 0.5 * np.log1p(g), log_e)
         # log(1 + e) = max(log e, 0) + log1p(exp(-|log e|)), in place; not
         # np.logaddexp, whose scalar libm loop is slower than these passes
         tail = np.abs(log_e)

@@ -1,5 +1,4 @@
-"""Input validation, rejection results, error accounting, and pool_map,
-the one process pool, on which the campaign harness runs its batches.
+"""Input validation, rejection results and error accounting.
 
 p-values live in [0, 1]; e-values live in [0, +inf] with infinity allowed
 and meaningful (conclusive evidence). NaN is rejected everywhere.
@@ -7,8 +6,6 @@ and meaningful (conclusive evidence). NaN is rejected everywhere.
 
 from __future__ import annotations
 
-import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,75 +126,3 @@ class ErrorMetrics:
     se_fwer: float
     se_pfer: float
     replicates: int
-
-
-def pool_map(fn, items, workers: int):
-    """fn(item) for each item, in item order, as an iterator.
-
-    sim.run_campaign is the one caller. With workers > 1, where the
-    platform can fork, the items run on that many forked processes, every
-    one forked before this returns. A forked worker inherits fn and what
-    it closes over, so only items and results are pickled, and imports
-    nothing again: two workers on a one-replicate campaign took 0.02 s
-    forked and 0.6 s spawned on a 2-CPU Xeon. The pool forks before it
-    starts a thread, and the command line starts no OpenBLAS threads (see
-    __main__). A worker's warnings are issued again here, in item order,
-    those of an item that raised before its exception. Otherwise, as on
-    Windows, this is map(fn, items).
-    """
-    if workers > 1:
-        # loaded only here: a serial run never loads the pool modules
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            results = _pooled(fn, items, workers, multiprocessing.get_context("fork"))
-            next(results)
-            return results
-    return map(fn, items)
-
-
-def _pooled(fn, items, workers: int, context):
-    """Yields once every item is submitted, then pool_map's results."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, mp_context=context, initializer=_set_task, initargs=(fn,)) as pool:
-        results = pool.map(_run_task, items)
-        yield
-        # one registry for every item: a warning shown once per location is
-        # shown once, as in a serial run, not once per worker; the module
-        # name lets a filter that names one match as it did there
-        registry = {}
-        modules = {getattr(module, "__file__", None): name for name, module in list(sys.modules.items())}
-        for result, raised, caught in results:
-            for message, filename, lineno in caught:
-                warnings.warn_explicit(message, type(message), filename, lineno, modules.get(filename), registry)
-            if raised is not None:
-                raise raised
-            yield result
-
-
-# The function a pool worker runs, set once per worker process by _set_task.
-_task = None
-
-
-def _set_task(fn):
-    global _task
-    _task = fn
-
-
-def _run_task(item):
-    """(result, exception, warnings) of _task(item) in a pool worker.
-
-    The exception is the one the task raised, else None. The warnings are
-    recorded under the worker's filters, which are the caller's (an error
-    filter still raises), as (message, filename, lineno), for the caller
-    to issue again, and to issue before it raises the task's exception,
-    as a serial run does.
-    """
-    result = raised = None
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            result = _task(item)
-        except Exception as exc:  # raised again by the caller
-            raised = exc
-    return result, raised, [(w.message, w.filename, w.lineno) for w in caught]

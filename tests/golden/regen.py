@@ -63,7 +63,8 @@ def _cases() -> dict:
     for config, reps in (("mixed", "12"), ("adversarial", "40"), ("warns", "6")):
         for parallelism in ("1", "2"):
             argv = ["simulate", "--config", f"{{golden}}/{config}.json", "--reps", reps, "--seed", "5"]
-            cases[f"simulate-{config}-par{parallelism}"] = ([*argv, "--parallelism", parallelism, "--out", "{out}/out.csv"], {})
+            argv += ["--parallelism", parallelism, "--out", "{out}/out.csv"]
+            cases[f"simulate-{config}-par{parallelism}"] = (argv, {})
     # many small blocks: the reader cuts the first rows at their commas and
     # hands the rest, from the first quote, to csv.reader, 7 rows a pass
     for name, argv in (
@@ -73,9 +74,10 @@ def _cases() -> dict:
         ("moderate", ["moderate", "--input", "{golden}/moderate_finite.csv"]),
     ):
         cases[f"blocks7-{name}"] = ([*argv, "--out", "{out}/out.csv"], {"_BLOCK_ROWS": 7, "_READ_CHARS": 100})
-    # refusals: reader, value, id and config errors (exit 2), flag values (exit 3);
+    # refusals: header, reader, value, id and config errors (exit 2), flag values (exit 3);
     # none prints argparse's usage, whose wrapping follows the terminal width
     for name, argv in (
+        ("header", ["adjust", "--input", "{golden}/bad_header.csv", "--procedure", "e-bh"]),
         ("fields", ["adjust", "--input", "{golden}/bad_fields.csv", "--procedure", "e-bh"]),
         ("value", ["adjust", "--input", "{golden}/bad_value.csv", "--procedure", "ep-bh"]),
         ("utf8", ["combine", "--input", "{golden}/bad_utf8.csv", "--mode", "quotient"]),

@@ -166,6 +166,25 @@ def test_moderated_t_zero_beta_hat_over_an_underflowed_scale_keeps_its_sign():
     np.testing.assert_array_equal(np.signbit(t), [False, True, False, True])
 
 
+def test_moderated_t_whose_numerator_overflows_keeps_the_other_rows_bits():
+    """df * s_sq past the float maximum leaves a finite posterior variance,
+    3/7 of 1e308 here: that row's t is about 9.7e-154, not 0, and every
+    other row keeps the bits it has alone."""
+    model = ModeratedTModel(0.1, 3.0, 4.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = moderated_t(np.array([1.0, 2.0, 3.0]), np.array([1.0, 1e308, 1.0]), model)
+    alone = moderated_t(np.array([1.0, 3.0]), np.array([1.0, 1.0]), model)
+    assert t[[0, 2]].tobytes() == alone.tobytes()
+    assert t[1] == pytest.approx(2.0 / math.sqrt((4.0 / 7.0 + 3.0 / 7.0 * 1e308) * 0.1), rel=1e-14)
+
+
+def test_model_refuses_a_gamma_over_var_factor_past_the_float_range():
+    with pytest.raises(MalformedValue, match="gamma / var_factor must be finite"):
+        ModeratedTModel(np.array([0.1, 1e-310]), 4.0, 4.0, 1.0, gamma=1.0)
+    ModeratedTModel(np.array([0.1, 1e-310]), 4.0, 4.0, 1.0, gamma=0.0)
+
+
 def test_moderated_t_evalue_at_zero():
     model = ModeratedTModel(1.0, 4.0, 4.0, 1.0, gamma=1.0)
     assert moderated_t_evalue(0.0, model) == pytest.approx(1.0 / np.sqrt(2.0))
@@ -406,6 +425,20 @@ def test_fit_limma_validation():
         fit_limma_hyperparameters([0.5, 0.5], 0.0)
 
 
+@pytest.mark.parametrize(
+    "df",
+    [[1e-300, 3.0, 3.0], [1e-300] * 3, [5e-324] * 3, [1e-3] * 3],
+    ids=["one-tiny", "all-tiny", "subnormal", "all-small"],
+)
+def test_fit_limma_refuses_a_df_whose_fit_leaves_the_float_range(df):
+    """trigamma(df / 2), the moments of the log variances or the fitted
+    scale overflow: MalformedValue, with no warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MalformedValue, match="cannot fit a variance prior"):
+            fit_limma_hyperparameters([1.0, 2.0, 1.0], df)
+
+
 # ---------------------------------------------------------------- gamma fit
 
 
@@ -602,6 +635,28 @@ def test_fit_gamma_with_one_huge_statistic_is_not_the_null_sentinel():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert fit_gamma(t, model) > 0.0
+
+
+def test_gamma_scores_past_the_float_range_are_their_limits():
+    """A d so large that d log(1 + g) overflows scores as the Gaussian limit
+    it equals to the last bits, beside rows of an ordinary d that score as
+    they do alone, and a subnormal v, whose g overflows, scores finite: no
+    warning on the way."""
+    rng = np.random.default_rng(1407)
+    t = rng.standard_t(41.64, 500)
+    t[:50] *= 3.0
+    df = np.where(np.arange(t.size) % 5 == 0, 1e308, 38.0)
+
+    def scores(t, df, df_prior=3.64, var_factor=0.1):
+        return _gamma_scores(t, ModeratedTModel(var_factor, df, df_prior, 0.0144, gamma=0.0))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mixed = scores(t, df)
+        huge, ordinary = scores(t[df > 38.0], 38.0, np.inf), scores(t[df == 38.0], 38.0)
+        tiny = scores(t, 38.0, var_factor=np.full(t.size, 1e-310))
+    np.testing.assert_allclose(mixed, huge + ordinary, rtol=1e-12)
+    assert np.isfinite(tiny).all()
 
 
 def test_gamma_grid_shape():

@@ -1,6 +1,4 @@
-"""Tests for validation, rejection results, error accounting and the pool."""
-
-import os
+"""Tests for validation, rejection results and error accounting."""
 
 import numpy as np
 import pytest
@@ -15,7 +13,6 @@ from epmt.core import (
     as_pair,
     as_pvector,
     fdp_and_power,
-    pool_map,
 )
 
 
@@ -162,13 +159,3 @@ def test_error_metrics_is_frozen():
     with pytest.raises(AttributeError):
         m.fdr = 0.2
 
-
-def test_pool_map_runs_a_closure_over_a_large_list_in_item_order():
-    """Two forked workers run a lambda, which cannot be pickled, over 10^6
-    items it closes over: only the item indices and results cross."""
-    data = list(range(1_000_000))
-    fn = lambda lo: (os.getpid(), sum(data[lo : lo + 100_000]))  # noqa: E731
-    pooled = list(pool_map(fn, range(0, len(data), 100_000), 2))
-    assert [total for _, total in pooled] == [total for _, total in map(fn, range(0, len(data), 100_000))]
-    if hasattr(os, "fork"):
-        assert os.getpid() not in {pid for pid, _ in pooled}

@@ -8,9 +8,9 @@ scipy to `simulate` and `moderate`, the subcommands that use it, and it
 does (tests/test_cli.py checks a fresh import). Public functions validate
 and compute in one place, so no module has a private `_name` twin beside
 one. Every public method of a public class is read somewhere in the
-package, so no member serves only the tests. Only core imports
-multiprocessing or concurrent.futures: its pool_map is the one process
-pool, and decides how workers start.
+package, so no member serves only the tests. Only sim imports
+multiprocessing or concurrent.futures: the campaign harness owns the one
+process pool, and decides how workers start.
 """
 
 import ast
@@ -56,15 +56,15 @@ def test_numpy_only_layers_import_no_scipy_constructors_or_sim():
 POOL_MODULES = ("multiprocessing", "concurrent.futures")
 
 
-def test_only_core_imports_the_process_pool_modules(tmp_path):
-    """core.pool_map alone starts worker processes, so one module decides
-    how they start."""
+def test_only_sim_imports_the_process_pool_modules(tmp_path):
+    """sim's campaign pool alone starts worker processes, so one module
+    decides how they start."""
     # the scan sees a pool import, also one deferred into a function
     planted = tmp_path / "planted.py"
     planted.write_text("def f():\n    from concurrent import futures\n    import multiprocessing.context\n")
     assert imports_under(planted, POOL_MODULES) == ["concurrent.futures", "multiprocessing.context"]
     importers = [path.name for path in sorted(PACKAGE.glob("*.py")) if imports_under(path, POOL_MODULES)]
-    assert importers == ["core.py"]
+    assert importers == ["sim.py"]
 
 
 def defined_names(source: str) -> set:

@@ -7,6 +7,7 @@ positions. Runs are derandomized: every run checks the
 same examples.
 """
 
+import contextlib
 import csv
 import io
 import tempfile
@@ -456,3 +457,76 @@ def test_scalar_call_returns_the_vector_bits(p, e, lam, weight):
             vector = call(np.array([p]), np.array([e]))
             assert type(scalar) is float, name
             assert vector.shape == (1,) and _bits(scalar) == _bits(vector), name
+
+
+def _strict_main(argv) -> tuple:
+    """(exit code, stderr) of cli.main(argv), in process, every warning an error."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    return code, stderr.getvalue()
+
+
+# 0, subnormals, the smallest normal, values near the float maximum and
+# inf, each where the command line accepts it, among ordinary values
+SMALL = [5e-324, 1e-310, np.finfo(float).tiny, 1e-300]
+LARGE = [1e300, 1e308, FLOAT_MAX]
+EXTREME_P = st.one_of(st.sampled_from([0.0, *SMALL, 1.0]), st.floats(0.0, 1.0))
+EXTREME_E = st.one_of(st.sampled_from([0.0, *SMALL, *LARGE, np.inf]), st.floats(0.0, FLOAT_MAX))
+EXTREME_POSITIVE = st.one_of(st.sampled_from([*SMALL, *LARGE]), st.floats(1e-3, 1e3))
+EXTREME_FINITE = st.one_of(st.sampled_from([0.0, -0.0, *SMALL, *LARGE, -FLOAT_MAX]), st.floats(-1e3, 1e3))
+
+
+def _assert_quiet_on(make_argv, header: str, rows):
+    """Each argv that make_argv(input, out) lists exits 0 or 2 on the rows,
+    warning nothing."""
+    with tempfile.TemporaryDirectory() as work:
+        source, out = Path(work) / "in.csv", str(Path(work) / "out.csv")
+        lines = (f"r{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(rows))
+        source.write_text(header + "\n" + "".join(lines))
+        for argv in make_argv(str(source), out):
+            code, stderr = _strict_main(argv)
+            assert code in (0, 2) and "warning:" not in stderr, (argv, code, stderr)
+
+
+# two rows at least: on one, adaptive e-BH warns of its documented fallback
+@settings(FIXED, max_examples=30)
+@given(st.lists(st.tuples(EXTREME_P, EXTREME_E), min_size=2, max_size=8), st.sampled_from(["sqrt", "kappa:0.001"]))
+@example([(5e-324, 2.0), (0.5, 1.0)], "kappa:0.001")
+def test_adjust_on_extreme_values_warns_nothing(rows, calibrator):
+    """Every procedure, with and without --lambda-shift, on p-values from 0
+    through subnormals to 1 and e-values from 0 to the float maximum and inf."""
+
+    def argvs(source, out):
+        for name in sorted(REGISTRY):
+            argv = ["adjust", "--input", source, "--procedure", name, "--calibrator", calibrator, "--out", out]
+            yield argv
+            yield [*argv, "--lambda-shift", "0.3"]
+
+    _assert_quiet_on(argvs, "id,p,e", rows)
+
+
+@settings(FIXED, max_examples=40)
+@given(st.lists(st.tuples(EXTREME_P, EXTREME_E), min_size=1, max_size=8))
+@example([(5e-324, 2.0), (0.5, 1.0)])
+def test_combine_on_extreme_values_warns_nothing(rows):
+    """All four combiners, with the sqrt calibrator and with kappa 0.001,
+    whose power of a subnormal p overflows to inf, its value."""
+
+    def argvs(source, out):
+        for mode in ("quotient", "product", "mean", "bonferroni"):
+            for calibrator in ("sqrt", "kappa:0.001"):
+                yield ["combine", "--input", source, "--mode", mode, "--calibrator", calibrator, "--out", out]
+
+    _assert_quiet_on(argvs, "id,p,e", rows)
+
+
+@settings(FIXED, max_examples=100)
+@given(st.lists(st.tuples(EXTREME_FINITE, EXTREME_POSITIVE, EXTREME_POSITIVE, EXTREME_POSITIVE), min_size=1, max_size=6))
+@example([(1.0, 1.0, 0.1, 3.0), (2.0, 1e308, 0.1, 3.0), (3.0, 1.0, 0.1, 3.0)])
+@example([(1.0, 1.0, 0.1, 1e-300), (2.0, 2.0, 0.1, 3.0), (3.0, 1.0, 0.1, 3.0)])
+def test_moderate_on_extreme_values_warns_nothing(rows):
+    """beta_hat from 0 to the float maximum of either sign, and s_sq, v and
+    nu from the smallest subnormal to the float maximum."""
+    _assert_quiet_on(lambda source, out: [["moderate", "--input", source, "--out", out]], "id,beta_hat,s_sq,v,nu", rows)

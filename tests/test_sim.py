@@ -3,6 +3,7 @@
 import concurrent.futures
 import csv
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -584,6 +585,80 @@ def test_run_campaign_starts_no_worker_beyond_the_tasks(monkeypatch, replicates,
     assert RecordingPool.start_methods == ["fork"] * len(workers)
     serial = run_campaign([scn], specs, replicates=replicates, master_seed=4)
     np.testing.assert_array_equal(pooled.replicate_stats[(0, "e-bh")], serial.replicate_stats[(0, "e-bh")])
+
+
+def test_pool_map_runs_a_closure_over_a_large_list_in_item_order():
+    """Two forked workers run a lambda, which cannot be pickled, over 10^6
+    items it closes over: only the item indices and results cross."""
+    data = list(range(1_000_000))
+    fn = lambda lo: (os.getpid(), sum(data[lo : lo + 100_000]))  # noqa: E731
+    pooled = sim._pool_map(fn, range(0, len(data), 100_000), 2)
+    assert [total for _, total in pooled] == [total for _, total in map(fn, range(0, len(data), 100_000))]
+    if hasattr(os, "fork"):
+        assert os.getpid() not in {pid for pid, _ in pooled}
+
+
+# replicate counts whose (scenarios, replicates, procedures, 4) block of
+# float64 exceeds numpy's index range, so no test depends on the operating
+# system refusing an allocation: past the largest dimension, and 2**60 rows
+# of 32 bytes and more
+OVERSIZED_REPS = [99999999999999999999, 2**60]
+# n_hypotheses past the index range: past the largest dimension, and 2**61
+# float64, which no scenario's array holds
+OVERSIZED_HYPOTHESES = [
+    {"kind": "adversarial", "n_hypotheses": 10**23},
+    {"kind": "ttest", "n_hypotheses": 2**61},
+    {"kind": "microarray", "n_hypotheses": 2**61},
+]
+
+
+@pytest.mark.parametrize("replicates", OVERSIZED_REPS)
+def test_run_campaign_refuses_replicates_it_cannot_hold_before_any_task(monkeypatch, replicates):
+    monkeypatch.setattr(sim, "_pool_map", None, raising=False)  # a task would call it
+    with pytest.raises(sim.TooManyReplicates):
+        run_campaign([AdversarialScenario()], [ProcedureSpec("e-bh")], replicates=replicates, parallelism=2)
+
+
+@pytest.mark.parametrize("scenario", OVERSIZED_HYPOTHESES, ids=lambda s: s["kind"])
+def test_run_campaign_refuses_n_hypotheses_past_the_index_range_before_any_task(monkeypatch, scenario):
+    monkeypatch.setattr(sim, "_pool_map", None, raising=False)
+    with pytest.raises(ConfigError, match=f"^scenario {scenario['kind']}-1: n_hypotheses {scenario['n_hypotheses']} "):
+        run_campaign([AdversarialScenario(), scenario_from_dict(scenario)], [ProcedureSpec("e-bh")], replicates=2)
+
+
+def test_run_campaign_names_the_scenario_whose_draws_memory_cannot_hold(monkeypatch):
+    """numpy's MemoryError in a replicate is a refused draw, as a kernel's
+    refusal is: it names the scenario and replicate."""
+
+    def refuse(scenario, rng):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(sim, "generate_adversarial_replicate", refuse)
+    with pytest.raises(ConfigError, match="^scenario adversarial-0 replicate 0: Unable to allocate 7.28 TiB$"):
+        run_campaign([AdversarialScenario()], [ProcedureSpec("e-bh")], replicates=2)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize(
+    "reps,scenario,code,start",
+    [
+        *((str(n), {"kind": "ttest", "n_hypotheses": 50}, 3, f"error: --reps {n} is too large: ") for n in OVERSIZED_REPS),
+        *(("2", s, 2, f"error: scenario {s['kind']}-0: n_hypotheses {s['n_hypotheses']} ") for s in OVERSIZED_HYPOTHESES),
+    ],
+    ids=["reps-dimension", "reps-bytes", "adversarial-n", "ttest-n", "microarray-n"],
+)
+def test_simulate_refuses_oversized_sizes_in_one_line(tmp_path, reps, scenario, code, start, parallelism):
+    """An oversized --reps exits 3 naming the flag, an oversized
+    n_hypotheses exits 2 naming the scenario: one error line, no traceback
+    and no output."""
+    config = tmp_path / "big.json"
+    procedures = ["e-bh"] if scenario["kind"] == "adversarial" else ["p-bh", "ep-bh"]
+    config.write_text(json.dumps({"scenarios": [scenario], "procedures": procedures}))
+    argv = ["simulate", "--config", str(config), "--reps", reps, "--parallelism", str(parallelism)]
+    got, stderr = run_python("-m", "epmt", *argv, "--out", str(tmp_path / "big.csv"))
+    assert (got, len(stderr.splitlines())) == (code, 1), stderr
+    assert stderr.startswith(start), stderr
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_run_campaign_validation():
