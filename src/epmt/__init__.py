@@ -13,12 +13,17 @@ The package covers four layers:
   permutation statistics, moderated t, chi-square likelihood ratios) and
   simulation scenarios with a seeded, parallel replication driver.
 
+The `epmt` command is `cli`, argument parsing and the subcommands, over
+`table`, its CSV reader and writer; neither is a layer of the library.
+
 Importing the package loads no layer, and so no numpy: each layer, and
 every name in `__all__`, resolves on first access, a name from the first
 layer that holds it, and then stays in the module namespace. `python -m
 epmt` and the `epmt` script can thus cap numpy's threads (see `__main__`)
-before numpy loads. `constructors` and `sim` import scipy, which `adjust`
-and `combine` never need.
+before numpy loads. `cli` imports only the standard library, and each
+subcommand loads the layers it runs, so `epmt --version`, `--help` and
+usage errors load no numpy at all. `constructors` and `sim` import scipy,
+which `adjust` and `combine` never need.
 """
 
 _LAYERS = ("core", "calib", "procedures", "constructors", "sim")

@@ -9,7 +9,7 @@ import os
 # value the user set still wins. Importing epmt as a library sets nothing.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .cli import entry  # noqa: E402  (numpy loads here, after the cap)
+from .cli import entry  # noqa: E402  (numpy loads later, inside a subcommand)
 
 if __name__ == "__main__":
     entry()

@@ -10,9 +10,9 @@ case, with its reason, in CHANGES.md.
 
 Each case runs in process through cli.main, with stderr captured and the
 warning filters reset to "default", so a warning prints once, as it does
-from a fresh `python -m epmt`. A case may lower cli._BLOCK_ROWS, which
+from a fresh `python -m epmt`. A case may lower table._BLOCK_ROWS, which
 sets the rows per block of both the reader's csv path and the writer,
-and cli._READ_CHARS, the characters per block the reader cuts at commas.
+and table._READ_CHARS, the characters per block the reader cuts at commas.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from unittest import mock
 import numpy
 import scipy
 
-from epmt import cli
+from epmt import cli, table
 from epmt.procedures import REGISTRY
 
 HERE = Path(__file__).resolve().parent
@@ -39,7 +39,7 @@ EXPECTED = HERE / "expected.json"
 
 
 def _cases() -> dict:
-    """name -> (argv, cli attributes to patch); {golden} in an argument is
+    """name -> (argv, table attributes to patch); {golden} in an argument is
     this folder, {out} the case's own empty output folder."""
     cases = {}
     for source in ("mixed", "filled"):
@@ -74,7 +74,8 @@ def _cases() -> dict:
         ("moderate", ["moderate", "--input", "{golden}/moderate_finite.csv"]),
     ):
         cases[f"blocks7-{name}"] = ([*argv, "--out", "{out}/out.csv"], {"_BLOCK_ROWS": 7, "_READ_CHARS": 100})
-    # refusals: header, reader, value, id and config errors (exit 2), flag values (exit 3);
+    # refusals: header, reader, value, id and config errors (exit 2), flag values (exit 3),
+    # a header cell over csv's field size limit and two scenario values out of range (exit 2);
     # none prints argparse's usage, whose wrapping follows the terminal width
     for name, argv in (
         ("header", ["adjust", "--input", "{golden}/bad_header.csv", "--procedure", "e-bh"]),
@@ -86,6 +87,9 @@ def _cases() -> dict:
         ("reps", ["simulate", "--config", "{golden}/mixed.json", "--reps", "0"]),
         ("calibrator", ["combine", "--input", "{golden}/filled.csv", "--mode", "product", "--calibrator", "kappa:2"]),
         ("lambda", ["adjust", "--input", "{golden}/filled.csv", "--procedure", "ep-bh", "--lambda-shift", "1.5"]),
+        ("long-header", ["adjust", "--input", "{golden}/long_header.csv", "--procedure", "e-bh"]),
+        ("effect-var", ["simulate", "--config", "{golden}/bad_effect_var.json", "--reps", "2"]),
+        ("n-hypotheses", ["simulate", "--config", "{golden}/bad_n_hypotheses.json", "--reps", "2"]),
     ):
         cases[f"refuse-{name}"] = ([*argv, "--out", "{out}/out.csv"], {})
     return cases
@@ -115,7 +119,7 @@ def run_case(name: str, out_dir: Path) -> dict:
         warnings.resetwarnings()
         warnings.simplefilter("default")
         for attribute, value in patches.items():
-            stack.enter_context(mock.patch.object(cli, attribute, value))
+            stack.enter_context(mock.patch.object(table, attribute, value))
         code = cli.main([arg.format(golden=HERE, out=out_dir) for arg in argv])
     outputs = {path.name: sha256(path) for path in sorted(out_dir.iterdir())}
     return {"argv": argv, "patches": patches, "exit": code, "stderr": stderr.getvalue(), "outputs": outputs}

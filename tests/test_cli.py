@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from epmt import cli
+from epmt import cli, table
 from epmt.calib import sqrt_calibrator
 from epmt.constructors import fit_moderated_model, moderated_t_evalue, moderated_t_pvalue
 from epmt.procedures import SingleHypothesis, ep_bh, ep_storey
@@ -281,6 +281,36 @@ def test_output_that_cannot_be_opened_exits_2_naming_it(tmp_path, capsys, comman
     (tmp_path / blocked).mkdir()
     assert cli.main(out_argv(command, write(tmp_path / "in", text), tmp_path / "out.csv")) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / blocked}: [Errno ")
+    # refused before the work, so neither output is left half written
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(["in", blocked])
+
+
+def open_refusal(path) -> str:
+    """What open says when asked to write path."""
+    with pytest.raises(OSError) as raised:
+        open(path, "w")
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("command, out, blocked", [
+    ("simulate", "outdir", "outdir"), ("adjust", "o7.csv", "o7.json"), ("moderate", "o7", "o7.json"),
+    ("simulate", "o7.csv", "o7.manifest.json"), ("combine", "outdir", "outdir"),
+])
+def test_out_or_its_summary_being_a_directory_exits_2_before_reading(tmp_path, capsys, command, out, blocked):
+    """--out, or the summary path beside it, being a directory is refused
+    with open's own words before the input is read (here it does not
+    exist) or a campaign runs, so nothing is written."""
+    (tmp_path / blocked).mkdir()
+    assert cli.main(out_argv(command, tmp_path / "missing", tmp_path / out)) == 2
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path / blocked}: {open_refusal(tmp_path / blocked)}\n"
+    assert [path.name for path in tmp_path.iterdir()] == [blocked]
+
+
+def test_combine_writes_beside_a_directory_named_like_a_summary(tmp_path):
+    """combine writes no summary, so a directory at <stem>.json is no obstacle."""
+    (tmp_path / "o.json").mkdir()
+    assert cli.main(out_argv("combine", write(tmp_path / "in", HYP), tmp_path / "o.csv")) == 0
+    assert len(read_rows(tmp_path / "o.csv")) == 5
 
 
 @pytest.mark.parametrize("rows", [1, 2000], ids=["first-chunk", "past-first-chunk"])
@@ -346,7 +376,7 @@ PLAIN_ROWS = "".join(f"g{i},0.0{i % 9 + 1},2\n" for i in range(20))
 
 def adjust_ids(tmp_path, monkeypatch, body, read_chars):
     """The ids `adjust` writes for an id,p,e body read read_chars at a time."""
-    monkeypatch.setattr(cli, "_READ_CHARS", read_chars)
+    monkeypatch.setattr(table, "_READ_CHARS", read_chars)
     inp = write(tmp_path / "in.csv", "id,p,e\n" + body)
     out = tmp_path / "out.csv"
     assert cli.main(["adjust", "--input", inp, "--procedure", "ep-bh", "--out", str(out)]) == 0
@@ -368,7 +398,7 @@ def test_quoted_line_feed_across_a_block_edge_reads_back_intact(tmp_path, monkey
 
 
 def test_field_count_after_a_quote_names_physical_line(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_READ_CHARS", 64)
+    monkeypatch.setattr(table, "_READ_CHARS", 64)
     # rows on lines 2-21, the quoted id on lines 22-23, the short row on 25
     body = PLAIN_ROWS + '"split\nid",0.5,1\nh0,0.5,1\nh1,0.5\n'
     inp = write(tmp_path / "in.csv", "id,p,e\n" + body)
@@ -382,7 +412,7 @@ def test_non_utf8_byte_is_named_before_a_row_error_found_first(tmp_path, monkeyp
     """The reader stops at a short row or an oversized cell on line 22,
     before it has decoded a byte tens of KiB further on that is not UTF-8,
     and still names the byte."""
-    monkeypatch.setattr(cli, "_READ_CHARS", 64)
+    monkeypatch.setattr(table, "_READ_CHARS", 64)
     filler = (PLAIN_ROWS * 100).replace("g", "h")
     inp = tmp_path / "in.csv"
     inp.write_bytes(f"id,p,e\n{PLAIN_ROWS}{row}{filler}".encode() + b"g\xff,0.2,1\n")
@@ -423,7 +453,7 @@ def test_non_utf8_byte_is_named_wherever_the_reads_split_the_file(tmp_path, monk
     decode of the whole file names, whatever straddles a read boundary."""
     data, line, byte = ACROSS_READS[case]
     assert whole_file_error(data) == f"line {line}: byte 0x{byte:02x} is not valid UTF-8"
-    monkeypatch.setattr(cli, "_READ_CHARS", 16)
+    monkeypatch.setattr(table, "_READ_CHARS", 16)
     inp = tmp_path / "in.csv"
     inp.write_bytes(data)
     code = cli.main(["adjust", "--input", str(inp), "--procedure", "p-bh", "--out", str(tmp_path / "o.csv")])
@@ -441,13 +471,13 @@ def test_non_utf8_byte_search_agrees_with_a_whole_file_decode(tmp_path, monkeypa
     for _ in range(500):
         data = b"".join(rng.choice(pieces, size=rng.integers(0, 60), p=weights / weights.sum()))
         path.write_bytes(data)
-        monkeypatch.setattr(cli, "_READ_CHARS", int(rng.integers(1, 10)))
+        monkeypatch.setattr(table, "_READ_CHARS", int(rng.integers(1, 10)))
         expected = whole_file_error(data)
         if expected is None:
-            assert cli._fail_undecodable(str(path)) is None
+            assert table._fail_undecodable(str(path)) is None
         else:
             with pytest.raises(cli.CliInputError) as raised:
-                cli._fail_undecodable(str(path))
+                table._fail_undecodable(str(path))
             assert str(raised.value) == expected
 
 
@@ -975,7 +1005,7 @@ def test_writer_in_dev_mode_writes_the_in_process_bytes(tmp_path):
     epmt`, warns nothing and has the bytes of the writer called in process.
     e-bh writes its e column twice, as e and adjusted, and leaves the
     empty p cells empty."""
-    rows = 7 * cli._BLOCK_ROWS + 5
+    rows = 7 * table._BLOCK_ROWS + 5
     rng = np.random.default_rng(1016)
     p, e = rng.random(rows).tolist(), rng.exponential(size=rows).tolist()
     ids = [{3: f'"a,""b""\nc{i}"', 4: f"ü{i}"}.get(i % 97, f"h{i}") for i in range(rows)]
@@ -1087,11 +1117,47 @@ def test_cli_import_loads_no_scipy_stats_or_optimize():
     assert run_fresh(every_name) == "True\nTrue\n[] []\n[]\n"
 
 
+# numpy, and every module of the package but the command line's own
+NOT_AT_START = (
+    "import sys; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'"
+    " or m.startswith('epmt.') and m not in ('epmt.cli', 'epmt.__main__')))"
+)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["adjust", "--input", "in.csv", "--procedure", "bh", "--out", "o.csv"], 3),
+    (["simulate", "--config", "c.json", "--reps", "0", "--out", "o.csv"], 3),
+], ids=["version", "help", "bad-procedure", "reps-0"])
+def test_version_help_and_usage_errors_load_no_numpy_or_layer(argv, code):
+    """`python -m epmt` answers these from argparse alone: it loads neither
+    numpy nor any layer, nor the CSV layer."""
+    run = (
+        f"import runpy, sys; sys.argv = ['epmt', *{argv!r}]\n"
+        "try:\n    runpy.run_module('epmt', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n    print(exc.code)\n"
+    )
+    assert run_fresh(run + NOT_AT_START).splitlines()[-2:] == [str(code), "[]"]
+
+
+def test_procedure_choices_are_the_registry():
+    """The parser lists the procedures without loading `procedures`, so
+    its literal list must be the registry's names, sorted."""
+    from epmt.procedures import REGISTRY
+
+    (subcommands,) = [action for action in cli.build_parser()._actions if action.dest == "command"]
+    adjust = subcommands.choices["adjust"]
+    (procedure,) = [action for action in adjust._actions if action.dest == "procedure"]
+    assert list(procedure.choices) == sorted(REGISTRY)
+    assert "{" + ",".join(sorted(REGISTRY)) + "}" in adjust.format_usage()
+
+
 def test_adjust_on_nine_blocks_loads_no_process_pool_module(tmp_path):
     """The writer formats every block in process: a fresh `adjust` on a
     file of nine blocks imports neither multiprocessing nor the process
     pool."""
-    rows = 9 * cli._BLOCK_ROWS
+    rows = 9 * table._BLOCK_ROWS
     p = np.random.default_rng(9).random(rows).tolist()
     inp = write(tmp_path / "in.csv", "id,p,e\n" + "".join(f"h{i},{p[i]!r},2\n" for i in range(rows)))
     code = (
@@ -1141,12 +1207,14 @@ def test_importing_the_script_module_caps_threads_without_running_the_command():
     assert run_fresh(code) == "1 True\n"
 
 
-def test_installed_script_caps_openblas_before_numpy_loads():
+def test_installed_script_caps_openblas_before_numpy_loads(tmp_path):
     """The `epmt` script of pyproject.toml names a function whose module
-    sets OPENBLAS_NUM_THREADS before numpy is first imported."""
+    sets OPENBLAS_NUM_THREADS before numpy is first imported: here by
+    `adjust`, which loads numpy and then finds no input file."""
     tomllib = pytest.importorskip("tomllib")
     pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
     module, _, function = pyproject["project"]["scripts"]["epmt"].partition(":")
+    argv = ["epmt", "adjust", "--input", str(tmp_path / "in.csv"), "--procedure", "p-bh", "--out", str(tmp_path / "o.csv")]
     code = (
         "import importlib, os, sys\n"
         "seen = []\n"
@@ -1156,9 +1224,11 @@ def test_installed_script_caps_openblas_before_numpy_loads():
         "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
         "sys.meta_path.insert(0, Spy())\n"
         f"entry = getattr(importlib.import_module({module!r}), {function!r})\n"
-        "print(seen, callable(entry))"
+        f"sys.argv = {argv!r}\n"
+        "try:\n    entry()\nexcept SystemExit as exc:\n    print(seen, exc.code)"
     )
-    assert run_fresh(code) == "['1'] True\n"
+    assert run_fresh(code) == "['1'] 2\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_help_exits_zero(capsys):

@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from epmt import cli
+from epmt import cli, table
 from epmt.calib import (
     calibrate_e_to_p,
     combine_bonferroni,
@@ -218,7 +218,7 @@ ID = st.text(st.one_of(st.sampled_from(',"\r\n'), st.characters(codec="utf-8")),
 
 def _written(path: Path, ids: list, values: list) -> bytes:
     flags = ["1" if v > 0.5 else "0" for v in values]
-    cli._write_csv(str(path), ["id", "value", "flag"], [ids, np.array(values), flags])
+    table._write_csv(str(path), ["id", "value", "flag"], [ids, np.array(values), flags])
     return path.read_bytes()
 
 
@@ -240,7 +240,7 @@ def test_csv_writer_matches_csv_module(rows):
             assert text == reference.getvalue().encode("utf-8")
         # blocks one row short of, equal to and one row past the whole file
         for block_rows in (len(cells) - 1, len(cells), len(cells) + 1):
-            with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+            with mock.patch.object(table, "_BLOCK_ROWS", block_rows):
                 assert _written(path, ids, values) == text
 
 
@@ -260,11 +260,11 @@ def test_csv_writer_formats_each_shared_array_once(rows, block_rows):
     header = ["id", "blanked", "value", "again", "flag"]
     with (
         tempfile.TemporaryDirectory() as work,
-        mock.patch.object(cli, "_BLOCK_ROWS", block_rows),
-        mock.patch.object(cli, "_float_cells", wraps=cli._float_cells) as formatted,
+        mock.patch.object(table, "_BLOCK_ROWS", block_rows),
+        mock.patch.object(table, "_float_cells", wraps=table._float_cells) as formatted,
     ):
         path = Path(work) / "out.csv"
-        cli._write_csv(str(path), header, columns)
+        table._write_csv(str(path), header, columns)
         written = path.read_bytes()
     # two distinct arrays, each formatted once in each block
     assert formatted.call_count == 2 * -(-len(rows) // block_rows)
@@ -275,7 +275,7 @@ def test_csv_writer_formats_each_shared_array_once(rows, block_rows):
 
 
 def _repr_cells(values) -> list:
-    """What cli._float_cells must return: repr's bytes, NaN as b''."""
+    """What table._float_cells must return: repr's bytes, NaN as b''."""
     return [b"" if v != v else repr(v).encode() for v in np.asarray(values, dtype=float).tolist()]
 
 
@@ -284,7 +284,7 @@ def _repr_cells(values) -> list:
 def test_float_kernel_writes_the_bytes_of_repr(values):
     """The float kernel writes repr's bytes for any float, subnormals,
     -0.0, inf and NaN (an empty cell) included."""
-    assert cli._float_cells(np.array(values, dtype=float)) == _repr_cells(values)
+    assert table._float_cells(np.array(values, dtype=float)) == _repr_cells(values)
 
 
 def _powers_and_neighbours() -> np.ndarray:
@@ -313,9 +313,9 @@ def test_float_kernel_matches_repr_on_powers_ties_and_random_bits():
     fixed = rng.integers(1023 - 14, 1023 + 54, 9 * 10**5, dtype=np.uint64) << np.uint64(52)
     bits[: fixed.size] = (bits[: fixed.size] & ~exponent) | fixed
     for values in (_powers_and_neighbours(), ties, bits.view(np.float64)):
-        for lo in range(0, values.size, cli._BLOCK_ROWS):
-            block = values[lo : lo + cli._BLOCK_ROWS]
-            assert cli._float_cells(block) == _repr_cells(block)
+        for lo in range(0, values.size, table._BLOCK_ROWS):
+            block = values[lo : lo + table._BLOCK_ROWS]
+            assert table._float_cells(block) == _repr_cells(block)
 
 
 def test_float_kernel_formats_common_values_without_repr():
@@ -324,16 +324,16 @@ def test_float_kernel_formats_common_values_without_repr():
     each power of two whose 15 digits do not read back."""
     rng = np.random.default_rng(8192)
     for values in (rng.uniform(1e-4, 1.0, 8192), np.exp(rng.normal(size=8192))):
-        with mock.patch.object(cli, "repr", wraps=repr, create=True) as fallback:
-            assert cli._float_cells(values) == _repr_cells(values)
+        with mock.patch.object(table, "repr", wraps=repr, create=True) as fallback:
+            assert table._float_cells(values) == _repr_cells(values)
         assert fallback.call_count == 0
     special = [0.0, -0.0, np.inf, -np.inf, 1e-5, 1e16, 5e-324]
-    with mock.patch.object(cli, "repr", wraps=repr, create=True) as fallback:
-        assert cli._float_cells(np.array([np.nan, 0.5, *special, 0.25])) == _repr_cells([np.nan, 0.5, *special, 0.25])
+    with mock.patch.object(table, "repr", wraps=repr, create=True) as fallback:
+        assert table._float_cells(np.array([np.nan, 0.5, *special, 0.25])) == _repr_cells([np.nan, 0.5, *special, 0.25])
     assert [call.args[0] for call in fallback.call_args_list] == special
     powers = 2.0 ** np.arange(-13, 54)  # every power of two repr writes in fixed notation
-    with mock.patch.object(cli, "repr", wraps=repr, create=True) as fallback:
-        cli._float_cells(powers)
+    with mock.patch.object(table, "repr", wraps=repr, create=True) as fallback:
+        table._float_cells(powers)
     assert [call.args[0] for call in fallback.call_args_list] == [2.0**50, 2.0**51, 2.0**52, 2.0**53]
 
 
@@ -384,7 +384,7 @@ def _csv_module_columns(path: Path) -> list:
     st.lists(st.tuples(LINE, ENDING), max_size=12),
     st.booleans(),
     st.one_of(st.integers(1, 16), st.just(1 << 20)),
-    st.sampled_from([1, 3, cli._BLOCK_ROWS]),
+    st.sampled_from([1, 3, table._BLOCK_ROWS]),
     st.sampled_from([4, csv.field_size_limit()]),
 )
 def test_csv_reader_matches_csv_module(lines, last_ended, read_chars, block_rows, field_limit):
@@ -402,9 +402,9 @@ def test_csv_reader_matches_csv_module(lines, last_ended, read_chars, block_rows
             with open(path, "w", newline="", encoding="utf-8") as handle:
                 handle.write(text)
             expected = _csv_module_columns(path)
-            with mock.patch.object(cli, "_READ_CHARS", read_chars), mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+            with mock.patch.object(table, "_READ_CHARS", read_chars), mock.patch.object(table, "_BLOCK_ROWS", block_rows):
                 try:
-                    got = cli._read_columns(str(path), ("id", "p", "e"))
+                    got = table._read_columns(str(path), ("id", "p", "e"))
                 except cli.CliInputError as exc:
                     got = str(exc)
     finally:
