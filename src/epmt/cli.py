@@ -65,7 +65,7 @@ def cmd_adjust(args) -> int:
 
     from .calib import BadCalibrator, BadLambda, shift_evalue
     from .procedures import ProcedureSpec
-    from .table import _fail, _flagged, _load_hypotheses, _write_csv, _write_json
+    from .table import _HYPOTHESES, _fail, _flagged, _load_table, _write_csv, _write_json
 
     try:
         spec = ProcedureSpec(
@@ -73,9 +73,9 @@ def cmd_adjust(args) -> int:
         )
     except (ValueError, KeyError, BadCalibrator) as exc:
         _usage_error(str(exc))
-    ids, p, e = _load_hypotheses(args.input)
+    ids, p, e = _load_table(args.input, _HYPOTHESES)
     if spec.needs_p:
-        _fail(args.input, [_flagged(np.isnan(p), f"procedure {spec.name} needs a p-value but the cell is empty")])
+        _fail(args.input, _flagged(np.isnan(p), f"procedure {spec.name} needs a p-value but the cell is empty"))
     if args.lambda_shift is not None:
         try:
             e = shift_evalue(e, args.lambda_shift)
@@ -200,7 +200,7 @@ def cmd_combine(args) -> int:
         combine_quotient,
         parse_calibrator,
     )
-    from .table import _fail, _flagged, _load_hypotheses, _write_csv
+    from .table import _HYPOTHESES, _fail, _flagged, _load_table, _write_csv
 
     if args.mode in ("product", "mean") and args.calibrator is None:
         _usage_error(f"--calibrator is required for mode {args.mode!r}")
@@ -210,8 +210,8 @@ def cmd_combine(args) -> int:
             calibrator = parse_calibrator(args.calibrator)
         except BadCalibrator as exc:
             _usage_error(str(exc))
-    ids, p, e = _load_hypotheses(args.input)
-    _fail(args.input, [_flagged(np.isnan(p), "combiners need a p-value but the cell is empty")])
+    ids, p, e = _load_table(args.input, _HYPOTHESES)
+    _fail(args.input, _flagged(np.isnan(p), "combiners need a p-value but the cell is empty"))
     if args.mode == "quotient":
         combined = combine_quotient(p, e)
     elif args.mode == "bonferroni":
@@ -227,32 +227,14 @@ def cmd_combine(args) -> int:
     return 0
 
 
-_MODERATE_COLUMNS = ("id", "beta_hat", "s_sq", "v", "nu")
-
-
 def cmd_moderate(args) -> int:
     import math
 
-    import numpy as np
-
     from .constructors import fit_moderated_model, moderated_t_evalue
     from .core import MalformedValue
-    from .table import _check_unique, _fail, _flagged, _parse_column, _read_columns, _write_csv, _write_json
+    from .table import _SUMMARIES, _load_table, _write_csv, _write_json
 
-    ids, *cells = _read_columns(args.input, _MODERATE_COLUMNS)
-    (beta_hat, beta_error), *positive = (
-        _parse_column(column, name) for column, name in zip(cells, _MODERATE_COLUMNS[1:])
-    )
-    _fail(
-        args.input,
-        [_flagged(~np.isfinite(beta_hat), "beta_hat must be finite") or beta_error]
-        + [
-            _flagged(~((values > 0) & (values < np.inf)), f"{name} must be positive and finite") or error
-            for name, (values, error) in zip(_MODERATE_COLUMNS[2:], positive)
-        ],
-    )
-    s_sq, v, nu = (values for values, _ in positive)
-    _check_unique(args.input, ids)
+    ids, beta_hat, s_sq, v, nu = _load_table(args.input, _SUMMARIES)
     try:
         model, t_tilde, p = fit_moderated_model(beta_hat, s_sq, v, nu)
     except MalformedValue as exc:

@@ -1,12 +1,13 @@
 """The CSV layer of the command line: reading, parsing and writing tables.
 
-Every subcommand reads its input with `_read_columns`, which returns the
-stripped cells of each column, and turns numeric columns into float64
-arrays with `_parse_column`; `_load_hypotheses` does both for an id,p,e
-file and checks its values and ids. Every error names the line it was
-found on and raises `cli.CliInputError` (exit 2). `_write_csv` writes
-equally long columns, str cells or float64 arrays, in blocks of
-`_BLOCK_ROWS` rows, and `_write_json` the summary beside the output CSV.
+`adjust`, `combine` and `moderate` load their input with `_load_table`,
+under the rules `_HYPOTHESES` or `_SUMMARIES`: the reader cuts the file
+into blocks, and each block's number cells become float64 arrays and are
+checked as it is cut, so only the id cells are kept as str. Every error
+names the line it was found on and raises `cli.CliInputError` (exit 2).
+`_write_csv` writes equally long columns, str cells or float64 arrays, in
+blocks of `_BLOCK_ROWS` rows, and `_write_json` the summary beside the
+output CSV.
 
 `cli` loads this module, and with it numpy and `core`, only inside the
 subcommands, so `epmt --version`, `--help` and usage errors never load it.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import codecs
 import csv
 import functools
+import io
 import itertools
 import json
 from operator import eq
@@ -45,33 +47,33 @@ def _open_output(path: str, mode: str, **kwargs):
 
 
 # Characters read per pass of the CSV reader. A block's lines and cells are
-# all live at once: a 200k-row `adjust` peaked at 88 MB with 1 MiB blocks,
-# 87 MB with 64 KiB blocks and 117 MB reading the whole file as one block.
+# all live at once: a 200k-row `adjust` peaked at 63 MB with 1 MiB blocks,
+# 58 MB with 64 KiB blocks and 117 MB reading the whole file as one block.
 _READ_CHARS = 1 << 20
 
 
-def _read_columns(path: str, columns: tuple) -> list:
-    """The stripped cells of a CSV with the given header, one list per column.
-
-    Blank rows are skipped; every other row must have one field per column.
-    The file is read a block of whole lines at a time, and each block is cut
-    at its commas. The first block holding a quote or a CR, or one that
-    cannot be cut whole, hands the rest of the file, from that block's
-    start, to csv.reader, which reads and refuses rows one at a time.
-    """
-    cells = [[] for _ in columns]
+def _load_table(path: str, rules: dict) -> list:
+    """The stripped ids of a CSV with header id plus the rules' columns,
+    then a float64 array per number column. Errors come in this order: a
+    byte that is not UTF-8, the header, a row that cannot be read anywhere
+    in the file, the earliest refused value (on one row, the first
+    column's), a repeated id."""
+    columns = ("id", *rules)
+    loaded = _Columns(rules)
     with _open_input(path) as handle:
         try:
             _check_header(handle, columns)
-            _fail(path, [_read_blocks(handle, cells)])
+            _fail(path, _read_blocks(handle, len(columns), loaded))
         except (CliInputError, UnicodeDecodeError):
             # a byte that is not UTF-8 is named before any other error,
             # wherever the text reader's decoded chunks happen to end
             _fail_undecodable(path)
             raise
-    if not cells[0]:
+    if not loaded.rows:
         raise CliInputError("line 2: no data rows")
-    return cells
+    _fail(path, loaded.error)
+    _check_unique(path, loaded.ids)
+    return [loaded.ids, *map(np.concatenate, zip(*loaded.blocks))]
 
 
 def _check_header(handle, columns: tuple):
@@ -88,10 +90,12 @@ def _check_header(handle, columns: tuple):
         raise CliInputError(f"line 1: expected header {','.join(columns)}, got {','.join(header)}")
 
 
-def _read_blocks(handle, cells: list):
-    """Append the data rows left in handle to cells, one list per column.
-
-    Returns None, or the (row, message) of the first row that cannot be read.
+def _read_blocks(handle, n: int, sink):
+    """Hand the rows left in handle to sink.add as row-major cells, a
+    block of whole lines at a time; return None, or the (row, message) of
+    the first row that cannot be read. The first block holding a quote or
+    a CR, or that cannot be cut whole at its commas, hands the rest of the
+    file, from its start, to csv.reader, which refuses rows one at a time.
     """
     tail = ""
     while True:
@@ -99,60 +103,93 @@ def _read_blocks(handle, cells: list):
         text = tail + chunk
         cut = text.rfind("\n") + 1 if chunk else len(text)
         block, tail = text[:cut], text[cut:]
-        if not _split_block(block, cells):
-            import io
-
+        if not _split_block(block, n, sink):
             # csv.reader takes a string per line, split at LF, CR and CRLF as the file is
             lines = io.StringIO(block + tail + handle.readline(), newline="")
-            return _read_rows(csv.reader(itertools.chain(lines, handle)), cells)
+            return _read_rows(csv.reader(itertools.chain(lines, handle)), n, sink)
         if not chunk:
             return None
 
 
-def _split_block(block: str, cells: list) -> bool:
-    """Append the rows of a block to cells if its lines can be cut at commas.
-
-    They can when the block holds no quote and no CR, and every non-blank
-    line holds one field per column and fits csv's size limit. Otherwise
-    returns False and leaves cells alone; so does an empty block.
-    """
+def _split_block(block: str, n: int, sink) -> bool:
+    """Hand the rows of a block to sink if it holds no quote and no CR,
+    and every non-blank line holds n fields and fits csv's size limit.
+    Otherwise, and for an empty block, return False and hand nothing."""
     if '"' in block or "\r" in block:
         return False
     lines = list(filter(None, block.split("\n")))
     commas = set(map(str.count, lines, itertools.repeat(",")))
-    if commas != {len(cells) - 1} or max(map(len, lines)) > csv.field_size_limit():
+    if commas != {n - 1} or max(map(len, lines)) > csv.field_size_limit():
         return False
-    _add_cells(cells, ",".join(lines).split(","))
+    sink.add(",".join(lines).split(","))
     return True
 
 
-def _read_rows(reader, cells: list):
-    """Append csv.reader's non-blank rows to cells, _BLOCK_ROWS at a time.
-
-    Returns None, or the (row, message) of the first row csv.reader refuses
-    or that holds a wrong number of fields.
-    """
-    n = len(cells)
+def _read_rows(reader, n: int, sink):
+    """Hand csv.reader's non-blank rows to sink, _BLOCK_ROWS at a time;
+    return None, or the (row, message) of the first row csv.reader refuses
+    or that holds a wrong number of fields."""
     flat = []
     try:
         for fields in filter(None, reader):
             if len(fields) != n:
-                return len(cells[0]) + len(flat) // n, f"expected {n} fields, got {len(fields)}"
+                return sink.rows + len(flat) // n, f"expected {n} fields, got {len(fields)}"
             flat += fields
             if len(flat) == n * _BLOCK_ROWS:
-                _add_cells(cells, flat)
+                sink.add(flat)
                 flat = []
     except csv.Error as exc:
-        return len(cells[0]) + len(flat) // n, str(exc)
-    _add_cells(cells, flat)
+        return sink.rows + len(flat) // n, str(exc)
+    sink.add(flat)
     return None
 
 
-def _add_cells(cells: list, flat: list):
-    """Append row-major cells, stripped, to the columns."""
-    n = len(cells)
-    for i, column in enumerate(cells):
-        column.extend(map(str.strip, flat[i::n]))
+class _Columns:
+    """A table's ids and number columns, taken a block at a time. The first
+    block with a refused value sets error; later blocks are only counted."""
+
+    def __init__(self, rules: dict):
+        self.rules, self.rows, self.error, self.ids, self.blocks = rules, 0, None, [], []
+
+    def add(self, flat: list):
+        n, start = len(self.rules) + 1, self.rows
+        self.rows += len(flat) // n
+        if self.error:
+            return
+        parsed = [_parse_cells(flat[i::n], name, *rule) for i, (name, rule) in enumerate(self.rules.items(), 1)]
+        errors = [(start + error[0], error[1]) for _, error in parsed if error]
+        # the earliest row's, and on one row the first column's
+        self.error = min(errors, key=lambda error: error[0], default=None)
+        if not self.error:
+            self.ids.extend(map(str.strip, flat[::n]))
+            self.blocks.append([values for values, _ in parsed])
+
+
+def _parse_cells(cells: list, name: str, blank, check):
+    """A block of one number column as float64, and None or the (row,
+    message) of its first refused cell. Cells go to numpy unstripped, as
+    float() strips whitespace; a block that fails is stripped, filled and
+    converted again, then walked to its first unparsable cell."""
+    try:
+        values, empty = np.array(cells, dtype=float), []
+    except ValueError:
+        cells = list(map(str.strip, cells))
+        empty = [not cell for cell in cells]
+        cells = [cell or blank[0] for cell in cells] if blank else cells
+        try:
+            values = np.array(cells, dtype=float)
+        except ValueError:
+            values = []
+            for text in cells:
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    break
+            return None, check(np.array(values)) or (len(values), f"cannot parse {name}={text!r} as a number")
+    error = check(values)
+    if blank:
+        values[empty] = blank[1]
+    return values, error
 
 
 def _fail_undecodable(path: str):
@@ -210,34 +247,12 @@ def _data_lines(path: str) -> list:
     return lines
 
 
-def _fail(path: str, errors: list):
-    """Raise for the earliest data row among (row, message) errors.
-
-    On a tie the first listed wins, so callers list them in checking order.
-    """
-    found = [error for error in errors if error is not None]
-    if found:
-        row, message = min(found, key=lambda error: error[0])
+def _fail(path: str, error):
+    """Raise naming the line of a (row, message) error's data row, unless
+    error is None."""
+    if error:
+        row, message = error
         raise CliInputError(f"line {_data_lines(path)[row]}: {message}")
-
-
-def _parse_column(cells: list, name: str, fill: str = ""):
-    """Floats of a column of cells, empty cells reading as fill.
-
-    Returns (values, error): error is None, or the (row, message) of the
-    first unparsable cell, and then values stop before that row.
-    """
-    if fill and "" in cells:
-        cells = [cell or fill for cell in cells]
-    try:
-        return np.array(cells, dtype=float), None
-    except ValueError:
-        values = []
-        for text in cells:
-            try:
-                values.append(float(text))
-            except ValueError:
-                return np.array(values), (len(values), f"cannot parse {name}={text!r} as a number")
 
 
 def _refused(check, values: np.ndarray, requirement: str):
@@ -255,20 +270,22 @@ def _flagged(bad: np.ndarray, message: str):
     return (int(np.argmax(bad)), message) if bad.any() else None
 
 
-def _load_hypotheses(path: str):
-    """Parse an id,p,e file: returns (ids, p, e).
+def _positive(name: str):
+    """The check of a column whose values must be positive and finite."""
+    return lambda values: _flagged(~((values > 0) & (values < np.inf)), f"{name} must be positive and finite")
 
-    A missing p reads as NaN (as 0 for the range check), a missing e as 1.
-    """
-    ids, p_cells, e_cells = _read_columns(path, ("id", "p", "e"))
-    p, p_error = _parse_column(p_cells, "p", fill="0")
-    e, e_error = _parse_column(e_cells, "e", fill="1")
-    p_error = _refused(as_pvector, p, "p-value must lie in [0, 1]") or p_error
-    e_error = _refused(as_evector, e, "e-value must lie in [0, +inf]") or e_error
-    _fail(path, [p_error, e_error])
-    p[[not cell for cell in p_cells]] = np.nan
-    _check_unique(path, ids)
-    return ids, p, e
+
+# The rules of _load_table, (blank, check) per number column: an empty cell
+# reads as blank[0] for check and holds blank[1] after it, or is unparsable if
+# blank is None; check(values) gives the (row, message) of the first refused.
+_HYPOTHESES = {
+    "p": (("0", np.nan), lambda values: _refused(as_pvector, values, "p-value must lie in [0, 1]")),
+    "e": (("1", 1.0), lambda values: _refused(as_evector, values, "e-value must lie in [0, +inf]")),
+}
+_SUMMARIES = {
+    "beta_hat": (None, lambda values: _flagged(~np.isfinite(values), "beta_hat must be finite")),
+    **{name: (None, _positive(name)) for name in ("s_sq", "v", "nu")},
+}
 
 
 def _check_unique(path: str, ids: list):
@@ -287,7 +304,7 @@ def _check_unique(path: str, ids: list):
             )
 
 
-# Rows formatted per block, and csv.reader rows turned into columns per pass.
+# Rows formatted per block, and csv.reader rows handed to the loader per pass.
 # A written block's cells are all live at once: with a whole-file reader, a
 # 200k-row `adjust` peaked at 106 MB with 8k-row blocks, 124 MB with 64k-row
 # blocks and 145 MB with one block.

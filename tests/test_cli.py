@@ -421,6 +421,79 @@ def test_non_utf8_byte_is_named_before_a_row_error_found_first(tmp_path, monkeyp
     assert capsys.readouterr().err == "error: line 2023: byte 0xff is not valid UTF-8\n"
 
 
+# Errors placed in different blocks of one file: which one is named. Each
+# case is (command, {row: replaced cells or line}, message); rows count from
+# 0, on line row + 2, and "@" in a line becomes the byte 0xff.
+BLOCK = 5
+ADJUST_ROW, MODERATE_ROW = "g{:03d},0.5,2", "g{:03d},0.5,1,0.1,38"
+ACROSS_BLOCKS = {
+    "count-in-block-3-beats-value-in-block-1": (
+        "adjust", {2: {1: "bad"}, 12: "g012,0.5"}, "line 14: expected 3 fields, got 2"
+    ),
+    "earlier-row-wins-in-a-block": (
+        "adjust", {6: {2: "bad"}, 8: {1: "bad"}}, "line 8: cannot parse e='bad' as a number"
+    ),
+    "p-wins-on-one-row": (
+        "adjust", {7: {1: "1.5", 2: "x"}}, "line 9: p-value must lie in [0, 1], got 1.5"
+    ),
+    "value-in-block-4-beats-duplicate-in-block-1": (
+        "adjust", {3: {0: "g001"}, 17: {1: "bad"}}, "line 19: cannot parse p='bad' as a number"
+    ),
+    "byte-in-last-block-beats-value-in-block-1": (
+        "adjust", {1: {1: "bad"}, 19: {0: "g@19"}}, "line 21: byte 0xff is not valid UTF-8"
+    ),
+    "value-in-a-quoted-block-after-a-clean-one": (
+        "adjust", {6: {0: '"g006"'}, 8: {2: "-1"}}, "line 10: e-value must lie in [0, +inf], got -1.0"
+    ),
+    "moderate-count-in-block-3-beats-value-in-block-1": (
+        "moderate", {1: {4: "0"}, 11: "g011,0.5,1,0.1"}, "line 13: expected 5 fields, got 4"
+    ),
+    "moderate-earlier-row-wins-in-a-block": (
+        "moderate", {5: {4: "inf"}, 7: {1: "nan"}}, "line 7: nu must be positive and finite"
+    ),
+    "moderate-first-column-wins-on-one-row": (
+        "moderate", {6: {1: "inf", 2: "x", 3: "0"}}, "line 8: beta_hat must be finite"
+    ),
+    "moderate-value-in-block-4-beats-duplicate-in-block-1": (
+        "moderate", {2: {0: "g000"}, 16: {3: ""}}, "line 18: cannot parse v='' as a number"
+    ),
+    "moderate-byte-in-last-block-beats-value-in-block-1": (
+        "moderate", {0: {2: "x"}, 18: {0: "g@18"}}, "line 20: byte 0xff is not valid UTF-8"
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", ["split", "csv"])
+@pytest.mark.parametrize("case", sorted(ACROSS_BLOCKS))
+def test_error_order_across_blocks(tmp_path, monkeypatch, capsys, case, reader):
+    """Four blocks of BLOCK rows each: the split path cuts them by
+    characters, and csv.reader, which a quoted first id hands the whole
+    file to, by _BLOCK_ROWS. On both, the error named is the one the
+    documented order puts first, wherever the others are."""
+    command, changes, message = ACROSS_BLOCKS[case]
+    template = ADJUST_ROW if command == "adjust" else MODERATE_ROW
+    lines = []
+    for row in range(4 * BLOCK):
+        cells = template.format(row).split(",")
+        if reader == "csv" and row == 0:
+            cells[0] = quoted_cell(cells[0])
+        change = changes.get(row, {})
+        if isinstance(change, dict):
+            change = ",".join(change.get(i, cell) for i, cell in enumerate(cells))
+        lines.append(change)
+    width = max(map(len, lines)) + 1
+    header = "id,p,e" if command == "adjust" else "id,beta_hat,s_sq,v,nu"
+    # lines padded to one width, so that each read of BLOCK widths ends a block
+    body = "".join(line.ljust(width - 1) + "\n" for line in lines)
+    inp = tmp_path / "in.csv"
+    inp.write_bytes((header + "\n" + body).encode().replace(b"@", b"\xff"))
+    monkeypatch.setattr(table, "_READ_CHARS", BLOCK * width)
+    monkeypatch.setattr(table, "_BLOCK_ROWS", BLOCK)
+    flags = ["--procedure", "ep-bh"] if command == "adjust" else []
+    code = cli.main([command, "--input", str(inp), *flags, "--out", str(tmp_path / "o.csv")])
+    assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+
+
 # the header and one row, 15 bytes: line 3 starts one byte before the
 # boundary of 16-byte reads
 TWO_LINES = b"id,p,e\na,0.1,1\n"

@@ -37,10 +37,14 @@ from epmt.procedures import (
     adaptive_e_bh,
     e_bh,
     ep_bh,
+    ep_storey,
+    harmonic_number,
     normalized_weights,
     p_bh,
     pe_bh,
+    wbh_storey_normalized,
     weighted_p_bh,
+    weighted_p_bh_normalized,
 )
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -150,6 +154,60 @@ def test_step_up_index_counts_tied_rejections(pe, alpha):
     assert result.threshold_index == k_star == int(result.mask.sum())
     if k_star:
         np.testing.assert_array_equal(result.mask, p <= ranked[k_star - 1])
+
+
+# Leave-one-out self-consistency, the deterministic step of the FDR proofs
+# for step-up procedures whose weights do not depend on p_i (Blanchard and
+# Roquain 2008; for e-BH, Wang and Ramdas 2022). With R0_i the rejection
+# count when p_i is set to 0 (e_i to +inf for e-BH), i is rejected iff its
+# statistic passes at level alpha * R0_i / K, and then R = R0_i. Per family
+# in the p scale: run(p, e, alpha, tau), and whether only p_i <= tau can be
+# rejected (the Storey weights move with p_i only across tau).
+LEAVE_ONE_OUT = {
+    "p-bh": (lambda p, e, alpha, tau: p_bh(p, alpha), False),
+    "p-bh-by": (lambda p, e, alpha, tau: p_bh(p, alpha, by_correction=True), False),
+    "ep-bh": (lambda p, e, alpha, tau: ep_bh(p, e, alpha), False),
+    "wbh-normalized": (lambda p, e, alpha, tau: weighted_p_bh_normalized(p, e, alpha), False),
+    # weights on the tie-heavy grid {0, 0.5, 1, 1.5}, made from the e-values
+    "weighted-p-bh": (lambda p, e, alpha, tau: weighted_p_bh(p, np.floor(np.minimum(e, 7.0)) % 4 / 2, alpha), False),
+    "ep-storey": (lambda p, e, alpha, tau: ep_storey(p, e, alpha, tau), True),
+    "wbh-storey-normalized": (lambda p, e, alpha, tau: wbh_storey_normalized(p, e, alpha, tau), True),
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(instances(), ALPHA, st.sampled_from([0.3, 0.5, 0.8]))
+def test_leave_one_out_self_consistency(pe, alpha, tau):
+    """Every family on each instance. In the p scale, i is rejected iff
+    K * q_i <= level * R0_i, with q the step-up statistic (the adjusted
+    column) and level alpha, or alpha / H_K for p-bh-by. In the e scale,
+    e-BH on the e-values and on pe-BH's products h(p) * e rejects i iff
+    R0_i * e_i / K >= 1 / alpha."""
+    p, e = pe
+    k_total = p.size
+    for family, (run, storey) in LEAVE_ONE_OUT.items():
+        result = run(p, e, alpha, tau)
+        level = alpha / harmonic_number(k_total) if family == "p-bh-by" else alpha
+        for i in range(k_total):
+            if storey and p[i] > tau:
+                assert not result.mask[i], (family, i)
+                continue
+            left_out = p.copy()
+            left_out[i] = 0.0
+            r0 = int(run(left_out, e, alpha, tau).mask.sum())
+            assert result.mask[i] == (k_total * result.adjusted[i] <= level * r0), (family, i)
+            assert not result.mask[i] or int(result.mask.sum()) == r0, (family, i)
+    product = combine_product(p, e, sqrt_calibrator())
+    np.testing.assert_array_equal(pe_bh(p, e, alpha, sqrt_calibrator()).mask, e_bh(product, alpha).mask)
+    for family, values in (("e-bh", e), ("pe-bh", product)):
+        result = e_bh(values, alpha)
+        for i in range(k_total):
+            left_out = values.copy()
+            left_out[i] = np.inf
+            r0 = int(e_bh(left_out, alpha).mask.sum())
+            # Python floats round as numpy's do, and overflow to inf quietly
+            assert result.mask[i] == (float(r0) * values[i].item() / k_total >= 1.0 / alpha), (family, i)
+            assert not result.mask[i] or int(result.mask.sum()) == r0, (family, i)
 
 
 @FIXED
@@ -353,10 +411,22 @@ LINE = st.one_of(
 ENDING = st.sampled_from(["\n", "\n", "\r\n", "\r"])
 
 
-def _csv_module_columns(path: Path) -> list:
-    """What the reader must return, from csv.reader rows: the columns, or
-    the message of the first row csv.reader refuses or that has a wrong
-    field count, on the physical line the row ends on."""
+# number cells for the loader's value checks: mostly accepted (blank,
+# padded, or readable by float() only once stripped), sometimes refused
+ACCEPTED = ["0", "1", " 0.5", "1e-3 ", "", " ", "\t", "-0", ".25", "\x1c1\x1f"]
+NUMBER = st.sampled_from(ACCEPTED * 8 + ["inf", "nan", "2", "x"])
+NUMBER_ROW = st.tuples(st.text(st.sampled_from("abcdef1 "), max_size=6), NUMBER, NUMBER).map(",".join)
+NUMBER_LINE = st.one_of(NUMBER_ROW, NUMBER_ROW, NUMBER_ROW, NUMBER_ROW, st.just(""), LINE)
+
+
+def _csv_module_table(path: Path):
+    """What the loader must return for an id,p,e file, from csv.reader
+    rows, stripped cells and float(): the ids, p (NaN where empty) and e
+    (1 where empty), or the message of the first refusal. Rows are refused
+    first, at the first row csv.reader refuses or that has a wrong field
+    count, on the physical line the row ends on; then values, at the
+    earliest cell float() cannot read or out of range, p before e on one
+    row; then ids, at the second occurrence of the first repeated id."""
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         assert next(reader) == ["id", "p", "e"]
@@ -376,22 +446,31 @@ def _csv_module_columns(path: Path) -> list:
             return f"line {line}: expected 3 fields, got {len(row)}"
     if not rows:
         return "line 2: no data rows"
-    return [[row[i].strip() for row in rows] for i in range(3)]
+    p, e = [], []
+    for (_, *cells), line in zip(rows, lines):
+        for cell, name, blank, requirement, column in zip(
+            cells, "pe", ("0", "1"), ("p-value must lie in [0, 1]", "e-value must lie in [0, +inf]"), (p, e)
+        ):
+            text = cell.strip() or blank
+            try:
+                value = float(text)
+            except ValueError:
+                return f"line {line}: cannot parse {name}={text!r} as a number"
+            if not 0 <= value <= (1 if name == "p" else np.inf):
+                return f"line {line}: {requirement}, got {value!r}"
+            column.append(value if cell.strip() or name == "e" else np.nan)
+    first_line = {}
+    for row, line in zip(rows, lines):
+        first = first_line.setdefault(row[0].strip(), line)
+        if first != line:
+            return f"line {line}: duplicate id {row[0].strip()!r} (first seen on line {first})"
+    return [row[0].strip() for row in rows], list(map(repr, p)), list(map(repr, e))
 
 
-@FIXED
-@given(
-    st.lists(st.tuples(LINE, ENDING), max_size=12),
-    st.booleans(),
-    st.one_of(st.integers(1, 16), st.just(1 << 20)),
-    st.sampled_from([1, 3, table._BLOCK_ROWS]),
-    st.sampled_from([4, csv.field_size_limit()]),
-)
-def test_csv_reader_matches_csv_module(lines, last_ended, read_chars, block_rows, field_limit):
-    """The block reader returns csv.reader's cells, column-wise and
-    stripped, or refuses the same row with the same message, wherever the
-    blocks are cut, whichever row hands the rest to csv.reader and however
-    many of its rows make a column block."""
+def _check_loader(lines, last_ended, read_chars, block_rows, field_limit):
+    """The loader returns _csv_module_table's ids and floats, or refuses
+    with the same message, wherever the blocks are cut, whichever row hands
+    the rest to csv.reader and however many of its rows make a block."""
     text = "id,p,e\n" + "".join(line + ending for line, ending in lines)
     if lines and not last_ended:
         text = text[: -len(lines[-1][1])]
@@ -401,15 +480,37 @@ def test_csv_reader_matches_csv_module(lines, last_ended, read_chars, block_rows
             path = Path(work) / "in.csv"
             with open(path, "w", newline="", encoding="utf-8") as handle:
                 handle.write(text)
-            expected = _csv_module_columns(path)
+            expected = _csv_module_table(path)
             with mock.patch.object(table, "_READ_CHARS", read_chars), mock.patch.object(table, "_BLOCK_ROWS", block_rows):
                 try:
-                    got = table._read_columns(str(path), ("id", "p", "e"))
+                    ids, p, e = table._load_table(str(path), table._HYPOTHESES)
+                    got = ids, list(map(repr, p.tolist())), list(map(repr, e.tolist()))
                 except cli.CliInputError as exc:
                     got = str(exc)
     finally:
         csv.field_size_limit(default_limit)
     assert got == expected
+
+
+READ_CHARS = st.one_of(st.integers(1, 16), st.just(1 << 20))
+BLOCK_ROWS = st.sampled_from([1, 3, table._BLOCK_ROWS])
+FIELD_LIMIT = st.sampled_from([4, csv.field_size_limit()])
+
+
+@FIXED
+@given(st.lists(st.tuples(LINE, ENDING), max_size=12), st.booleans(), READ_CHARS, BLOCK_ROWS, FIELD_LIMIT)
+def test_csv_reader_matches_csv_module(lines, last_ended, read_chars, block_rows, field_limit):
+    """Rows of mostly structural trouble: quotes, separators inside
+    cells, wrong field counts, blank lines and oversized cells."""
+    _check_loader(lines, last_ended, read_chars, block_rows, field_limit)
+
+
+@FIXED
+@given(st.lists(st.tuples(NUMBER_LINE, ENDING), max_size=12), st.booleans(), READ_CHARS, BLOCK_ROWS)
+def test_csv_loader_matches_float_of_csv_cells(lines, last_ended, read_chars, block_rows):
+    """Rows of mostly number cells, so that values are parsed, checked
+    and refused in every block position."""
+    _check_loader(lines, last_ended, read_chars, block_rows, csv.field_size_limit())
 
 
 FLOAT_MAX = np.finfo(float).max
