@@ -57,9 +57,10 @@ def _cases() -> dict:
         cases[f"combine-{mode}"] = (argv, {})
     argv = ["combine", "--input", "{golden}/mixed.csv", "--mode", "quotient", "--out", "{out}/out.csv"]
     cases["combine-mixed-blank-p"] = (argv, {})
-    for fit in ("finite", "inf"):
+    # a finite and an infinite df_prior, and nu of 38, 1e20 and 1.7e308 side by side
+    for fit in ("finite", "inf", "huge_nu"):
         argv = ["moderate", "--input", f"{{golden}}/moderate_{fit}.csv", "--out", "{out}/out.csv"]
-        cases[f"moderate-{fit}"] = (argv, {})
+        cases[f"moderate-{fit.replace('_', '-')}"] = (argv, {})
     for config, reps in (("mixed", "12"), ("adversarial", "40"), ("warns", "6")):
         for parallelism in ("1", "2"):
             argv = ["simulate", "--config", f"{{golden}}/{config}.json", "--reps", reps, "--seed", "5"]

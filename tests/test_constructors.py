@@ -1,7 +1,12 @@
 """Tests for the e-value constructors: soft-rank, moderated t, chi-square LR."""
 
+import importlib.util
+import json
 import math
 import warnings
+from dataclasses import replace
+from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from epmt.constructors import (
     ModeratedTModel,
     PermutationStatistics,
     _gamma_scores,
+    _log_evalue,
     _trigamma_inverse,
     chisq_lr_evalue,
     fit_gamma,
@@ -49,6 +55,30 @@ def laguerre_density_ratio(t, d, gamma_k, n_nodes=200):
         return dens @ weights / norm
 
     return mixture(1.0 + gamma_k) / mixture(1.0)
+
+
+REFERENCE = Path(__file__).resolve().parent / "reference"
+
+
+def evalue_table() -> dict:
+    """400-digit e-values, one row per (df_prior, df, gamma), made by
+    tests/reference/evalue_table.py."""
+    return json.loads((REFERENCE / "evalue_table.json").read_text(encoding="utf-8"))
+
+
+def table_error(got: float, want: str) -> float:
+    """got's distance from the reference want: in ulp of want's float for
+    an e below 1e6, relative above; 0 where both are +inf."""
+    if want == "inf" or not math.isfinite(got):
+        return 0.0 if got == float(want) else math.inf
+    ref = Decimal(want)
+    scale = Decimal(np.spacing(float(ref))) if ref < 1_000_000 else ref
+    return float(abs(Decimal(got) - ref) / scale)
+
+
+def within_table_bounds(got: float, want: str) -> bool:
+    """64 ulp below 1e6 and 1e-12 relative above, fixed with the table."""
+    return table_error(got, want) <= (64.0 if want != "inf" and Decimal(want) < 1_000_000 else 1e-12)
 
 
 # ---------------------------------------------------------------- soft rank
@@ -220,30 +250,85 @@ def test_moderated_t_evalue_matches_quadrature_oracle(var_factor, df, df_prior, 
 
 
 def test_moderated_t_evalue_limit_where_t_squared_overflows():
-    """Past the float range e is its limit (1 + g)^(d/2), not NaN; below
-    it the bits are those of the closed form."""
-    model = ModeratedTModel(0.1, 38.0, 4.0, 0.02, gamma=0.5)
-    g, d = 0.5 / 0.1, 4.0 + 38.0
-    limit = (1.0 + g) ** ((d + 1.0) / 2.0) / np.sqrt(1.0 + g)
-    for t in (np.inf, -np.inf, 1e200, -1e200):
-        assert moderated_t_evalue(t, model) == limit
-    np.testing.assert_array_equal(moderated_t_evalue(np.array([np.inf, -1e200]), model), [limit, limit])
-    assert moderated_t_evalue(1e150, model) == pytest.approx(limit, rel=1e-14)
-    grid = np.concatenate([np.linspace(-50.0, 50.0, 1001), np.logspace(-300, 150, 451), -np.logspace(-300, 150, 451)])
-    tsq = grid * grid
-    closed = (1.0 - g * tsq / ((1.0 + g) * (d + tsq))) ** (-(d + 1.0) / 2.0) / np.sqrt(1.0 + g)
-    np.testing.assert_array_equal(moderated_t_evalue(grid, model), closed)
+    """Where t^2 overflows, t = +-inf included, e is its limit (1 + g)^(d/2),
+    not NaN, within the bounds of the 400-digit table at t = +-inf; the
+    same bits as a scalar and in an array, and a t of 1e150 within 1e-14."""
+    table = evalue_table()
+    inf_column = table["t"].index("inf")
+    for row in table["rows"]:
+        if (row["df_prior"], row["df"]) != ("3.64", "38.0"):
+            continue
+        model = ModeratedTModel(0.1, 38.0, 3.64, 0.02, gamma=float(row["gamma"]))
+        limit = moderated_t_evalue(np.inf, model)
+        assert within_table_bounds(limit, row["e"][inf_column]), (row["gamma"], limit)
+        for t in (-np.inf, 1e200, -1e200):
+            assert moderated_t_evalue(t, model) == limit
+        np.testing.assert_array_equal(moderated_t_evalue(np.array([np.inf, -1e200]), model), [limit, limit])
+        assert moderated_t_evalue(1e150, model) == pytest.approx(limit, rel=1e-14)
 
 
 def test_moderated_t_evalue_bracket_rounding_to_zero_warns_nothing():
     """At var_factor 1e-20 both g/(1+g) and t^2/(d+t^2) round to 1 for
-    t = 1e10, so the bracket is 0 and e overflows to +inf, as its true value
-    does; that used to print a divide-by-zero warning. pytest turns
-    RuntimeWarnings into errors."""
+    t = 1e10, where the old power form's bracket rounded to 0. e is +inf
+    there, as its true value is, with no warning (pytest turns
+    RuntimeWarnings into errors), and t = 3 beside it is its 50-digit value."""
+    import mpmath
+
     model = ModeratedTModel(1e-20, 38, 4.0, 0.014, 1000.0)
-    g, d = 1000.0 / 1e-20, 42.0
-    closed = (1.0 - g * 9.0 / ((1.0 + g) * (d + 9.0))) ** (-(d + 1.0) / 2.0) / np.sqrt(1.0 + g)
-    np.testing.assert_array_equal(moderated_t_evalue([1e10, 3.0], model), [np.inf, closed])
+    e = moderated_t_evalue([1e10, 3.0], model)
+    with mpmath.workdps(50):
+        g, d = mpmath.mpf(1000.0 / 1e-20), mpmath.mpf(42.0)
+        want = (1 + g * 9 / (d + g * d + 9)) ** ((d + 1) / 2) / mpmath.sqrt(1 + g)
+    assert e[0] == np.inf
+    assert e[1] == pytest.approx(float(want), rel=1e-14)
+
+
+def test_moderated_t_evalue_matches_the_400_digit_table():
+    """Every e below 1e6 within 64 ulp of its 400-digit reference, every
+    larger e within 1e-12 relative, and +inf exactly where the value is
+    past the float range: d from 41.64 to 1.7e308 and infinite (df_prior
+    inf, or a df_prior + df that overflows), gamma from 1e-3 to 1e3 and t
+    from +-0 to +-inf, as tests/reference/evalue_table.py lists them."""
+    spec = importlib.util.spec_from_file_location("evalue_table", REFERENCE / "evalue_table.py")
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    table = evalue_table()
+    cases = [(float(row["df_prior"]), float(row["df"]), float(row["gamma"])) for row in table["rows"]]
+    assert cases == [(*dfs, gamma) for dfs in generator.DFS for gamma in generator.GAMMAS]
+    assert table["t"] == [repr(t) for t in generator.TS]
+    t = np.array([float(x) for x in table["t"]])
+    for (df_prior, df, gamma), row in zip(cases, table["rows"]):
+        e = moderated_t_evalue(t, ModeratedTModel(float(table["var_factor"]), df, df_prior, 0.02, gamma=gamma))
+        for x, got, want in zip(t, e, row["e"]):
+            assert within_table_bounds(float(got), want), (df_prior, df, gamma, x, got, want)
+
+
+@pytest.mark.parametrize(
+    "df_prior, df",
+    [(3.64, 1e16), (3.64, 1e20), (3.64, 1e300), (3.64, 1.7e308), (1e308, 1e308), (1e308, np.tile([1e308, 38.0], 13)[:25])],
+    ids=["1e16", "1e20", "1e300", "1.7e308", "overflowing-sum", "overflowing-sum-beside-1e308"],
+)
+def test_moderated_t_evalue_at_a_huge_d_is_its_gaussian_limit(df_prior, df):
+    """The old bracket lost t past d of about 1e15: e was 0.3015 for every t
+    at d = 1e20 and +inf at 1.7e308. Here e is the Gaussian limit to
+    round-off, and rises with |t|, also where rows of an infinite d sit
+    beside rows of d = 1e308."""
+    model = ModeratedTModel(0.1, df, df_prior, 0.0144, gamma=1.0)
+    g = 1.0 / 0.1
+    t = np.linspace(0.0, 6.0, 25)
+    e = moderated_t_evalue(t, model)
+    np.testing.assert_allclose(e, np.exp(g * t * t / (2.0 * (1.0 + g))) / np.sqrt(1.0 + g), rtol=1e-11)
+    assert (np.diff(e) > 0.0).all()
+    np.testing.assert_array_equal(moderated_t_evalue(-t, model), e)
+
+
+def test_moderated_t_evalue_gamma_zero_is_one_at_every_t_and_d():
+    """gamma = 0 gives e = 1 exactly, also at t = +-inf with an infinite d,
+    where the Gaussian term's t^2 / 2 meets g = 0."""
+    t = np.array([0.0, -0.0, 3.0, -1e200, np.inf, -np.inf])
+    for df_prior, df in ((3.64, 38.0), (3.64, 1.7e308), (np.inf, 38.0), (1e308, 1e308)):
+        e = moderated_t_evalue(t, ModeratedTModel(0.1, df, df_prior, 0.0144, gamma=0.0))
+        np.testing.assert_array_equal(e, 1.0)
 
 
 def test_moderated_t_evalue_gaussian_limit():
@@ -511,26 +596,16 @@ def test_fit_gamma_picks_the_logaddexp_reference_point(k, design):
 
 
 def gamma_scores_point_by_point(t, model):
-    """fit_gamma's scores computed one grid point at a time, each summed
-    over a vector of its own."""
+    """fit_gamma's scores computed one grid point at a time with the same
+    log-e helper, each summed over a vector of its own."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    var_factor = np.asarray(model.var_factor, dtype=float)
-    gaussian = math.isinf(model.df_prior)
-    with np.errstate(over="ignore"):
-        if gaussian:
-            half_tsq = t * t / 2.0
-        else:
-            d = model.df_prior + np.asarray(model.df, dtype=float)
-            w = 1.0 / (1.0 + t * t / d)
+    log_e_at = _log_evalue(t, model)
     scores = []
-    for gamma in GAMMA_GRID:
-        g = gamma / var_factor
-        if gaussian:
-            log_e = g / (1.0 + g) * half_tsq - 0.5 * np.log1p(g)
-        else:
-            log_e = d / 2.0 * np.log1p(g) - (d + 1.0) / 2.0 * np.log1p(g * w)
-        terms = np.maximum(log_e, 0.0) + np.log1p(np.exp(-np.abs(log_e)))
-        scores.append(float(terms.sum()) - t.size * math.log(2.0))
+    with np.errstate(divide="ignore", over="ignore"):
+        for gamma in GAMMA_GRID:
+            log_e = log_e_at(gamma)
+            terms = np.maximum(np.log1p(np.exp(np.minimum(log_e, 709.0))), log_e)
+            scores.append(float(terms.sum()) - t.size * math.log(2.0))
     return np.array(scores)
 
 
@@ -657,6 +732,41 @@ def test_gamma_scores_past_the_float_range_are_their_limits():
         tiny = scores(t, 38.0, var_factor=np.full(t.size, 1e-310))
     np.testing.assert_allclose(mixed, huge + ordinary, rtol=1e-12)
     assert np.isfinite(tiny).all()
+
+
+def test_gamma_scores_are_the_sum_of_log_mean_evalues():
+    """Each grid point's score is sum_i log((1 + e_i) / 2), e_i from
+    moderated_t_evalue at that gamma, to round-off: rows with per-row v,
+    a d of 1.7e308 beside 41.64 with t = +-inf among the latter, and rows
+    whose df_prior + df overflows beside rows of d = 1e308."""
+    rng = np.random.default_rng(2929)
+    k = 300
+    huge = np.arange(k) % 3 == 0
+    v = rng.choice([0.05, 0.1, 0.5], k)
+    t = rng.standard_t(8.0, k) * rng.choice([1.0, 1.0, 3.0], k)
+    infinite_t = t.copy()
+    infinite_t[[1, 2, 4, 5]] = [np.inf, -np.inf, np.inf, -np.inf]
+    for t, df_prior, df in ((infinite_t, 3.64, np.where(huge, 1.7e308, 38.0)), (t, 1e308, np.where(huge, 1e308, 38.0))):
+        model = ModeratedTModel(v, df, df_prior, 0.0144, gamma=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = _gamma_scores(t, model)
+        for gamma, score in zip(GAMMA_GRID, scores):
+            log1p_e = np.log1p(moderated_t_evalue(t, replace(model, gamma=float(gamma))))
+            want = float(log1p_e.sum()) - k * math.log(2.0)
+            assert abs(score - want) <= 1e-12 * (float(log1p_e.sum()) + k * math.log(2.0)), (df_prior, gamma)
+
+
+def test_gamma_scores_at_a_subnormal_v_are_never_nan():
+    """At v = 1e-310, g = gamma / v overflows and is capped at the float
+    maximum, so a row of t = +-inf scores a number, +inf where 1 / g is
+    subnormal, never NaN, and with no warning."""
+    t = np.array([np.inf, -np.inf, 0.0, 2.5, -1.0])
+    model = ModeratedTModel(np.full(t.size, 1e-310), 38.0, 3.64, 0.0144, gamma=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = _gamma_scores(t, model)
+    assert not np.isnan(scores).any()
 
 
 def test_gamma_grid_shape():
