@@ -143,11 +143,13 @@ def moderated_t(beta_hat, s_sq, model: ModeratedTModel):
         s2_post = np.broadcast_to(model.s2_prior, s_sq.shape)
     else:
         df = np.asarray(model.df, dtype=float)
-        with np.errstate(over="ignore"):
-            s2_post = (model.df_prior * model.s2_prior + df * s_sq) / (model.df_prior + df)
-            # where the numerator overflows, the same weighted mean of finite terms
-            weight = df / (model.df_prior + df)
-            s2_post = np.where(np.isinf(s2_post), (1.0 - weight) * model.s2_prior + weight * s_sq, s2_post)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = model.df_prior + df
+            s2_post = (model.df_prior * model.s2_prior + df * s_sq) / total
+            # where the numerator or the sum overflows, the same weighted mean of finite terms
+            weight = 1.0 / (1.0 + model.df_prior / df)
+            overflow = np.isinf(s2_post) | np.isinf(total)
+            s2_post = np.where(overflow, (1.0 - weight) * model.s2_prior + weight * s_sq, s2_post)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # a zero beta_hat over a scale that underflowed to 0 is 0/0
         return np.where(beta_hat == 0.0, beta_hat, beta_hat / np.sqrt(s2_post * model.var_factor))
@@ -161,7 +163,9 @@ def moderated_t_pvalue(t_tilde, model: ModeratedTModel):
     the input shape.
     """
     t = np.asarray(t_tilde, dtype=float)
-    return 2.0 * special.stdtr(model.df_prior + np.asarray(model.df, dtype=float), -np.abs(t))
+    # a sum of degrees of freedom that overflows is the normal limit
+    with np.errstate(over="ignore"):
+        return 2.0 * special.stdtr(model.df_prior + np.asarray(model.df, dtype=float), -np.abs(t))
 
 
 @np.errstate(divide="ignore", over="ignore")

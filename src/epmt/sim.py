@@ -153,16 +153,16 @@ def generate_ttest_replicate(scenario: TTestScenario, rng: np.random.Generator):
     x = rng.standard_normal((k_total, n)).T.copy()
     x += np.where(is_null, 0.0, scenario.effect)
     y = rng.standard_normal((k_total, n)).T.copy()
-    # a sum adds the n draws in draw order, as numpy's row sum does
-    x_mean = _sum_rows(x) / n
-    y_mean = _sum_rows(y) / n
+    # a sum over axis 0 adds the n draws in draw order
+    x_mean = x.sum(axis=0) / n
+    y_mean = y.sum(axis=0) / n
     # sample variances, i.e. within-group sums of squares over n - 1
     dev = x - x_mean
     dev *= dev
-    sx = _sum_rows(dev) / (n - 1)
+    sx = dev.sum(axis=0) / (n - 1)
     np.subtract(y, y_mean, out=dev)
     dev *= dev
-    sy = _sum_rows(dev) / (n - 1)
+    sy = dev.sum(axis=0) / (n - 1)
     # a huge effect or null_e_scale overflows squares and e-values to inf,
     # which is their value
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -174,19 +174,10 @@ def generate_ttest_replicate(scenario: TTestScenario, rng: np.random.Generator):
         x *= x
         y -= grand
         y *= y
-        e = chisq_lr_evalue(_sum_rows(x) + _sum_rows(y), 2 * n - 1, scenario.ncp)
+        e = chisq_lr_evalue(x.sum(axis=0) + y.sum(axis=0), 2 * n - 1, scenario.ncp)
         if scenario.null_e_scale != 1.0:
             e = np.where(is_null, scenario.null_e_scale * e, e)
     return p, e, is_null
-
-
-def _sum_rows(a: np.ndarray) -> np.ndarray:
-    """Column sums of a, adding the rows top to bottom: the bits of
-    a.T.sum(axis=1) for a short axis, without numpy's loop per column."""
-    total = a[0] + a[1]
-    for row in a[2:]:
-        total += row
-    return total
 
 
 def generate_microarray_replicate(scenario: MicroarrayScenario, rng: np.random.Generator):

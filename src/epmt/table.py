@@ -21,7 +21,7 @@ import functools
 import io
 import itertools
 import json
-from operator import eq
+from operator import eq, itemgetter
 
 import numpy as np
 
@@ -57,23 +57,35 @@ def _load_table(path: str, rules: dict) -> list:
     then a float64 array per number column. Errors come in this order: a
     byte that is not UTF-8, the header, a row that cannot be read anywhere
     in the file, the earliest refused value (on one row, the first
-    column's), a repeated id."""
+    column's; the blocks after its own are only counted), a repeated id."""
     columns = ("id", *rules)
-    loaded = _Columns(rules)
+    n = len(columns)
+    ids, blocks, rows, error = [], [], 0, None
     with _open_input(path) as handle:
         try:
             _check_header(handle, columns)
-            _fail(path, _read_blocks(handle, len(columns), loaded))
+            for flat in _read_blocks(path, handle, n):
+                start, rows = rows, rows + len(flat) // n
+                if not error:
+                    parsed = [_parse_cells(flat[i::n], name, *rule) for i, (name, rule) in enumerate(rules.items(), 1)]
+                    errors = [(start + found[0], found[1]) for _, found in parsed if found]
+                    # the earliest row's, and on one row the first column's
+                    error = min(errors, key=itemgetter(0), default=None)
+                    if not error:
+                        ids.extend(map(str.strip, flat[::n]))
+                        blocks.append([values for values, _ in parsed])
+                # freed before the next block is read
+                del flat
         except (CliInputError, UnicodeDecodeError):
             # a byte that is not UTF-8 is named before any other error,
             # wherever the text reader's decoded chunks happen to end
             _fail_undecodable(path)
             raise
-    if not loaded.rows:
+    if not rows:
         raise CliInputError("line 2: no data rows")
-    _fail(path, loaded.error)
-    _check_unique(path, loaded.ids)
-    return [loaded.ids, *map(np.concatenate, zip(*loaded.blocks))]
+    _fail(path, error)
+    _check_unique(path, ids)
+    return [ids, *map(np.concatenate, zip(*blocks))]
 
 
 def _check_header(handle, columns: tuple):
@@ -90,79 +102,47 @@ def _check_header(handle, columns: tuple):
         raise CliInputError(f"line 1: expected header {','.join(columns)}, got {','.join(header)}")
 
 
-def _read_blocks(handle, n: int, sink):
-    """Hand the rows left in handle to sink.add as row-major cells, a
-    block of whole lines at a time; return None, or the (row, message) of
-    the first row that cannot be read. The first block holding a quote or
-    a CR, or that cannot be cut whole at its commas, hands the rest of the
-    file, from its start, to csv.reader, which refuses rows one at a time.
-    """
-    tail = ""
+def _read_blocks(path: str, handle, n: int):
+    """Yield the rows left in handle as row-major cells, a block of whole
+    lines at a time; raise through _fail at the first row that cannot be
+    read. The first block that is empty, holds a quote or a CR, or cannot
+    be cut whole at its commas hands the rest of the file, from its start,
+    to csv.reader, whose rows are yielded _BLOCK_ROWS at a time."""
+    rows, tail = 0, ""
     while True:
         chunk = handle.read(_READ_CHARS)
         text = tail + chunk
         cut = text.rfind("\n") + 1 if chunk else len(text)
         block, tail = text[:cut], text[cut:]
-        if not _split_block(block, n, sink):
-            # csv.reader takes a string per line, split at LF, CR and CRLF as the file is
-            lines = io.StringIO(block + tail + handle.readline(), newline="")
-            return _read_rows(csv.reader(itertools.chain(lines, handle)), n, sink)
+        if '"' in block or "\r" in block:
+            break
+        lines = list(filter(None, block.split("\n")))
+        commas = set(map(str.count, lines, itertools.repeat(",")))
+        if commas != {n - 1} or max(map(len, lines)) > csv.field_size_limit():
+            break
+        flat = ",".join(lines).split(",")
+        del lines
+        rows += len(flat) // n
+        yield flat
+        # the cells go once the loader drops them too, before the next read
+        flat = None
         if not chunk:
-            return None
-
-
-def _split_block(block: str, n: int, sink) -> bool:
-    """Hand the rows of a block to sink if it holds no quote and no CR,
-    and every non-blank line holds n fields and fits csv's size limit.
-    Otherwise, and for an empty block, return False and hand nothing."""
-    if '"' in block or "\r" in block:
-        return False
-    lines = list(filter(None, block.split("\n")))
-    commas = set(map(str.count, lines, itertools.repeat(",")))
-    if commas != {n - 1} or max(map(len, lines)) > csv.field_size_limit():
-        return False
-    sink.add(",".join(lines).split(","))
-    return True
-
-
-def _read_rows(reader, n: int, sink):
-    """Hand csv.reader's non-blank rows to sink, _BLOCK_ROWS at a time;
-    return None, or the (row, message) of the first row csv.reader refuses
-    or that holds a wrong number of fields."""
+            return
+    # csv.reader takes a string per line, split at LF, CR and CRLF as the file is
+    lines = io.StringIO(block + tail + handle.readline(), newline="")
     flat = []
     try:
-        for fields in filter(None, reader):
+        for fields in filter(None, csv.reader(itertools.chain(lines, handle))):
             if len(fields) != n:
-                return sink.rows + len(flat) // n, f"expected {n} fields, got {len(fields)}"
+                raise csv.Error(f"expected {n} fields, got {len(fields)}")
             flat += fields
             if len(flat) == n * _BLOCK_ROWS:
-                sink.add(flat)
+                rows += _BLOCK_ROWS
+                yield flat
                 flat = []
     except csv.Error as exc:
-        return sink.rows + len(flat) // n, str(exc)
-    sink.add(flat)
-    return None
-
-
-class _Columns:
-    """A table's ids and number columns, taken a block at a time. The first
-    block with a refused value sets error; later blocks are only counted."""
-
-    def __init__(self, rules: dict):
-        self.rules, self.rows, self.error, self.ids, self.blocks = rules, 0, None, [], []
-
-    def add(self, flat: list):
-        n, start = len(self.rules) + 1, self.rows
-        self.rows += len(flat) // n
-        if self.error:
-            return
-        parsed = [_parse_cells(flat[i::n], name, *rule) for i, (name, rule) in enumerate(self.rules.items(), 1)]
-        errors = [(start + error[0], error[1]) for _, error in parsed if error]
-        # the earliest row's, and on one row the first column's
-        self.error = min(errors, key=lambda error: error[0], default=None)
-        if not self.error:
-            self.ids.extend(map(str.strip, flat[::n]))
-            self.blocks.append([values for values, _ in parsed])
+        _fail(path, (rows + len(flat) // n, str(exc)))
+    yield flat
 
 
 def _parse_cells(cells: list, name: str, blank, check):
@@ -198,33 +178,28 @@ def _fail_undecodable(path: str):
 
     The text reader decodes ahead of the csv parser, so the error it
     raises cannot say where the byte is; the raw bytes can. They are
-    decoded, and on finding such a byte read again up to it to count its
-    line, _READ_CHARS bytes at a time.
+    decoded _READ_CHARS bytes at a time, counting line breaks as they go.
     """
     decoder = codecs.getincrementaldecoder("utf-8")()
+    breaks, after_cr, error = 0, False, None
     with open(path, "rb") as handle:
-        end = 0
-        while True:
+        while not error:
             chunk = handle.read(_READ_CHARS)
-            end += len(chunk)
             try:
                 decoder.decode(chunk, final=not chunk)
             except UnicodeDecodeError as exc:
-                # exc.object is the bytes the decoder held back, then chunk
-                bad, byte = end - len(exc.object) + exc.start, exc.object[exc.start]
-                break
-            if not chunk:
-                return
-        handle.seek(0)
-        breaks, after_cr = 0, False
-        while handle.tell() < bad:
-            chunk = handle.read(min(_READ_CHARS, bad - handle.tell()))
+                # exc.object is the bytes the decoder held back, the start of
+                # one character and so no break, then chunk
+                error, chunk = exc, exc.object[: exc.start]
+            else:
+                if not chunk:
+                    return
             # breaks at LF, CR and CRLF, as csv and bytes.splitlines count
             # them, a CRLF split between two reads once
             breaks += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
             breaks -= after_cr and chunk.startswith(b"\n")
             after_cr = chunk.endswith(b"\r")
-    raise CliInputError(f"line {breaks + 1}: byte 0x{byte:02x} is not valid UTF-8")
+    raise CliInputError(f"line {breaks + 1}: byte 0x{error.object[error.start]:02x} is not valid UTF-8")
 
 
 def _data_lines(path: str) -> list:

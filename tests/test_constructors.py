@@ -209,6 +209,24 @@ def test_moderated_t_whose_numerator_overflows_keeps_the_other_rows_bits():
     assert t[1] == pytest.approx(2.0 / math.sqrt((4.0 / 7.0 + 3.0 / 7.0 * 1e308) * 0.1), rel=1e-14)
 
 
+def test_moderated_t_whose_degrees_of_freedom_sum_overflows_is_the_weighted_mean():
+    """df_prior + df past the float maximum: the posterior variance is the
+    weighted mean of s2_prior and s_sq, as at df_prior = df = 1e300, not
+    finite / inf = 0 (first two rows) or inf / inf (the third, whose
+    df * s_sq overflows too); the p-value is the normal limit's, and
+    nothing warns."""
+    huge = ModeratedTModel(0.1, 1e308, 1e308, 0.0144)
+    beta_hat, s_sq = np.array([0.1, -0.05, 0.3]), np.array([0.01, 0.02, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = moderated_t(beta_hat, s_sq, huge)
+        p = moderated_t_pvalue(t, huge)
+    np.testing.assert_allclose(t, moderated_t(beta_hat, s_sq, replace(huge, df=1e300, df_prior=1e300)), rtol=1e-15)
+    np.testing.assert_allclose(t, beta_hat / np.sqrt((0.0144 + s_sq) / 2.0 * 0.1), rtol=1e-15)
+    np.testing.assert_allclose(t[:2], [2.863, -1.206], rtol=1e-3)
+    np.testing.assert_allclose(p, 2.0 * stats.norm.sf(np.abs(t)), rtol=1e-14)
+
+
 def test_model_refuses_a_gamma_over_var_factor_past_the_float_range():
     with pytest.raises(MalformedValue, match="gamma / var_factor must be finite"):
         ModeratedTModel(np.array([0.1, 1e-310]), 4.0, 4.0, 1.0, gamma=1.0)

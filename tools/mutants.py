@@ -41,6 +41,8 @@ class Mutant(NamedTuple):
 
 CONSTRUCTORS = "epmt/constructors.py"
 CONSTRUCTOR_TESTS = ("tests/test_constructors.py",)
+TABLE = "epmt/table.py"
+TABLE_TESTS = ("tests/test_cli.py",)
 
 MUTANTS = [
     # the moderated-t log-e helper
@@ -119,10 +121,49 @@ MUTANTS = [
     # RFC 4180 doubles a quote inside a quoted cell
     Mutant(
         "csv-quote-not-doubled",
-        "epmt/table.py",
+        TABLE,
         """'"' + cell.replace('"', '""') + '"'""",
         """'"' + cell + '"'""",
         ("tests/test_cli.py", "tests/golden"),
+    ),
+    # the CSV reader: csv.reader's errors name the row counted over the whole file
+    Mutant(
+        "reader-csv-row-offset-dropped",
+        TABLE,
+        "_fail(path, (rows + len(flat) // n, str(exc)))",
+        "_fail(path, (len(flat) // n, str(exc)))",
+        TABLE_TESTS,
+    ),
+    # a block whose lines hold different field counts is cut at its commas
+    Mutant(
+        "reader-split-field-guard",
+        TABLE,
+        "commas != {n - 1}",
+        "n - 1 not in commas",
+        (*TABLE_TESTS, "tests/golden"),
+    ),
+    # a CRLF split between two reads counts as two breaks
+    Mutant(
+        "undecodable-crlf-across-reads",
+        TABLE,
+        '            breaks -= after_cr and chunk.startswith(b"\\n")\n',
+        "",
+        TABLE_TESTS,
+    ),
+    # a block's cells stay alive, in the loop or in the reader, while the next is read
+    Mutant(
+        "loader-keeps-each-block",
+        TABLE,
+        "                del flat\n",
+        "",
+        TABLE_TESTS,
+    ),
+    Mutant(
+        "reader-keeps-each-block",
+        TABLE,
+        "        flat = None\n",
+        "",
+        TABLE_TESTS,
     ),
 ]
 
