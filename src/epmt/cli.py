@@ -61,32 +61,24 @@ def _check_out_dir(path: str, summary: str | None):
 
 
 def cmd_adjust(args) -> int:
-    import numpy as np
-
-    from .calib import BadCalibrator, BadLambda, shift_evalue
+    from .calib import shift_evalue
     from .procedures import ProcedureSpec
-    from .table import _HYPOTHESES, _fail, _flagged, _load_table, _write_csv, _write_json
+    from .table import _HYPOTHESES, _load_table, _write_csv, _write_json
 
     try:
         spec = ProcedureSpec(
             args.procedure, alpha=args.alpha, tau=args.tau, calibrator=args.calibrator, merging=args.merging
         )
-    except (ValueError, KeyError, BadCalibrator) as exc:
+        if args.lambda_shift is not None:
+            shift_evalue(1.0, args.lambda_shift)  # refuses a lambda outside [0, 1]
+    except (ValueError, KeyError) as exc:
         _usage_error(str(exc))
-    ids, p, e = _load_table(args.input, _HYPOTHESES)
-    if spec.needs_p:
-        _fail(args.input, _flagged(np.isnan(p), f"procedure {spec.name} needs a p-value but the cell is empty"))
+    required = f"procedure {spec.name} needs a p-value but the cell is empty" if spec.needs_p else None
+    ids, p, e = _load_table(args.input, _HYPOTHESES, required)
     if args.lambda_shift is not None:
-        try:
-            e = shift_evalue(e, args.lambda_shift)
-        except BadLambda as exc:
-            _usage_error(str(exc))
+        e = shift_evalue(e, args.lambda_shift)
     result = spec.build()(p, e)
-    _write_csv(
-        args.out,
-        ["id", "p", "e", "adjusted", "rejected"],
-        [ids, p, e, result.adjusted, np.where(result.mask, "1", "0").tolist()],
-    )
+    _write_csv(args.out, ["id", "p", "e", "adjusted", "rejected"], [ids, p, e, result.adjusted, result.mask])
     _write_json(
         args.out,
         args.summary,
@@ -117,23 +109,15 @@ def run_campaign(*args, **kwargs):
 
 
 def cmd_simulate(args) -> int:
-    import json
     from dataclasses import asdict
 
     import numpy as np
 
-    from .sim import ConfigError, TooManyReplicates, campaign_from_config, scenario_to_dict
-    from .table import _fail_undecodable, _open_input, _write_csv, _write_json
+    from .sim import ConfigError, TooManyReplicates, _scenario_label, campaign_from_config, scenario_to_dict
+    from .table import _read_config, _write_csv, _write_json
 
     try:
-        with _open_input(args.config) as handle:
-            config = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise CliInputError(f"config is not valid JSON: {exc}") from None
-    except UnicodeDecodeError:
-        _fail_undecodable(args.config)
-    try:
-        scenarios, specs = campaign_from_config(config)
+        scenarios, specs = campaign_from_config(_read_config(args.config))
         campaign = run_campaign(
             scenarios,
             specs,
@@ -145,8 +129,7 @@ def cmd_simulate(args) -> int:
         raise CliInputError(str(exc)) from None
     except TooManyReplicates as exc:
         _usage_error(f"--reps {args.reps} is too large: {exc}")
-    described = [scenario_to_dict(s) for s in scenarios]
-    labels = [f"{scenario['kind']}-{index}" for index, scenario in enumerate(described)]
+    labels = [_scenario_label(scenario, index) for index, scenario in enumerate(scenarios)]
     rates = ["fdr", "se_fdr", "power", "se_power", "fwer", "se_fwer", "pfer", "se_pfer"]
     pairs = [(index, spec.name) for index in range(len(labels)) for spec in specs]
     metrics = [campaign.metrics[pair] for pair in pairs]
@@ -164,7 +147,7 @@ def cmd_simulate(args) -> int:
         "master_seed": args.seed,
         "replicates": args.reps,
         "package_version": __version__,
-        "scenarios": described,
+        "scenarios": [scenario_to_dict(scenario) for scenario in scenarios],
         "procedures": [asdict(spec) for spec in specs],
     }
     _write_json(args.out, args.summary, manifest)
@@ -189,7 +172,7 @@ _PROCEDURES = (
 
 
 def cmd_combine(args) -> int:
-    import numpy as np
+    from functools import partial
 
     from .calib import (
         BadCalibrator,
@@ -200,30 +183,23 @@ def cmd_combine(args) -> int:
         combine_quotient,
         parse_calibrator,
     )
-    from .table import _HYPOTHESES, _fail, _flagged, _load_table, _write_csv
+    from .table import _HYPOTHESES, _load_table, _write_csv
 
     if args.mode in ("product", "mean") and args.calibrator is None:
         _usage_error(f"--calibrator is required for mode {args.mode!r}")
-    calibrator = None
-    if args.calibrator is not None:
-        try:
-            calibrator = parse_calibrator(args.calibrator)
-        except BadCalibrator as exc:
-            _usage_error(str(exc))
-    ids, p, e = _load_table(args.input, _HYPOTHESES)
-    _fail(args.input, _flagged(np.isnan(p), "combiners need a p-value but the cell is empty"))
-    if args.mode == "quotient":
-        combined = combine_quotient(p, e)
-    elif args.mode == "bonferroni":
-        combined = combine_bonferroni(p, e)
-    elif args.mode == "product":
-        combined = combine_product(p, e, calibrator)
-    else:
-        try:
-            combined = combine_mean(p, e, calibrator, weight=args.mean_weight)
-        except BadLambda as exc:
-            _usage_error(str(exc))
-    _write_csv(args.out, ["id", "combined"], [ids, combined])
+    try:
+        calibrator = None if args.calibrator is None else parse_calibrator(args.calibrator)
+        combine = {
+            "quotient": combine_quotient,
+            "product": partial(combine_product, calibrator=calibrator),
+            "mean": partial(combine_mean, calibrator=calibrator, weight=args.mean_weight),
+            "bonferroni": combine_bonferroni,
+        }[args.mode]
+        combine(0.5, 1.0)  # the mean combiner refuses a weight outside (0, 1)
+    except (BadCalibrator, BadLambda) as exc:
+        _usage_error(str(exc))
+    ids, p, e = _load_table(args.input, _HYPOTHESES, "combiners need a p-value but the cell is empty")
+    _write_csv(args.out, ["id", "combined"], [ids, combine(p, e)])
     return 0
 
 

@@ -292,8 +292,7 @@ def _replicate_batch(args):
             # the config passed its checks, yet its values drew numbers that no
             # kernel accepts, or more than memory holds: as bad a config as one
             # a check refuses
-            label = f"{scenario_to_dict(scenario)['kind']}-{scenario_index}"
-            raise ConfigError(f"scenario {label} replicate {rep}: {exc}") from None
+            raise ConfigError(f"scenario {_scenario_label(scenario, scenario_index)} replicate {rep}: {exc}") from None
     return out
 
 
@@ -332,7 +331,7 @@ def run_campaign(
         # the largest array a replicate draws, a t-test sample's 5 float64 per
         # hypothesis, would pass the bytes that numpy can index
         if scenario.n_hypotheses > np.iinfo(np.intp).max // 40:
-            label = f"{scenario_to_dict(scenario)['kind']}-{index}"
+            label = _scenario_label(scenario, index)
             raise ConfigError(f"scenario {label}: n_hypotheses {scenario.n_hypotheses} is too large")
     try:
         stats = np.empty((len(scenarios), replicates, len(specs), 4))
@@ -428,6 +427,7 @@ SCENARIO_KINDS = {
     "microarray": MicroarrayScenario,
     "adversarial": AdversarialScenario,
 }
+_KINDS = {cls: kind for kind, cls in SCENARIO_KINDS.items()}
 
 
 class ConfigError(ValueError):
@@ -493,8 +493,12 @@ def scenario_from_dict(mapping: dict) -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    kind = {v: k for k, v in SCENARIO_KINDS.items()}[type(scenario)]
-    return {"kind": kind, **asdict(scenario)}
+    return {"kind": _KINDS[type(scenario)], **asdict(scenario)}
+
+
+def _scenario_label(scenario: Scenario, index: int) -> str:
+    """The scenario's name in the simulate CSV and in messages: kind-index."""
+    return f"{_KINDS[type(scenario)]}-{index}"
 
 
 def _config_list(config: dict, key: str, kinds, described: str) -> list:

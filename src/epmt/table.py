@@ -1,13 +1,13 @@
-"""The CSV layer of the command line: reading, parsing and writing tables.
+"""The file layer of the command line: reading, parsing and writing tables.
 
 `adjust`, `combine` and `moderate` load their input with `_load_table`,
 under the rules `_HYPOTHESES` or `_SUMMARIES`: the reader cuts the file
 into blocks, and each block's number cells become float64 arrays and are
 checked as it is cut, so only the id cells are kept as str. Every error
 names the line it was found on and raises `cli.CliInputError` (exit 2).
-`_write_csv` writes equally long columns, str cells or float64 arrays, in
-blocks of `_BLOCK_ROWS` rows, and `_write_json` the summary beside the
-output CSV.
+`_read_config` reads `simulate`'s JSON config. `_write_csv` writes equally
+long columns, str cells, bool or float64 arrays, in blocks of `_BLOCK_ROWS`
+rows, and `_write_json` the summary beside the output CSV.
 
 `cli` loads this module, and with it numpy and `core`, only inside the
 subcommands, so `epmt --version`, `--help` and usage errors never load it.
@@ -52,12 +52,13 @@ def _open_output(path: str, mode: str, **kwargs):
 _READ_CHARS = 1 << 20
 
 
-def _load_table(path: str, rules: dict) -> list:
+def _load_table(path: str, rules: dict, required: str | None = None) -> list:
     """The stripped ids of a CSV with header id plus the rules' columns,
     then a float64 array per number column. Errors come in this order: a
     byte that is not UTF-8, the header, a row that cannot be read anywhere
     in the file, the earliest refused value (on one row, the first
-    column's; the blocks after its own are only counted), a repeated id."""
+    column's; the blocks after its own are only counted), a repeated id,
+    then, if required is given, an empty p cell, with required as message."""
     columns = ("id", *rules)
     n = len(columns)
     ids, blocks, rows, error = [], [], 0, None
@@ -85,7 +86,10 @@ def _load_table(path: str, rules: dict) -> list:
         raise CliInputError("line 2: no data rows")
     _fail(path, error)
     _check_unique(path, ids)
-    return [ids, *map(np.concatenate, zip(*blocks))]
+    loaded = [ids, *map(np.concatenate, zip(*blocks))]
+    if required:
+        _fail(path, _flagged(np.isnan(loaded[1]), required))
+    return loaded
 
 
 def _check_header(handle, columns: tuple):
@@ -170,6 +174,18 @@ def _parse_cells(cells: list, name: str, blank, check):
     if blank:
         values[empty] = blank[1]
     return values, error
+
+
+def _read_config(path: str):
+    """The parsed JSON of a config file, or raise naming what is wrong with it."""
+    try:
+        with _open_input(path) as handle:
+            return json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise CliInputError(f"config is not valid JSON: {exc}") from None
+    except UnicodeDecodeError:
+        _fail_undecodable(path)
+        raise
 
 
 def _fail_undecodable(path: str):
@@ -436,14 +452,17 @@ def _float_cells(values: np.ndarray) -> list:
 def _format_block(columns: list, lo: int, hi: int) -> bytes:
     """UTF-8 CSV of rows lo to hi of the columns, each row ending in LF.
 
-    A column is a list of str cells, quoted as needed, or a float64 array
-    written by _float_cells. Two columns holding the same array share its
-    cells.
+    A column is a list of str cells, quoted as needed, a bool array
+    written as 1 and 0, or a float64 array written by _float_cells. Two
+    columns holding the same float64 array share its cells.
     """
     floats, block = {}, []
     for column in columns:
         if isinstance(column, list):
             block.append(list(map(str.encode, _quoted(column[lo:hi]))))
+            continue
+        if column.dtype == bool:
+            block.append(np.where(column[lo:hi], b"1", b"0").tolist())
             continue
         if id(column) not in floats:
             floats[id(column)] = _float_cells(column[lo:hi])
@@ -454,10 +473,10 @@ def _format_block(columns: list, lo: int, hi: int) -> bytes:
 def _write_csv(path: str, header: list, columns: list):
     """Write a UTF-8 CSV of the header over equally long columns.
 
-    A column is a list of str cells or a float64 array, whose NaNs are
-    left empty. Each block of _BLOCK_ROWS rows is formatted by
-    _format_block and written as it is made, in this process; the bytes
-    do not depend on the locale.
+    A column is a list of str cells, a bool array or a float64 array,
+    whose NaNs are left empty. Each block of _BLOCK_ROWS rows is formatted
+    by _format_block and written as it is made, in this process; the
+    bytes do not depend on the locale.
     """
     with _open_output(path, "wb") as handle:
         handle.write(",".join(_quoted(header)).encode() + b"\n")

@@ -627,6 +627,58 @@ def test_combine_requires_p(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+BAD_FLAGS = {
+    "lambda-above-one": (
+        ["adjust", "--procedure", "ep-bh", "--lambda-shift", "1.5"], "shift lambda must lie in [0, 1], got 1.5"
+    ),
+    "lambda-below-zero": (
+        ["adjust", "--procedure", "ep-bh", "--lambda-shift", "-0.1"], "shift lambda must lie in [0, 1], got -0.1"
+    ),
+    "lambda-nan": (
+        ["adjust", "--procedure", "ep-bh", "--lambda-shift", "nan"], "shift lambda must lie in [0, 1], got nan"
+    ),
+    "mean-weight-zero": (
+        ["combine", "--mode", "mean", "--calibrator", "sqrt", "--mean-weight", "0.0"],
+        "mean-combiner weight must lie strictly in (0, 1), got 0.0",
+    ),
+    "mean-weight-one": (
+        ["combine", "--mode", "mean", "--calibrator", "sqrt", "--mean-weight", "1.0"],
+        "mean-combiner weight must lie strictly in (0, 1), got 1.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FLAGS))
+@pytest.mark.parametrize("input_kind", ["missing", "malformed"])
+def test_bad_flag_exits_3_before_the_input_is_read(tmp_path, capsys, case, input_kind):
+    """--lambda-shift and --mean-weight are usage errors even when the input
+    cannot be read, and a refused flag leaves no output behind."""
+    argv, message = BAD_FLAGS[case]
+    inp = tmp_path / "in.csv"
+    if input_kind == "malformed":
+        inp.write_text("id,p,e\ng1,oops,2\n")
+    out = tmp_path / "o.csv"
+    assert cli.main([*argv, "--input", str(inp), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == ([inp] if input_kind == "malformed" else [])
+
+
+P_COMMANDS = {"adjust": ["adjust", "--procedure", "p-bh"], "combine": ["combine", "--mode", "quotient"]}
+
+
+@pytest.mark.parametrize("command", sorted(P_COMMANDS))
+@pytest.mark.parametrize("body, message", [
+    ("id,p,e\na,,2\nb,0.1,1\na,0.2,1\n", "line 4: duplicate id 'a' (first seen on line 2)"),
+    ("id,p,e\na,,2\nb,0.1,x\n", "line 3: cannot parse e='x' as a number"),
+], ids=["duplicate-id", "unparsable-e"])
+def test_empty_p_is_named_after_the_loaders_own_errors(tmp_path, capsys, command, body, message):
+    """A command that needs p names an empty p cell only after a repeated
+    id or a cell that cannot be read, wherever those are."""
+    inp = write(tmp_path / "h.csv", body)
+    assert cli.main([*P_COMMANDS[command], "--input", inp, "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------- simulate
 
 

@@ -718,6 +718,16 @@ def test_fit_gamma_infinite_t_inside_the_grid_matches_the_mpmath_oracle():
         assert fit_gamma(t, model) == want
 
 
+def test_fit_gamma_where_every_point_ties_the_null_model_is_the_sentinel():
+    """A variance factor so large that every e-value is exactly 1 scores 0
+    at every grid point; none beats the null-only model, so the fit is the
+    0.0 sentinel, not a grid point."""
+    t = np.random.default_rng(1408).standard_t(12.0, 50)
+    model = ModeratedTModel(1e30, 8.0, 4.0, 0.1)
+    assert (_gamma_scores(t, model) == 0.0).all()
+    assert fit_gamma(t, model) == 0.0
+
+
 def test_fit_gamma_with_one_huge_statistic_is_not_the_null_sentinel():
     """One -inf log density used to tie every grid point with the null model."""
     rng = np.random.default_rng(1406)

@@ -327,6 +327,12 @@ def test_storey_pi0_oracle():
         storey_pi0([0.1], 1.0)
 
 
+def test_storey_pi0_counts_only_p_strictly_above_tau():
+    # a p at tau is a candidate, as ep_storey's p <= tau weights say: only
+    # the 0.9 counts, so pi0 = (1 + 1) / (4 * 0.5)
+    assert storey_pi0([0.5, 0.5, 0.9, 0.01], 0.5) == 1.0
+
+
 def test_ep_storey_known_case():
     p = [0.01, 0.02, 0.6, 0.7, 0.8]
     e = [2.0, 1.0, 1.0, 1.0, 1.0]

@@ -41,8 +41,15 @@ class Mutant(NamedTuple):
 
 CONSTRUCTORS = "epmt/constructors.py"
 CONSTRUCTOR_TESTS = ("tests/test_constructors.py",)
+CORE_TESTS = ("tests/test_core.py",)
+PROCEDURES = "epmt/procedures.py"
+PROCEDURE_TESTS = ("tests/test_procedures.py",)
+SIM = "epmt/sim.py"
+SIM_TESTS = ("tests/golden", "tests/test_sim.py")
 TABLE = "epmt/table.py"
 TABLE_TESTS = ("tests/test_cli.py",)
+# the float kernel's byte-for-byte checks against repr
+PROPERTY_TESTS = ("tests/test_properties.py",)
 
 MUTANTS = [
     # the moderated-t log-e helper
@@ -165,6 +172,73 @@ MUTANTS = [
         "",
         TABLE_TESTS,
     ),
+    # Storey's null-proportion estimate counts the p-values above tau
+    Mutant("storey-pi0-at-tau", PROCEDURES, "int((p > tau).sum())", "int((p >= tau).sum())", PROCEDURE_TESTS),
+    # the normalized weights average 1
+    Mutant("normalized-weights-unscaled", PROCEDURES, "return e.size * e / total", "return e / total", PROCEDURE_TESTS),
+    Mutant(
+        "ep-bonferroni-alpha-not-over-k",
+        PROCEDURES,
+        "adjusted <= alpha / p.size",
+        "adjusted <= alpha",
+        PROCEDURE_TESTS,
+    ),
+    # h(p) = kappa * p**(kappa - 1)
+    Mutant(
+        "kappa-calibrator-no-kappa",
+        "epmt/calib.py",
+        "self.kappa * arr ** (self.kappa - 1.0)",
+        "arr ** (self.kappa - 1.0)",
+        ("tests/test_calib.py",),
+    ),
+    Mutant(
+        "chisq-lr-quarter-ncp",
+        CONSTRUCTORS,
+        "math.exp(-ncp / 2.0) * special.hyp0f1",
+        "math.exp(-ncp / 4.0) * special.hyp0f1",
+        CONSTRUCTOR_TESTS,
+    ),
+    # the posterior variance weighs the prior by its degrees of freedom
+    Mutant(
+        "moderated-t-no-prior-df-weight",
+        CONSTRUCTORS,
+        "(model.df_prior * model.s2_prior + df * s_sq)",
+        "(model.s2_prior + df * s_sq)",
+        CONSTRUCTOR_TESTS,
+    ),
+    # fit_gamma's strict >: a point that only ties the best score so far, or
+    # the null-only model's 0, does not win
+    Mutant("fit-gamma-tie-takes-later", CONSTRUCTORS, "score > best_score", "score >= best_score", CONSTRUCTOR_TESTS),
+    Mutant(
+        "child-rng-keys-swapped",
+        SIM,
+        "int(scenario_index), int(replicate_index)",
+        "int(replicate_index), int(scenario_index)",
+        SIM_TESTS,
+    ),
+    # the FDP divides by the rejections; the standard error by n - 1
+    Mutant("fdp-over-all-hypotheses", "epmt/core.py", "n_false / n_rej", "n_false / truth.size", CORE_TESTS),
+    Mutant("aggregate-se-ddof-0", SIM, "column.std(ddof=1)", "column.std(ddof=0)", SIM_TESTS),
+    # the writer: separators, the header check, the float kernel, bool columns
+    Mutant("writer-semicolon", TABLE, 'b",".join', 'b";".join', TABLE_TESTS),
+    Mutant(
+        "header-first-column-only",
+        TABLE,
+        "if [h.strip() for h in header] != list(columns):",
+        "if header[0].strip() != columns[0]:",
+        (*TABLE_TESTS, "tests/golden"),
+    ),
+    Mutant("float-kernel-no-tie-fallback", TABLE, "edge16 | tie", "edge16", PROPERTY_TESTS),
+    Mutant(
+        "float-kernel-no-decade-correction",
+        TABLE,
+        "k[moved] += np.where(under[moved], 1, -1)",
+        "k[moved] += 0",
+        PROPERTY_TESTS,
+    ),
+    # the empty-p refusal reads the p column
+    Mutant("empty-p-check-column", TABLE, "np.isnan(loaded[1])", "np.isnan(loaded[2])", TABLE_TESTS),
+    Mutant("bool-column-swapped", TABLE, 'b"1", b"0"', 'b"0", b"1"', (*TABLE_TESTS, "tests/golden")),
 ]
 
 
