@@ -19,6 +19,7 @@ a quote, CR or LF is quoted. Output is UTF-8 in any locale.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import warnings
@@ -314,4 +315,16 @@ def main(argv=None) -> int:
 
 
 def entry():  # console-script hook
-    sys.exit(main())
+    # One command is one bounded run, and the cyclic garbage it leaves does
+    # not grow with its input (tests/test_cli.py counts it), so the command
+    # runs without the cyclic collector. The collector would otherwise walk
+    # the ~40,000 objects that numpy and scipy.special leave tracked, in
+    # about a hundred passes while they load and again in the final
+    # collections at exit; freezing them spares the exit pass. Together
+    # that was 40-75 ms of a 0.55-0.65 s `simulate` (2-core Xeon,
+    # Python 3.11). Streams still flush and atexit handlers still run;
+    # main() and every in-process caller keep the collector.
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)

@@ -6,6 +6,7 @@ fresh import loads.
 """
 
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -1383,3 +1384,119 @@ def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert cli.main([]) == 3  # a subcommand is required
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------- process end
+
+
+def run_command(argv) -> subprocess.CompletedProcess:
+    """`python -m epmt argv` with block-buffered standard output, as from a
+    pipe or a file: PYTHONUNBUFFERED, which would hide a buffer left
+    unflushed at exit, is removed from its environment. COLUMNS fixes the
+    width of the help text."""
+    environ = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-m", "epmt", *argv], capture_output=True, text=True, env={**environ, "COLUMNS": "80"}
+    )
+
+
+def hypotheses_input(path, rows: int) -> str:
+    rng = np.random.default_rng(rows)
+    p, e = rng.random(rows).tolist(), rng.exponential(size=rows).tolist()
+    return write(path, "id,p,e\n" + "".join(f"h{i},{p[i]!r},{e[i]!r}\n" for i in range(rows)))
+
+
+def moderate_input(path, rows: int) -> str:
+    rng = np.random.default_rng(rows)
+    sigma2 = 3.64 * 0.0144 / rng.chisquare(3.64, rows)
+    beta_hat = rng.standard_normal(rows) * np.sqrt(0.1 * sigma2)
+    return write_moderate_input(path, beta_hat, sigma2 * rng.chisquare(38.0, rows) / 38.0)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["adjust", "--input", "{tmp}/in.csv", "--procedure", "bh", "--out", "{tmp}/o.csv"], 3),
+    (["adjust", "--input", "{tmp}/missing.csv", "--procedure", "p-bh", "--out", "{tmp}/o.csv"], 2),
+], ids=["version", "help", "usage-error", "missing-input"])
+def test_command_exit_prints_what_main_prints(tmp_path, monkeypatch, capsys, argv, code):
+    """The command's exit flushes every line that in-process `main`
+    prints, and exits with main's code."""
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.main(argv) == code
+    printed = capsys.readouterr()
+    proc = run_command(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, printed.out, printed.err)
+    if argv == ["--version"]:
+        assert proc.stdout == "epmt 0.1.0\n"
+
+
+def test_command_exit_writes_the_in_process_bytes(tmp_path):
+    inp = hypotheses_input(tmp_path / "h.csv", 3 * table._BLOCK_ROWS + 5)
+    argv = ["adjust", "--input", inp, "--procedure", "ep-bh", "--alpha", "0.2"]
+    assert cli.main([*argv, "--out", str(tmp_path / "inprocess.csv")]) == 0
+    proc = run_command([*argv, "--out", str(tmp_path / "command.csv")])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert (tmp_path / "command.csv").read_bytes() == (tmp_path / "inprocess.csv").read_bytes()
+    assert (tmp_path / "command.json").read_bytes() == (tmp_path / "inprocess.json").read_bytes()
+
+
+def test_command_runs_without_the_cyclic_collector():
+    """entry() turns the collector off for the command and freezes what
+    is left tracked, so the exit-time collections skip it."""
+    code = RUN_VERSION + "import gc; print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+    assert run_fresh(code) == "epmt 0.1.0\nFalse True\n"
+
+
+def test_main_keeps_the_cyclic_collector(capsys):
+    frozen = gc.get_freeze_count()
+    assert gc.isenabled()
+    assert cli.main(["--version"]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == (True, frozen)
+    capsys.readouterr()
+
+
+ROWS = 10_000  # 2 blocks of the writer; 4x this is 5 blocks, and 2 reads of the reader
+
+
+def simulate_argv(parallelism: str):
+    """simulate's arguments for n rows: n // 1000 replicates of a t-test
+    and a microarray scenario."""
+    scenarios = [{"kind": "ttest", "n_hypotheses": 150}, {"kind": "microarray", "n_hypotheses": 200}]
+    return lambda path, n: [
+        "--config", write(path, config_text(scenarios=scenarios)), "--reps", str(n // 1000), "--parallelism", parallelism
+    ]
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("adjust", lambda path, n: ["--input", hypotheses_input(path, n), "--procedure", "ep-bh"]),
+    ("combine", lambda path, n: ["--input", hypotheses_input(path, n), "--mode", "quotient"]),
+    ("moderate", lambda path, n: ["--input", moderate_input(path, n)]),
+    ("simulate", simulate_argv("1")),
+    ("simulate", simulate_argv("2")),
+], ids=["adjust", "combine", "moderate", "simulate-par1", "simulate-par2"])
+def test_a_run_leaks_no_resource_and_cyclic_garbage_that_grows(tmp_path, command, argv):
+    """The command runs without the cyclic collector (entry), so what the
+    collector would have found is checked here: with it off, a run leaves
+    no file or other resource to a finalizer (no ResourceWarning), and the
+    cyclic garbage it leaves is the same at 1x and 4x the rows (or
+    replicates). A first run at 1x loads what the command loads once."""
+    unraised = []
+    hook, sys.unraisablehook = sys.unraisablehook, unraised.append
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            collected = []
+            for n in (ROWS, ROWS, 4 * ROWS):
+                run = [command, *argv(tmp_path / f"in{n}", n), "--out", str(tmp_path / "o.csv")]
+                gc.collect()
+                gc.disable()
+                assert cli.main(run) == 0
+                collected.append(gc.collect())
+                gc.enable()
+    finally:
+        sys.unraisablehook = hook
+        gc.enable()
+    assert [u.exc_value for u in unraised] == []
+    assert collected[1] == collected[2], collected

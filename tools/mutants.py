@@ -239,6 +239,9 @@ MUTANTS = [
     # the empty-p refusal reads the p column
     Mutant("empty-p-check-column", TABLE, "np.isnan(loaded[1])", "np.isnan(loaded[2])", TABLE_TESTS),
     Mutant("bool-column-swapped", TABLE, 'b"1", b"0"', 'b"0", b"1"', (*TABLE_TESTS, "tests/golden")),
+    # the command runs without the cyclic collector and freezes it before exit
+    Mutant("entry-keeps-the-collector", "epmt/cli.py", "    gc.disable()\n", "", ("tests/test_cli.py",)),
+    Mutant("entry-no-freeze", "epmt/cli.py", "    gc.freeze()\n", "", ("tests/test_cli.py",)),
 ]
 
 
