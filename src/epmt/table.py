@@ -16,6 +16,7 @@ subcommands, so `epmt --version`, `--help` and usage errors never load it.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
 import functools
 import io
@@ -152,13 +153,24 @@ def _read_blocks(path: str, handle, n: int):
 def _parse_cells(cells: list, name: str, blank, check):
     """A block of one number column as float64, and None or the (row,
     message) of its first refused cell. Cells go to numpy unstripped, as
-    float() strips whitespace; a block that fails is stripped, filled and
-    converted again, then walked to its first unparsable cell."""
+    float() strips whitespace. A block that fails is converted again with
+    its blank cells filled. One that still fails (numpy strips none of
+    U+001C-U+001F, which str.strip does) is stripped, filled and converted,
+    and if that fails too, walked to its first unparsable cell."""
+    values, empty = None, []
     try:
-        values, empty = np.array(cells, dtype=float), []
+        values = np.array(cells, dtype=float)
     except ValueError:
+        # the cells that `not cell.strip()` finds blank, in one scan with no stripped copy
+        empty = [i for i, cell in enumerate(cells) if not cell or cell.isspace()]
+        if blank and empty:
+            filled = cells.copy()
+            for i in empty:
+                filled[i] = blank[0]
+            with contextlib.suppress(ValueError):
+                values = np.array(filled, dtype=float)
+    if values is None:
         cells = list(map(str.strip, cells))
-        empty = [not cell for cell in cells]
         cells = [cell or blank[0] for cell in cells] if blank else cells
         try:
             values = np.array(cells, dtype=float)

@@ -9,9 +9,9 @@ subcommands that use it, and it does (tests/test_cli.py checks a fresh
 import). Public functions validate
 and compute in one place, so no module has a private `_name` twin beside
 one. Every public method of a public class is read somewhere in the
-package, so no member serves only the tests. Only sim imports
-multiprocessing or concurrent.futures: the campaign harness owns the one
-process pool, and decides how workers start.
+package, so no member serves only the tests. Only sim forks, and no
+module imports multiprocessing or concurrent.futures: the campaign
+harness owns the one process pool, and decides how workers start.
 """
 
 import ast
@@ -57,15 +57,27 @@ def test_numpy_only_layers_import_no_scipy_constructors_or_sim():
 POOL_MODULES = ("multiprocessing", "concurrent.futures")
 
 
-def test_only_sim_imports_the_process_pool_modules(tmp_path):
-    """sim's campaign pool alone starts worker processes, so one module
-    decides how they start."""
-    # the scan sees a pool import, also one deferred into a function
+def fork_calls(path) -> int:
+    """How many calls to os.fork, or to a fork imported by name, a source file makes."""
+    return sum(
+        isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) == "fork" or getattr(node.func, "id", None) == "fork")
+        for node in ast.walk(ast.parse(path.read_text()))
+    )
+
+
+def test_only_sim_starts_worker_processes(tmp_path):
+    """sim's campaign pool alone starts worker processes, forking them
+    itself: no module imports the process pool modules, and one decides
+    how workers start."""
+    # the scan sees a pool import, also one deferred into a function, and a fork
     planted = tmp_path / "planted.py"
-    planted.write_text("def f():\n    from concurrent import futures\n    import multiprocessing.context\n")
+    planted.write_text("def f():\n    from concurrent import futures\n    import multiprocessing.context\n    os.fork()\n")
     assert imports_under(planted, POOL_MODULES) == ["concurrent.futures", "multiprocessing.context"]
-    importers = [path.name for path in sorted(PACKAGE.glob("*.py")) if imports_under(path, POOL_MODULES)]
-    assert importers == ["sim.py"]
+    assert fork_calls(planted) == 1
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert [path.name for path in modules if imports_under(path, POOL_MODULES)] == []
+    assert [path.name for path in modules if fork_calls(path)] == ["sim.py"]
 
 
 def defined_names(source: str) -> set:

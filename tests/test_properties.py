@@ -270,6 +270,62 @@ def test_adjust_csv_round_trips_float_bits(rows, name):
     assert [row["rejected"] for row in written] == ["1" if r else "0" for r in expected.mask]
 
 
+# whitespace str.strip() drops: blanks, tabs, NBSP, em space, and U+001F,
+# which float() drops but numpy does not
+PAD = st.sampled_from(["", " ", "\t", "\xa0", " \t", "\u2003", "\x1f"])
+NUMBER_CELL = st.builds(lambda a, value, b: f"{a}{value!r}{b}", PAD, st.one_of(P_CELL, E_CELL), PAD)
+BLANK_CELL = st.builds(str.__add__, PAD, PAD)
+UNPARSABLE_CELL = st.sampled_from(["x", "1.2.3", " 0x1p-2 ", "\t-\t", "nan nan"])
+# the p and e rules, which fill a blank cell, and a summary rule, which refuses one
+CELL_RULES = [("p", table._HYPOTHESES["p"]), ("e", table._HYPOTHESES["e"]), ("nu", table._SUMMARIES["nu"])]
+
+
+def _parsed_by_walk(cells, name, blank, check):
+    """_parse_cells's result by float(cell.strip() or blank[0]), cell by cell."""
+    texts = [cell.strip() or (blank[0] if blank else "") for cell in cells]
+    values = []
+    for text in texts:
+        try:
+            values.append(float(text))
+        except ValueError:
+            return None, check(np.array(values)) or (len(values), f"cannot parse {name}={text!r} as a number")
+    values = np.array(values)
+    error = check(values)
+    if blank:
+        values[[not cell.strip() for cell in cells]] = blank[1]
+    return values, error
+
+
+@FIXED
+@given(
+    st.lists(st.one_of(NUMBER_CELL, BLANK_CELL), min_size=1, max_size=20),
+    st.lists(st.tuples(st.integers(0, 20), UNPARSABLE_CELL), max_size=2),
+    st.sampled_from(CELL_RULES),
+)
+@example(["0.5", "", "0.25"], [(2, " x ")], CELL_RULES[0])
+@example(["2", "\xa0", "\t0.5\t"], [], CELL_RULES[1])
+def test_parse_cells_matches_a_stripped_walk(cells, unparsable, rule):
+    """Blank, whitespace-only and padded cells parse as a walk over the
+    stripped, filled cells would: the same values, and the same first
+    refused cell and message, an unparsable cell after a blank included."""
+    for position, cell in unparsable:
+        cells.insert(min(position, len(cells)), cell)
+    name, (blank, check) = rule
+    values, error = table._parse_cells(list(cells), name, blank, check)
+    expected_values, expected_error = _parsed_by_walk(cells, name, blank, check)
+    assert error == expected_error
+    if expected_values is None:
+        assert values is None
+    else:
+        np.testing.assert_array_equal(values, expected_values)
+
+
+def test_parse_cells_names_an_unparsable_cell_after_a_blank():
+    """The row counts the blank before it, and the cell is named stripped."""
+    name, (blank, check) = CELL_RULES[0]
+    assert table._parse_cells(["0.5", " \t", "\xa0x "], name, blank, check) == (None, (2, "cannot parse p='x' as a number"))
+
+
 # ids with every character the writer must quote, non-ASCII text and ""
 ID = st.text(st.one_of(st.sampled_from(',"\r\n'), st.characters(codec="utf-8")), max_size=6)
 

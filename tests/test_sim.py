@@ -1,11 +1,12 @@
 """Tests for scenario generators and the replication harness."""
 
-import concurrent.futures
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from types import SimpleNamespace
 
@@ -518,43 +519,25 @@ def test_run_campaign_replicate_stats_are_the_metrics_columns():
         np.testing.assert_array_equal(per_rep, parallel.replicate_stats[key])
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and the start
-    method, runs the worker initializer and maps in process."""
-
-    created = []
-    start_methods = []
-
-    def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
-        self.created.append(max_workers)
-        self.start_methods.append(mp_context.get_start_method())
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
-
-
 @pytest.mark.parametrize(
-    "replicates,parallelism,workers",
-    [(3, 8, [3]), (1, 4, []), (8, 2, [2])],
+    "replicates,parallelism,forks",
+    [(3, 8, 3), (1, 4, 0), (8, 2, 2)],
     ids=["8-over-3-tasks", "4-over-1-task", "2-over-2-tasks"],
 )
-def test_run_campaign_starts_no_worker_beyond_the_tasks(monkeypatch, replicates, parallelism, workers):
-    monkeypatch.setattr(RecordingPool, "created", [])
-    monkeypatch.setattr(RecordingPool, "start_methods", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+def test_run_campaign_starts_no_worker_beyond_the_tasks(monkeypatch, replicates, parallelism, forks):
+    started = []
+    fork = os.fork
+
+    def counting_fork():
+        started.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
     scn = AdversarialScenario(n_hypotheses=20)
     specs = [ProcedureSpec("e-bh")]
     pooled = run_campaign([scn], specs, replicates=replicates, master_seed=4, parallelism=parallelism)
-    assert RecordingPool.created == workers
-    # forked, not the platform default, so a worker imports nothing again
-    assert RecordingPool.start_methods == ["fork"] * len(workers)
+    # every fork is this process's, one per worker
+    assert started == [os.getpid()] * forks
     serial = run_campaign([scn], specs, replicates=replicates, master_seed=4)
     np.testing.assert_array_equal(pooled.replicate_stats[(0, "e-bh")], serial.replicate_stats[(0, "e-bh")])
 
@@ -568,6 +551,45 @@ def test_pool_map_runs_a_closure_over_a_large_list_in_item_order():
     assert [total for _, total in pooled] == [total for _, total in map(fn, range(0, len(data), 100_000))]
     if hasattr(os, "fork"):
         assert os.getpid() not in {pid for pid, _ in pooled}
+
+
+# the most a failed _pool_map may take: far below the sleeping worker's 20 s,
+# so a call that waits that worker out instead of killing it fails
+KILLED_WORKER_BOUND_S = 10.0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks only where the platform can")
+def test_pool_map_raises_on_a_killed_worker_and_leaves_no_child(tmp_path):
+    """A worker killed by a signal raises RuntimeError naming it, at once:
+    the other worker, still asleep, is killed and reaped, not waited for."""
+
+    def task(item):
+        (tmp_path / str(item)).write_text(str(os.getpid()))
+        if item == 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(20)
+
+    started = time.perf_counter()
+    with pytest.raises(RuntimeError) as raised:
+        sim._pool_map(task, [0, 1], 2)
+    assert time.perf_counter() - started < KILLED_WORKER_BOUND_S
+    killed = (tmp_path / "0").read_text()
+    assert str(raised.value) == f"worker process {killed} ended with wait status {signal.SIGKILL} before sending its results"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks only where the platform can")
+def test_pool_map_raises_a_task_exception_and_leaves_no_child():
+    def task(item):
+        if item == 2:
+            raise ValueError(f"item {item}")
+        return item
+
+    with pytest.raises(ValueError, match="^item 2$"):
+        sim._pool_map(task, list(range(6)), 3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # replicate counts whose (scenarios, replicates, procedures, 4) block of
@@ -685,18 +707,19 @@ def test_simulate_warns_once_at_every_parallelism(tmp_path):
 
 
 def test_serial_campaign_loads_no_process_pool_module():
-    """A serial campaign imports neither multiprocessing nor the process
-    pool; they load only when a pool starts."""
+    """Neither a serial nor a pooled campaign imports multiprocessing or the
+    process pool: the pool forks its workers itself."""
     code = (
         "import sys\n"
         "from epmt.procedures import ProcedureSpec\n"
         "from epmt.sim import TTestScenario, run_campaign\n"
-        "run_campaign([TTestScenario(n_hypotheses=50)], [ProcedureSpec('ep-bh')], replicates=3)\n"
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'multiprocessing'"
+        "for parallelism in (1, 2):\n"
+        "    run_campaign([TTestScenario(n_hypotheses=50)], [ProcedureSpec('ep-bh')], replicates=3, parallelism=parallelism)\n"
+        "    print(sorted(m for m in sys.modules if m.partition('.')[0] == 'multiprocessing'"
         " or m == 'concurrent.futures.process'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n[]\n", "")
 
 
 def test_pooled_simulate_in_dev_mode_writes_the_serial_bytes(tmp_path):

@@ -239,6 +239,23 @@ MUTANTS = [
     # the empty-p refusal reads the p column
     Mutant("empty-p-check-column", TABLE, "np.isnan(loaded[1])", "np.isnan(loaded[2])", TABLE_TESTS),
     Mutant("bool-column-swapped", TABLE, 'b"1", b"0"', 'b"0", b"1"', (*TABLE_TESTS, "tests/golden")),
+    # the pool: worker s runs items s, s + P, ..., its outcomes go back to
+    # the same positions, and no worker outlives the call
+    Mutant("pool-worker-runs-the-next-share", SIM, "items[share::workers]", "items[(share + 1) % workers :: workers]", SIM_TESTS),
+    Mutant(
+        "pool-merge-into-the-next-share",
+        SIM,
+        "done[share::workers] = pickle.loads(sent)",
+        "done[(share + 1) % workers :: workers] = pickle.loads(sent)",
+        SIM_TESTS,
+    ),
+    Mutant(
+        "pool-leaves-workers-unreaped",
+        SIM,
+        "            os.kill(pid, signal.SIGKILL)\n            os.waitpid(pid, 0)\n",
+        "",
+        SIM_TESTS,
+    ),
     # the command runs without the cyclic collector and freezes it before exit
     Mutant("entry-keeps-the-collector", "epmt/cli.py", "    gc.disable()\n", "", ("tests/test_cli.py",)),
     Mutant("entry-no-freeze", "epmt/cli.py", "    gc.freeze()\n", "", ("tests/test_cli.py",)),
