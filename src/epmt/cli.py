@@ -132,14 +132,14 @@ def cmd_simulate(args) -> int:
         _usage_error(f"--reps {args.reps} is too large: {exc}")
     labels = [_scenario_label(scenario, index) for index, scenario in enumerate(scenarios)]
     rates = ["fdr", "se_fdr", "power", "se_power", "fwer", "se_fwer", "pfer", "se_pfer"]
-    pairs = [(index, spec.name) for index in range(len(labels)) for spec in specs]
-    metrics = [campaign.metrics[pair] for pair in pairs]
+    # keyed (scenario index, procedure name), in CSV row order
+    metrics = campaign.metrics.values()
     _write_csv(
         args.out,
         ["scenario", "procedure", *rates, "replicates"],
         [
-            [labels[index] for index, _ in pairs],
-            [name for _, name in pairs],
+            [labels[index] for index, _ in campaign.metrics],
+            [name for _, name in campaign.metrics],
             *(np.array([getattr(metric, rate) for metric in metrics]) for rate in rates),
             [str(metric.replicates) for metric in metrics],
         ],

@@ -16,7 +16,6 @@ subcommands, so `epmt --version`, `--help` and usage errors never load it.
 from __future__ import annotations
 
 import codecs
-import contextlib
 import csv
 import functools
 import io
@@ -152,36 +151,32 @@ def _read_blocks(path: str, handle, n: int):
 
 def _parse_cells(cells: list, name: str, blank, check):
     """A block of one number column as float64, and None or the (row,
-    message) of its first refused cell. Cells go to numpy unstripped, as
-    float() strips whitespace. A block that fails is converted again with
-    its blank cells filled. One that still fails (numpy strips none of
-    U+001C-U+001F, which str.strip does) is stripped, filled and converted,
-    and if that fails too, walked to its first unparsable cell."""
-    values, empty = None, []
+    message) of its first refused cell.
+
+    numpy converts the block once: the cells, or, where the rule has a
+    blank and the block an empty cell, a copy with those filled with
+    blank[0]. numpy strips whitespace as float() does, but for U+001C to
+    U+001F, and refuses a whitespace-only cell. A block it refuses is
+    walked with float() over its stripped cells, each blank one filled,
+    and gives its values or stops at its first unparsable cell.
+    """
+    # all() stops at the first "", so a block without one costs a single C scan
+    empty = [i for i, cell in enumerate(cells) if not cell] if blank and not all(cells) else []
+    filled = cells.copy() if empty else cells
+    for i in empty:
+        filled[i] = blank[0]
     try:
-        values = np.array(cells, dtype=float)
+        values = np.array(filled, dtype=float)
     except ValueError:
-        # the cells that `not cell.strip()` finds blank, in one scan with no stripped copy
-        empty = [i for i, cell in enumerate(cells) if not cell or cell.isspace()]
-        if blank and empty:
-            filled = cells.copy()
-            for i in empty:
-                filled[i] = blank[0]
-            with contextlib.suppress(ValueError):
-                values = np.array(filled, dtype=float)
-    if values is None:
-        cells = list(map(str.strip, cells))
-        cells = [cell or blank[0] for cell in cells] if blank else cells
-        try:
-            values = np.array(cells, dtype=float)
-        except ValueError:
-            values = []
-            for text in cells:
-                try:
-                    values.append(float(text))
-                except ValueError:
-                    break
-            return None, check(np.array(values)) or (len(values), f"cannot parse {name}={text!r} as a number")
+        texts = [cell.strip() or blank[0] for cell in cells] if blank else list(map(str.strip, cells))
+        values = []
+        for text in texts:
+            try:
+                values.append(float(text))
+            except ValueError:
+                return None, check(np.array(values)) or (len(values), f"cannot parse {name}={text!r} as a number")
+        values = np.array(values)
+        empty = [i for i, cell in enumerate(cells) if not cell.strip()]
     error = check(values)
     if blank:
         values[empty] = blank[1]
@@ -230,24 +225,22 @@ def _fail_undecodable(path: str):
     raise CliInputError(f"line {breaks + 1}: byte 0x{error.object[error.start]:02x} is not valid UTF-8")
 
 
-def _data_lines(path: str) -> list:
-    """The physical line on which each data row ends.
+def _data_line(path: str, row: int) -> int:
+    """The physical line on which data row `row` ends.
 
-    Only the error path re-reads the file for this; counting physical
-    lines keeps the number right after a quoted cell that spans lines.
+    Only the error path re-reads the file for this, up to that row;
+    counting physical lines keeps the number right after a quoted cell
+    that spans lines.
     """
-    lines = []
     with _open_input(path) as handle:
         reader = csv.reader(handle)
         next(reader)
         try:
-            for row in reader:
-                if row:
-                    lines.append(reader.line_num)
+            next(itertools.islice(filter(None, reader), row, None), None)
         except csv.Error:
             # a cell over csv's size limit ends the rows on the line it is on
-            lines.append(reader.line_num)
-    return lines
+            pass
+    return reader.line_num
 
 
 def _fail(path: str, error):
@@ -255,7 +248,7 @@ def _fail(path: str, error):
     error is None."""
     if error:
         row, message = error
-        raise CliInputError(f"line {_data_lines(path)[row]}: {message}")
+        raise CliInputError(f"line {_data_line(path, row)}: {message}")
 
 
 def _refused(check, values: np.ndarray, requirement: str):
@@ -301,9 +294,8 @@ def _check_unique(path: str, ids: list):
     for row, row_id in enumerate(ids):
         first = first_row.setdefault(row_id, row)
         if first != row:
-            lines = _data_lines(path)
             raise CliInputError(
-                f"line {lines[row]}: duplicate id {row_id!r} (first seen on line {lines[first]})"
+                f"line {_data_line(path, row)}: duplicate id {row_id!r} (first seen on line {_data_line(path, first)})"
             )
 
 

@@ -578,6 +578,24 @@ def test_loader_frees_each_block_before_the_next_read(tmp_path):
     assert peak - kept < 9.5e6
 
 
+def test_error_line_lookup_stops_at_its_row(tmp_path):
+    """Naming the line of a row-0 error in a 200k-row file reads the file
+    up to that row only: the traced heap peak stays below 1 MB. A lookup
+    that listed the line of every data row first peaked near 7 MB."""
+    rows = 200_000
+    inp = tmp_path / "in.csv"
+    inp.write_text("id,p,e\n" + "".join(f"h{i},x,x\n" for i in range(rows)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(cli.CliInputError) as raised:
+            table._fail(str(inp), (0, "cannot parse p='x' as a number"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(raised.value) == "line 2: cannot parse p='x' as a number"
+    assert peak < 1e6
+
+
 # ---------------------------------------------------------------- combine
 
 

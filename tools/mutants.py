@@ -172,6 +172,11 @@ MUTANTS = [
         "",
         TABLE_TESTS,
     ),
+    # a blank cell reads as blank[0] for the check and holds blank[1] after
+    # it, in numpy's filled copy and in the float() walk alike
+    Mutant("parse-fills-the-copy-with-blank-1", TABLE, "filled[i] = blank[0]", "filled[i] = blank[1]", TABLE_TESTS),
+    Mutant("parse-walk-leaves-blanks-empty", TABLE, "cell.strip() or blank[0]", "cell.strip()", PROPERTY_TESTS),
+    Mutant("parse-walk-restores-only-empty-cells", TABLE, "if not cell.strip()]", "if not cell]", PROPERTY_TESTS),
     # Storey's null-proportion estimate counts the p-values above tau
     Mutant("storey-pi0-at-tau", PROCEDURES, "int((p > tau).sum())", "int((p >= tau).sum())", PROCEDURE_TESTS),
     # the normalized weights average 1
