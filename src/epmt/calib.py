@@ -67,27 +67,19 @@ class Calibrator:
         return float(out[0]) if np.ndim(p) == 0 else out
 
 
-def sqrt_calibrator() -> Calibrator:
-    return Calibrator("sqrt")
-
-
-def power_calibrator(kappa: float) -> Calibrator:
-    return Calibrator("kappa", kappa)
-
-
-DEFAULT_CALIBRATOR = sqrt_calibrator()
+DEFAULT_CALIBRATOR = Calibrator("sqrt")
 
 
 def parse_calibrator(spec: str) -> Calibrator:
     """Parse a CLI calibrator spec: "sqrt" or "kappa:<value>"."""
     if spec == "sqrt":
-        return sqrt_calibrator()
+        return Calibrator("sqrt")
     if spec.startswith("kappa:"):
         try:
             kappa = float(spec.split(":", 1)[1])
         except ValueError:
             raise BadCalibrator(f"cannot parse kappa from {spec!r}") from None
-        return power_calibrator(kappa)
+        return Calibrator("kappa", kappa)
     raise BadCalibrator(f"unknown calibrator spec {spec!r} (expected sqrt or kappa:<value>)")
 
 

@@ -6,9 +6,10 @@ Subcommands:
   combine   merge each (p, e) pair into one p-value or e-value
   moderate  fit the moderated-t pipeline on summary statistics
 
-Exit codes: 0 success (even with zero rejections), 2 malformed input
-(reported with the first offending line or key) or an output that cannot
-be written, 3 usage errors.
+Exit codes: 0 success (even with zero rejections); 2 malformed input
+(reported with the first offending line or key), an input that cannot be
+read or an output that cannot be written; 3 a usage error or a worker
+process that cannot start.
 
 CSV conventions: floats are written with repr-level precision, the
 shortest round-trip (at most 17 significant digits); infinity is the
@@ -130,6 +131,8 @@ def cmd_simulate(args) -> int:
         raise CliInputError(str(exc)) from None
     except TooManyReplicates as exc:
         _usage_error(f"--reps {args.reps} is too large: {exc}")
+    except OSError as exc:  # only the pool raises one: the config's are CliInputError
+        _usage_error(f"--parallelism {args.parallelism}: cannot start a worker process: {exc}")
     labels = [_scenario_label(scenario, index) for index, scenario in enumerate(scenarios)]
     rates = ["fdr", "se_fdr", "power", "se_power", "fwer", "se_fwer", "pfer", "se_pfer"]
     # keyed (scenario index, procedure name), in CSV row order

@@ -7,7 +7,8 @@ checked as it is cut, so only the id cells are kept as str. Every error
 names the line it was found on and raises `cli.CliInputError` (exit 2).
 `_read_config` reads `simulate`'s JSON config. `_write_csv` writes equally
 long columns, str cells, bool or float64 arrays, in blocks of `_BLOCK_ROWS`
-rows, and `_write_json` the summary beside the output CSV.
+rows, and `_write_json` the summary beside the output CSV. A file that
+cannot be opened, read or written raises `CliInputError` naming its path.
 
 `cli` loads this module, and with it numpy and `core`, only inside the
 subcommands, so `epmt --version`, `--help` and usage errors never load it.
@@ -16,6 +17,7 @@ subcommands, so `epmt --version`, `--help` and usage errors never load it.
 from __future__ import annotations
 
 import codecs
+import contextlib
 import csv
 import functools
 import io
@@ -29,21 +31,33 @@ from .cli import CliInputError, _summary_path
 from .core import MalformedValue, as_evector, as_pvector
 
 
+@contextlib.contextmanager
+def _naming(action: str, path: str):
+    """Raise an OSError of the block as `cannot {action} {path}: {exc}`."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliInputError(f"cannot {action} {path}: {exc}") from None
+
+
+@contextlib.contextmanager
 def _open_input(path: str):
-    """Open an input CSV or config as text, or raise naming the path."""
-    try:
+    """An input CSV or config open as text. An OSError opening it raises
+    `cannot open`, and one reading it, or re-reading the file inside the
+    block, `cannot read`, each naming the path."""
+    with _naming("open", path):
         # utf-8-sig drops the byte-order mark spreadsheet exports and editors put first
-        return open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise CliInputError(f"cannot open {path}: {exc}") from None
+        handle = open(path, newline="", encoding="utf-8-sig")
+    with _naming("read", path), handle:
+        yield handle
 
 
+@contextlib.contextmanager
 def _open_output(path: str, mode: str, **kwargs):
-    """Open an output file for writing, or raise naming the path."""
-    try:
-        return open(path, mode, **kwargs)
-    except OSError as exc:
-        raise CliInputError(f"cannot write {path}: {exc}") from None
+    """An output file open for writing; an error opening, writing or
+    closing it raises naming the path."""
+    with _naming("write", path), open(path, mode, **kwargs) as handle:
+        yield handle
 
 
 # Characters read per pass of the CSV reader. A block's lines and cells are
@@ -185,14 +199,14 @@ def _parse_cells(cells: list, name: str, blank, check):
 
 def _read_config(path: str):
     """The parsed JSON of a config file, or raise naming what is wrong with it."""
-    try:
-        with _open_input(path) as handle:
+    with _open_input(path) as handle:
+        try:
             return json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise CliInputError(f"config is not valid JSON: {exc}") from None
-    except UnicodeDecodeError:
-        _fail_undecodable(path)
-        raise
+        except json.JSONDecodeError as exc:
+            raise CliInputError(f"config is not valid JSON: {exc}") from None
+        except UnicodeDecodeError:
+            _fail_undecodable(path)
+            raise
 
 
 def _fail_undecodable(path: str):

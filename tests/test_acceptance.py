@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from epmt.calib import power_calibrator, sqrt_calibrator
+from epmt.calib import Calibrator
 from epmt.constructors import (
     ModeratedTModel,
     PermutationStatistics,
@@ -50,10 +50,10 @@ from test_calib import mass_below
 from test_constructors import laguerre_density_ratio
 
 SHIPPED_CALIBRATORS = [
-    sqrt_calibrator(),
-    power_calibrator(0.2),
-    power_calibrator(0.5),
-    power_calibrator(0.8),
+    Calibrator("sqrt"),
+    Calibrator("kappa", 0.2),
+    Calibrator("kappa", 0.5),
+    Calibrator("kappa", 0.8),
 ]
 
 

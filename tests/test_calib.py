@@ -15,16 +15,14 @@ from epmt.calib import (
     combine_product,
     combine_quotient,
     parse_calibrator,
-    power_calibrator,
-    sqrt_calibrator,
 )
 from epmt.core import EmptyInput, LengthMismatch, MalformedValue
 
 ALL_CALIBRATORS = [
-    sqrt_calibrator(),
-    power_calibrator(0.2),
-    power_calibrator(0.5),
-    power_calibrator(0.8),
+    Calibrator("sqrt"),
+    Calibrator("kappa", 0.2),
+    Calibrator("kappa", 0.5),
+    Calibrator("kappa", 0.8),
 ]
 CALIBRATOR_IDS = ["sqrt", "kappa:0.2", "kappa:0.5", "kappa:0.8"]
 
@@ -37,7 +35,7 @@ def mass_below(cal, eps):
 
 
 def test_sqrt_calibrator_closed_form():
-    c = sqrt_calibrator()
+    c = Calibrator("sqrt")
     assert c(0.25) == pytest.approx(1.0)  # 1/sqrt(0.25) - 1
     assert c(1.0) == 0.0
     assert np.isinf(c(0.0))
@@ -45,13 +43,13 @@ def test_sqrt_calibrator_closed_form():
 
 
 def test_power_calibrator_closed_form():
-    assert power_calibrator(0.5)(0.04) == pytest.approx(2.5)  # 0.5 * 0.04**-0.5
-    assert power_calibrator(0.2)(1.0) == pytest.approx(0.2)
-    assert np.isinf(power_calibrator(0.8)(0.0))
+    assert Calibrator("kappa", 0.5)(0.04) == pytest.approx(2.5)  # 0.5 * 0.04**-0.5
+    assert Calibrator("kappa", 0.2)(1.0) == pytest.approx(0.2)
+    assert np.isinf(Calibrator("kappa", 0.8)(0.0))
 
 
 def test_calibrator_vector_evaluation():
-    c = sqrt_calibrator()
+    c = Calibrator("sqrt")
     out = c(np.array([0.0, 0.25, 1.0]))
     assert np.isinf(out[0]) and out[1] == pytest.approx(1.0) and out[2] == 0.0
 
@@ -59,7 +57,7 @@ def test_calibrator_vector_evaluation():
 @pytest.mark.parametrize("kappa", [0.0, 1.0, -0.3, 1.5, np.nan])
 def test_power_calibrator_domain(kappa):
     with pytest.raises(BadCalibrator):
-        power_calibrator(kappa)
+        Calibrator("kappa", kappa)
 
 
 def test_sqrt_family_takes_no_parameter():
@@ -118,7 +116,7 @@ def test_calibrate_p_to_e_validates():
             DEFAULT_CALIBRATOR(bad)
     with pytest.raises(EmptyInput):
         DEFAULT_CALIBRATOR([])
-    out = power_calibrator(0.5)(np.array([0.04, 1.0]))
+    out = Calibrator("kappa", 0.5)(np.array([0.04, 1.0]))
     np.testing.assert_allclose(out, [2.5, 0.5])
 
 
@@ -177,7 +175,7 @@ def test_combiners_valid_under_independent_nulls():
     n = 200_000
     p = rng.random(n)
     # independent null e-values with mean 1: calibrated from fresh uniforms
-    e = sqrt_calibrator()(rng.random(n))
+    e = Calibrator("sqrt")(rng.random(n))
     prod = combine_product(p, e)
     mean_c = combine_mean(p, e)
     for vals, label in ((prod, "product"), (mean_c, "mean")):

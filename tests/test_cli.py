@@ -20,7 +20,6 @@ import pytest
 from scipy import stats
 
 from epmt import cli, table
-from epmt.calib import sqrt_calibrator
 from epmt.constructors import fit_moderated_model, moderated_t_evalue, moderated_t_pvalue
 from epmt.procedures import SingleHypothesis, ep_bh, ep_storey
 
@@ -285,6 +284,53 @@ def test_output_that_cannot_be_opened_exits_2_naming_it(tmp_path, capsys, comman
     assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / blocked}: [Errno ")
     # refused before the work, so neither output is left half written
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(["in", blocked])
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize("command, text", [
+    ("adjust", HYP),
+    ("combine", HYP),
+    ("combine", "id,p,e\n" + "".join(f"g{i},0.5,1\n" for i in range(5000))),
+    ("moderate", "id,beta_hat,s_sq,v,nu\ng1,1,1,0.1,38\ng2,0.5,2,0.1,38\n"),
+    ("simulate", None),
+], ids=["adjust", "combine-at-close", "combine-at-a-write", "moderate", "simulate"])
+def test_output_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys, command, text):
+    """/dev/full opens but refuses every byte: a small output fails as
+    the file closes, a large one at a write, and either is named with the
+    system's reason, not a traceback."""
+    assert cli.main(out_argv(command, write(tmp_path / "in", text or config_text()), "/dev/full")) == 2
+    assert capsys.readouterr().err == "error: cannot write /dev/full: [Errno 28] No space left on device\n"
+
+
+# /proc/self/mem opens, but reading it from its start fails: nothing is mapped there
+UNREADABLE = "/proc/self/mem"
+needs_unreadable = pytest.mark.skipif(not Path(UNREADABLE).exists(), reason="no Linux /proc/self/mem")
+
+
+@needs_unreadable
+@pytest.mark.parametrize("command", ["adjust", "simulate"])
+def test_input_that_cannot_be_read_exits_2_naming_it(tmp_path, capsys, command):
+    assert cli.main(out_argv(command, UNREADABLE, tmp_path / "out.csv")) == 2
+    assert capsys.readouterr().err == f"error: cannot read {UNREADABLE}: [Errno 5] Input/output error\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@needs_unreadable
+def test_error_path_rereads_name_a_read_failure(monkeypatch):
+    """The re-reads that find an error's line, or a byte that is not
+    UTF-8, map a read failure as the first read does."""
+    refusal = f"cannot read {UNREADABLE}: [Errno 5] Input/output error"
+    with pytest.raises(cli.CliInputError) as raised:
+        table._data_line(UNREADABLE, 0)
+    assert str(raised.value) == refusal
+
+    def refuse(handle, columns):
+        raise cli.CliInputError("line 1: refused without reading")
+
+    monkeypatch.setattr(table, "_check_header", refuse)
+    with pytest.raises(cli.CliInputError) as raised:
+        table._load_table(UNREADABLE, table._HYPOTHESES)
+    assert str(raised.value) == refusal
 
 
 def open_refusal(path) -> str:
@@ -1272,16 +1318,12 @@ def test_cli_import_loads_no_scipy_stats_or_optimize():
     assert run_fresh(package + loaded) == "False None\n[]\n"
     assert run_fresh(f"import epmt.cli; {loaded}") == "[]\n"
     assert run_fresh(RUN_VERSION + loaded) == "epmt 0.1.0\n[]\n"
-    # the names of sim and constructors still resolve, on first access
     # sim and constructors, which simulate and moderate load, import scipy.special only
-    every_name = (
-        "import sys, epmt; epmt.run_campaign; print('epmt.sim' in sys.modules)\n"
-        "epmt.fit_moderated_model; print('epmt.constructors' in sys.modules)\n"
-        "names = {}; exec('from epmt import *', names)\n"
-        "print(sorted(set(epmt.__all__) - set(names)), sorted(set(epmt.__all__) - set(dir(epmt))))\n"
+    scipy_layers = (
+        "import sys, epmt.sim, epmt.constructors\n"
         "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
     )
-    assert run_fresh(every_name) == "True\nTrue\n[] []\n[]\n"
+    assert run_fresh(scipy_layers) == "[]\n"
 
 
 # numpy, and every module of the package but the command line's own
@@ -1337,18 +1379,6 @@ def test_adjust_on_nine_blocks_loads_no_process_pool_module(tmp_path):
     )
     assert run_fresh(code) == "[]\n"
     assert len(read_rows(tmp_path / "o.csv")) == rows
-
-
-def test_package_resolves_its_layers_on_first_access():
-    """A bare `import epmt` loads no layer; each resolves as an attribute."""
-    code = (
-        "import sys, epmt; layers = ('core', 'calib', 'procedures', 'constructors', 'sim')\n"
-        "print([m for m in sys.modules if m.startswith('epmt.')])\n"
-        "print([getattr(epmt, layer).__name__ for layer in layers], set(layers) <= set(dir(epmt)))"
-    )
-    assert run_fresh(code) == (
-        "[]\n['epmt.core', 'epmt.calib', 'epmt.procedures', 'epmt.constructors', 'epmt.sim'] True\n"
-    )
 
 
 THREADS = "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('Threads:')))\n"

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import optimize, special, stats
 
-from epmt.calib import BadLambda, shift_evalue, sqrt_calibrator
+from epmt.calib import BadLambda, Calibrator, shift_evalue
 from epmt.constructors import (
     GAMMA_GRID,
     ModeratedTModel,
@@ -962,7 +962,7 @@ def test_shift_evalue_refuses_empty_and_matrix():
 
 def test_shift_evalue_preserves_validity():
     rng = np.random.default_rng(17)
-    e = sqrt_calibrator()(rng.random(200_000))
+    e = Calibrator("sqrt")(rng.random(200_000))
     shifted = shift_evalue(e, 0.3)
     mean = shifted.mean()
     se = shifted.std(ddof=1) / np.sqrt(shifted.size)

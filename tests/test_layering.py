@@ -11,11 +11,12 @@ and compute in one place, so no module has a private `_name` twin beside
 one. Every public method of a public class is read somewhere in the
 package, so no member serves only the tests. Only sim forks, and no
 module imports multiprocessing or concurrent.futures: the campaign
-harness owns the one process pool, and decides how workers start.
+harness owns the one process pool, and decides how workers start. The
+package is its modules: `__init__` re-exports nothing, and each public
+name is imported from the one module that defines it.
 """
 
 import ast
-from importlib import import_module
 from pathlib import Path
 
 import epmt
@@ -166,13 +167,9 @@ def test_every_public_member_is_read_in_the_package():
     assert unread_members(sources) == sorted(UNREAD_EXEMPT)
 
 
-def test_package_names_resolve_to_their_defining_module():
-    """epmt.__all__ is the one list of public names: each is the object
-    of the one module that defines it, not a re-export of it elsewhere."""
+def test_package_modules_are_the_layers_and_the_command_line():
+    """Every module but the command line's is a layer, and the package's
+    own `__init__` defines only its version: it re-exports no name."""
     layers = ("core", "calib", "procedures", "constructors", "sim")
-    # every module but the command line's is a layer; cli has its own run_campaign
     assert {path.stem for path in PACKAGE.glob("*.py")} == {*layers, "__init__", "__main__", "cli", "table"}
-    defined = {layer: defined_names((PACKAGE / f"{layer}.py").read_text()) for layer in layers}
-    for name in epmt.__all__:
-        (owner,) = [module for module, names in defined.items() if name in names]
-        assert getattr(epmt, name) is getattr(import_module(f"epmt.{owner}"), name), name
+    assert defined_names((PACKAGE / "__init__.py").read_text()) == {"__version__"}

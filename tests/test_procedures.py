@@ -7,14 +7,13 @@ import pytest
 
 from epmt.calib import (
     DEFAULT_CALIBRATOR,
+    Calibrator,
     calibrate_e_to_p,
     combine_bonferroni,
     combine_mean,
     combine_product,
     combine_quotient,
-    power_calibrator,
     shift_evalue,
-    sqrt_calibrator,
 )
 from epmt.core import EmptyInput, LengthMismatch, MalformedValue
 from epmt.procedures import (
@@ -39,10 +38,10 @@ from epmt.procedures import (
 from epmt.sim import TTestScenario, generate_replicate
 
 ALL_CALIBRATORS = [
-    sqrt_calibrator(),
-    power_calibrator(0.2),
-    power_calibrator(0.5),
-    power_calibrator(0.8),
+    Calibrator("sqrt"),
+    Calibrator("kappa", 0.2),
+    Calibrator("kappa", 0.5),
+    Calibrator("kappa", 0.8),
 ]
 
 
@@ -52,7 +51,7 @@ def random_instance(rng):
     p = rng.random(k)
     signal = rng.random(k) < 0.3
     p[signal] = p[signal] * 0.05
-    e = sqrt_calibrator()(rng.random(k))
+    e = Calibrator("sqrt")(rng.random(k))
     if rng.random() < 0.1 and k > 1:
         p[0] = 0.0
     if rng.random() < 0.1:
@@ -478,7 +477,7 @@ def test_procedure_spec_build_matches_direct_call():
     spec = ProcedureSpec("ep-storey", alpha=0.2, tau=0.4)
     assert spec.build()(p, e).rejected == ep_storey(p, e, 0.2, tau=0.4).rejected
     spec = ProcedureSpec("pe-bh", alpha=0.2, calibrator="kappa:0.5")
-    direct = pe_bh(p, e, 0.2, power_calibrator(0.5))
+    direct = pe_bh(p, e, 0.2, Calibrator("kappa", 0.5))
     assert spec.build()(p, e).rejected == direct.rejected
 
 
@@ -519,7 +518,7 @@ VECTOR_CALLABLES = {
     "storey_pi0": ("p", lambda p, e: storey_pi0(p)),
     "simes_evalue": ("e", lambda p, e: simes_evalue(e)),
     "DEFAULT_CALIBRATOR": ("p", lambda p, e: DEFAULT_CALIBRATOR(p)),
-    "power_calibrator(0.5)": ("p", lambda p, e: power_calibrator(0.5)(p)),
+    "power_calibrator(0.5)": ("p", lambda p, e: Calibrator("kappa", 0.5)(p)),
 }
 INVALID = [("p", "p=1.5", 1.5), ("p", "p=nan", np.nan), ("e", "e=-1", -1.0)]
 

@@ -21,15 +21,14 @@ from hypothesis import strategies as st
 
 from epmt import cli, table
 from epmt.calib import (
+    Calibrator,
     calibrate_e_to_p,
     combine_bonferroni,
     combine_mean,
     combine_product,
     combine_quotient,
     p_over_e,
-    power_calibrator,
     shift_evalue,
-    sqrt_calibrator,
 )
 from epmt.procedures import (
     REGISTRY,
@@ -197,8 +196,8 @@ def test_leave_one_out_self_consistency(pe, alpha, tau):
             r0 = int(run(left_out, e, alpha, tau).mask.sum())
             assert result.mask[i] == (k_total * result.adjusted[i] <= level * r0), (family, i)
             assert not result.mask[i] or int(result.mask.sum()) == r0, (family, i)
-    product = combine_product(p, e, sqrt_calibrator())
-    np.testing.assert_array_equal(pe_bh(p, e, alpha, sqrt_calibrator()).mask, e_bh(product, alpha).mask)
+    product = combine_product(p, e, Calibrator("sqrt"))
+    np.testing.assert_array_equal(pe_bh(p, e, alpha, Calibrator("sqrt")).mask, e_bh(product, alpha).mask)
     for family, values in (("e-bh", e), ("pe-bh", product)):
         result = e_bh(values, alpha)
         for i in range(k_total):
@@ -211,8 +210,8 @@ def test_leave_one_out_self_consistency(pe, alpha, tau):
 
 
 @FIXED
-@example((np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.0, np.inf, np.inf, 0.0])), sqrt_calibrator())
-@given(instances(), st.sampled_from([sqrt_calibrator(), power_calibrator(0.5)]))
+@example((np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.0, np.inf, np.inf, 0.0])), Calibrator("sqrt"))
+@given(instances(), st.sampled_from([Calibrator("sqrt"), Calibrator("kappa", 0.5)]))
 def test_combine_product_zero_times_inf_is_inf(pe, calibrator):
     """h(p) * e is +inf wherever p = 0 (h = inf) or e = inf, even against a 0."""
     p, e = pe
@@ -600,8 +599,8 @@ def test_normalized_weights_scale_invariant(e, c):
 def test_scalar_call_returns_the_vector_bits(p, e, lam, weight):
     """A scalar call gives a Python float with the bits of the 1-element vector call."""
     calls = {
-        "sqrt calibrator": lambda p, e: sqrt_calibrator()(p),
-        "kappa calibrator": lambda p, e: power_calibrator(0.5)(p),
+        "sqrt calibrator": lambda p, e: Calibrator("sqrt")(p),
+        "kappa calibrator": lambda p, e: Calibrator("kappa", 0.5)(p),
         "calibrate_e_to_p": lambda p, e: calibrate_e_to_p(e),
         "shift_evalue": lambda p, e: shift_evalue(e, lam),
         "combine_product": combine_product,

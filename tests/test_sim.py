@@ -1,6 +1,7 @@
 """Tests for scenario generators and the replication harness."""
 
 import csv
+import errno
 import json
 import os
 import signal
@@ -540,6 +541,32 @@ def test_run_campaign_starts_no_worker_beyond_the_tasks(monkeypatch, replicates,
     assert started == [os.getpid()] * forks
     serial = run_campaign([scn], specs, replicates=replicates, master_seed=4)
     np.testing.assert_array_equal(pooled.replicate_stats[(0, "e-bh")], serial.replicate_stats[(0, "e-bh")])
+
+
+def test_simulate_exits_3_when_a_worker_cannot_start(tmp_path, capsys, monkeypatch):
+    """A fork refused as at a process limit, here the second, exits 3
+    naming --parallelism, as an oversized --reps does: no traceback, no
+    output, and the worker already started is reaped."""
+    forks = []
+    fork = os.fork
+
+    def second_fork_refused():
+        forks.append(os.getpid())
+        if len(forks) > 1:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_refused)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"scenarios": [{"kind": "adversarial", "n_hypotheses": 20}], "procedures": ["e-bh"]}))
+    argv = ["simulate", "--config", str(config), "--reps", "3", "--parallelism", "3", "--out", str(tmp_path / "o.csv")]
+    assert cli.main(argv) == 3
+    assert forks == [os.getpid()] * 2  # one real fork, then the refused one
+    refusal = f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"
+    assert capsys.readouterr().err == f"error: --parallelism 3: cannot start a worker process: {refusal}\n"
+    assert list(tmp_path.iterdir()) == [config]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_pool_map_runs_a_closure_over_a_large_list_in_item_order():

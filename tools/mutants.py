@@ -264,6 +264,24 @@ MUTANTS = [
     # the command runs without the cyclic collector and freezes it before exit
     Mutant("entry-keeps-the-collector", "epmt/cli.py", "    gc.disable()\n", "", ("tests/test_cli.py",)),
     Mutant("entry-no-freeze", "epmt/cli.py", "    gc.freeze()\n", "", ("tests/test_cli.py",)),
+    # an OSError writing an output, reading an input or starting a worker
+    # is one error line, not a traceback
+    Mutant(
+        "write-mapping-open-only",
+        TABLE,
+        '    with _naming("write", path), open(path, mode, **kwargs) as handle:\n',
+        '    with _naming("write", path):\n        handle = open(path, mode, **kwargs)\n    with handle:\n',
+        TABLE_TESTS,
+    ),
+    Mutant("read-mapping-dropped", TABLE, 'with _naming("read", path), handle:', "with handle:", TABLE_TESTS),
+    Mutant(
+        "simulate-no-worker-start-catch",
+        "epmt/cli.py",
+        "    except OSError as exc:  # only the pool raises one: the config's are CliInputError\n"
+        '        _usage_error(f"--parallelism {args.parallelism}: cannot start a worker process: {exc}")\n',
+        "",
+        ("tests/test_sim.py",),
+    ),
 ]
 
 
