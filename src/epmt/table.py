@@ -4,11 +4,12 @@
 under the rules `_HYPOTHESES` or `_SUMMARIES`: the reader cuts the file
 into blocks, and each block's number cells become float64 arrays and are
 checked as it is cut, so only the id cells are kept as str. Every error
-names the line it was found on and raises `cli.CliInputError` (exit 2).
-`_read_config` reads `simulate`'s JSON config. `_write_csv` writes equally
-long columns, str cells, bool or float64 arrays, in blocks of `_BLOCK_ROWS`
-rows, and `_write_json` the summary beside the output CSV. A file that
-cannot be opened, read or written raises `CliInputError` naming its path.
+names the line it was found on, `_open_input` a byte that is not UTF-8
+before any other, and raises `cli.CliInputError` (exit 2). `_read_config`
+reads `simulate`'s JSON config. `_write_csv` writes equally long columns,
+str cells, bool or float64 arrays, in blocks of `_BLOCK_ROWS` rows, and
+`_write_json` the summary beside the output CSV. A file that cannot be
+opened, read or written raises `CliInputError` naming its path.
 
 `cli` loads this module, and with it numpy and `core`, only inside the
 subcommands, so `epmt --version`, `--help` and usage errors never load it.
@@ -16,13 +17,13 @@ subcommands, so `epmt --version`, `--help` and usage errors never load it.
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import csv
 import functools
 import io
 import itertools
 import json
+import os
 from operator import eq, itemgetter
 
 import numpy as np
@@ -44,12 +45,37 @@ def _naming(action: str, path: str):
 def _open_input(path: str):
     """An input CSV or config open as text. An OSError opening it raises
     `cannot open`, and one reading it, or re-reading the file inside the
-    block, `cannot read`, each naming the path."""
+    block, `cannot read`, each naming the path. A byte that is not UTF-8
+    is named before any error of the block, wherever it lies."""
     with _naming("open", path):
         # utf-8-sig drops the byte-order mark spreadsheet exports and editors put first
         handle = open(path, newline="", encoding="utf-8-sig")
     with _naming("read", path), handle:
-        yield handle
+        try:
+            yield handle
+        except (CliInputError, UnicodeDecodeError):
+            _fail_undecodable(path)
+            raise
+
+
+@contextlib.contextmanager
+def _rereadable(path: str):
+    """path, or, for an input that is not a regular file, such as a pipe,
+    a temporary copy of it, deleted on exit: an error's line is found by
+    reading the input again. An OSError copying it raises `cannot open` or
+    `cannot read` naming path, as in _open_input."""
+    if os.path.isfile(path):
+        yield path
+        return
+    import shutil
+    import tempfile
+
+    with _naming("open", path):
+        source = open(path, "rb")
+    with _naming("read", path), source, tempfile.NamedTemporaryFile(prefix="epmt-") as copy:
+        shutil.copyfileobj(source, copy)
+        copy.flush()
+        yield copy.name
 
 
 @contextlib.contextmanager
@@ -76,8 +102,8 @@ def _load_table(path: str, rules: dict, required: str | None = None) -> list:
     columns = ("id", *rules)
     n = len(columns)
     ids, blocks, rows, error = [], [], 0, None
-    with _open_input(path) as handle:
-        try:
+    with _rereadable(path) as path:
+        with _open_input(path) as handle:
             _check_header(handle, columns)
             for flat in _read_blocks(path, handle, n):
                 start, rows = rows, rows + len(flat) // n
@@ -91,19 +117,14 @@ def _load_table(path: str, rules: dict, required: str | None = None) -> list:
                         blocks.append([values for values, _ in parsed])
                 # freed before the next block is read
                 del flat
-        except (CliInputError, UnicodeDecodeError):
-            # a byte that is not UTF-8 is named before any other error,
-            # wherever the text reader's decoded chunks happen to end
-            _fail_undecodable(path)
-            raise
-    if not rows:
-        raise CliInputError("line 2: no data rows")
-    _fail(path, error)
-    _check_unique(path, ids)
-    loaded = [ids, *map(np.concatenate, zip(*blocks))]
-    if required:
-        _fail(path, _flagged(np.isnan(loaded[1]), required))
-    return loaded
+        if not rows:
+            raise CliInputError("line 2: no data rows")
+        _fail(path, error)
+        _check_unique(path, ids)
+        loaded = [ids, *map(np.concatenate, zip(*blocks))]
+        if required:
+            _fail(path, _flagged(np.isnan(loaded[1]), required))
+        return loaded
 
 
 def _check_header(handle, columns: tuple):
@@ -199,44 +220,30 @@ def _parse_cells(cells: list, name: str, blank, check):
 
 def _read_config(path: str):
     """The parsed JSON of a config file, or raise naming what is wrong with it."""
-    with _open_input(path) as handle:
+    with _rereadable(path) as path, _open_input(path) as handle:
         try:
             return json.load(handle)
         except json.JSONDecodeError as exc:
             raise CliInputError(f"config is not valid JSON: {exc}") from None
-        except UnicodeDecodeError:
-            _fail_undecodable(path)
-            raise
 
 
 def _fail_undecodable(path: str):
     """Raise naming the physical line of the first byte that is not UTF-8,
     if the file holds one.
 
-    The text reader decodes ahead of the csv parser, so the error it
-    raises cannot say where the byte is; the raw bytes can. They are
-    decoded _READ_CHARS bytes at a time, counting line breaks as they go.
+    The text reader decodes ahead of the csv parser, so its error cannot
+    say where the byte is. Read again with surrogateescape, each such byte
+    is a lone surrogate, U+DC00 plus the byte, that no UTF-8 decodes to;
+    universal newlines end the lines at LF, CR and CRLF, as csv does.
     """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    breaks, after_cr, error = 0, False, None
-    with open(path, "rb") as handle:
-        while not error:
-            chunk = handle.read(_READ_CHARS)
-            try:
-                decoder.decode(chunk, final=not chunk)
-            except UnicodeDecodeError as exc:
-                # exc.object is the bytes the decoder held back, the start of
-                # one character and so no break, then chunk
-                error, chunk = exc, exc.object[: exc.start]
-            else:
-                if not chunk:
-                    return
-            # breaks at LF, CR and CRLF, as csv and bytes.splitlines count
-            # them, a CRLF split between two reads once
-            breaks += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
-            breaks -= after_cr and chunk.startswith(b"\n")
-            after_cr = chunk.endswith(b"\r")
-    raise CliInputError(f"line {breaks + 1}: byte 0x{error.object[error.start]:02x} is not valid UTF-8")
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for line, text in enumerate(handle, 1):
+            if not text.isascii():  # one C scan clears the common line
+                try:
+                    text.encode()
+                except UnicodeEncodeError as exc:
+                    byte = ord(text[exc.start]) - 0xDC00
+                    raise CliInputError(f"line {line}: byte 0x{byte:02x} is not valid UTF-8") from None
 
 
 def _data_line(path: str, row: int) -> int:

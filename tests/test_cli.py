@@ -570,8 +570,8 @@ def whole_file_error(data: bytes):
 
 @pytest.mark.parametrize("case", sorted(ACROSS_READS))
 def test_non_utf8_byte_is_named_wherever_the_reads_split_the_file(tmp_path, monkeypatch, capsys, case):
-    """The byte is found 16 bytes at a time, and its line is the one a
-    decode of the whole file names, whatever straddles a read boundary."""
+    """The loader reads 16 characters at a time, and the byte's line is the
+    one a decode of the whole file names, whatever straddles a read boundary."""
     data, line, byte = ACROSS_READS[case]
     assert whole_file_error(data) == f"line {line}: byte 0x{byte:02x} is not valid UTF-8"
     monkeypatch.setattr(table, "_READ_CHARS", 16)
@@ -582,17 +582,24 @@ def test_non_utf8_byte_is_named_wherever_the_reads_split_the_file(tmp_path, monk
     assert capsys.readouterr().err == f"error: {whole_file_error(data)}\n"
 
 
-def test_non_utf8_byte_search_agrees_with_a_whole_file_decode(tmp_path, monkeypatch):
+def test_non_utf8_byte_search_agrees_with_a_whole_file_decode(tmp_path):
     """Seeded random byte strings, of line breaks, ASCII, multi-byte
-    characters and broken sequences, read 1 to 9 bytes at a time."""
+    characters, a BOM, NUL and broken sequences, among them those a lenient
+    decoder takes: an encoded surrogate, an overlong form and a truncated
+    4-byte character. Every tenth string follows 10 to 60 KB of valid
+    pieces, so that lines and characters straddle the text reader's 8 KiB
+    chunks."""
     rng = np.random.default_rng(22)
-    pieces = [b"a", b",", b"\n", b"\r", b"\r\n", "é".encode(), "€".encode(), "𝄞".encode(), b"\xff", b"\xe2\x82", b"\x80"]
-    weights = np.array([30, 5, 8, 5, 5, 3, 3, 2, 0.3, 0.3, 0.3])
+    valid = [b"a", b",", b"\n", b"\r", b"\r\n", "é".encode(), "€".encode(), "𝄞".encode(), b"\xef\xbb\xbf", b"\0"]
+    pieces = valid + [b"\xff", b"\xe2\x82", b"\x80", b"\xed\xa0\x80", b"\xc0\xaf", b"\xf0\x9f\x98"]
+    weights = np.array([30, 5, 8, 5, 5, 3, 3, 2, 1, 1] + [0.3] * 6)
+    valid_weights = weights[: len(valid)] / weights[: len(valid)].sum()
     path = tmp_path / "in.csv"
-    for _ in range(500):
-        data = b"".join(rng.choice(pieces, size=rng.integers(0, 60), p=weights / weights.sum()))
+    for case in range(500):
+        picks = rng.choice(len(valid), size=rng.integers(7_500, 45_000), p=valid_weights) if case % 10 == 0 else []
+        data = b"".join(valid[i] for i in picks)
+        data += b"".join(pieces[i] for i in rng.choice(len(pieces), size=rng.integers(0, 60), p=weights / weights.sum()))
         path.write_bytes(data)
-        monkeypatch.setattr(table, "_READ_CHARS", int(rng.integers(1, 10)))
         expected = whole_file_error(data)
         if expected is None:
             assert table._fail_undecodable(str(path)) is None
@@ -1211,6 +1218,49 @@ def test_refusal_under_an_error_filter_prints_one_line(tmp_path, argv, text, cod
     command = [sys.executable, "-W", "error", "-m", "epmt", *argv, source, str(path), "--out", str(tmp_path / "o.csv")]
     proc = subprocess.run(command, capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (code, f"error: {message.format(path=path)}\n")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+needs_dev_stdin = pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
+
+
+def run_piped(tmp_path, argv, data: bytes):
+    """(exit code, stderr) of `python -m epmt argv` with data on a pipe as
+    its stdin, and TMPDIR an empty directory that must be empty after."""
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    command = [sys.executable, "-m", "epmt", *argv]
+    proc = subprocess.run(command, input=data, capture_output=True, env={**os.environ, "TMPDIR": str(temp)})
+    assert list(temp.iterdir()) == []
+    return proc.returncode, proc.stderr.decode()
+
+
+@needs_dev_stdin
+@pytest.mark.parametrize("name", ["bad_value", "dup_id", "bad_fields", "bad_utf8", "filled"])
+def test_piped_input_reads_as_the_file(tmp_path, capsys, name):
+    """A pipe reads only once, and an error's line is found by reading the
+    input again: a piped input is copied first, so each error exits 2
+    with the file's message, and a valid input gives the file's bytes."""
+    inp = GOLDEN / f"{name}.csv"
+    argv = ["adjust", "--procedure", "ep-bh", "--input"]
+    code = cli.main([*argv, str(inp), "--out", str(tmp_path / "file.csv")])
+    expected = (code, capsys.readouterr().err)
+    assert code == (0 if name == "filled" else 2)
+    assert run_piped(tmp_path, [*argv, "/dev/stdin", "--out", str(tmp_path / "piped.csv")], inp.read_bytes()) == expected
+    if not code:
+        for suffix in (".csv", ".json"):
+            assert (tmp_path / f"piped{suffix}").read_bytes() == (tmp_path / f"file{suffix}").read_bytes()
+
+
+@needs_dev_stdin
+def test_piped_config_with_a_byte_that_is_not_utf8_exits_2_naming_its_line(tmp_path, capsys):
+    data = b'{"procedures": ["p-bh"],\n "scenarios": [{"kind": "ttest\xff"}]}'
+    argv = ["simulate", "--reps", "2", "--out", str(tmp_path / "o.csv"), "--config"]
+    (tmp_path / "cfg.json").write_bytes(data)
+    assert cli.main([*argv, str(tmp_path / "cfg.json")]) == 2
+    expected = capsys.readouterr().err
+    assert expected == "error: line 2: byte 0xff is not valid UTF-8\n"
+    assert run_piped(tmp_path, [*argv, "/dev/stdin"], data) == (2, expected)
 
 
 def test_writer_in_dev_mode_writes_the_in_process_bytes(tmp_path):

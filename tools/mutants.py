@@ -149,14 +149,18 @@ MUTANTS = [
         "n - 1 not in commas",
         (*TABLE_TESTS, "tests/golden"),
     ),
-    # a CRLF split between two reads counts as two breaks
+    # a byte that is not UTF-8 is named on its line, counted from 1, before
+    # any error of the opener's block, a row error found first included
+    Mutant("undecodable-lines-from-0", TABLE, "enumerate(handle, 1)", "enumerate(handle)", TABLE_TESTS),
     Mutant(
-        "undecodable-crlf-across-reads",
+        "opener-scans-only-after-a-decode-error",
         TABLE,
-        '            breaks -= after_cr and chunk.startswith(b"\\n")\n',
-        "",
+        "except (CliInputError, UnicodeDecodeError):",
+        "except UnicodeDecodeError:",
         TABLE_TESTS,
     ),
+    # a piped input is copied, so that the error path can read it again
+    Mutant("piped-input-read-in-place", TABLE, "if os.path.isfile(path):", "if True:", TABLE_TESTS),
     # a block's cells stay alive, in the loop or in the reader, while the next is read
     Mutant(
         "loader-keeps-each-block",
