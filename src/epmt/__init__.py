@@ -10,7 +10,8 @@ The package covers four layers:
   variants, each a map onto one shared step-up kernel, plus Bonferroni
   thresholding, behind a name registry.
 * `constructors` / `sim`: ways to build e-values from data (soft-rank
-  permutation statistics, moderated t, chi-square likelihood ratios) and
+  permutation e-values over K rows of resampled statistics, overflow-safe
+  at any temperature; moderated t; chi-square likelihood ratios) and
   simulation scenarios with a seeded, parallel replication driver.
 
 The `epmt` command is `cli`, argument parsing and the subcommands, over

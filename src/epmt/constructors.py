@@ -2,8 +2,9 @@
 
 Three constructions are provided:
 
-* soft-rank permutation e-values: an exponential reweighting of the rank
-  of the original statistic among resampled copies, paired with the
+* soft-rank permutation e-values for K tests at once: an exponential
+  reweighting of each original statistic's rank among its row of
+  resampled copies, overflow-safe at any temperature, paired with the
   classical permutation p-value;
 * moderated t-statistics with empirical-Bayes variance shrinkage, their
   p-values, and the likelihood-ratio e-value of a Gaussian random-effect
@@ -25,59 +26,54 @@ from .core import MalformedValue
 _FLOAT_MAX = np.finfo(float).max
 
 
-@dataclass(frozen=True)
-class PermutationStatistics:
-    """An observed statistic with resampled null copies.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def soft_rank_evalue(original, resampled, temperature: float = 0.0):
+    """Soft-rank e-values and classical rank p-values of K permutation tests.
 
-    resampled must be exchangeable with original under the null.
-    temperature is the soft-rank sharpness r >= 0; 0 selects the linear
-    limit in which the transform reduces to the statistic minus the
-    minimum.
+    original holds the K observed statistics L_0 (a single number is one
+    test); resampled is (K, B), row i holding the copies L_1..L_B that are
+    exchangeable with original[i] under its null. Each row is shifted by
+    its minimum and transformed by (exp(r*z) - 1) / r, or z at r = 0. The
+    e-value is the transformed observed statistic over the row's mean; the
+    p-value is the row's share at least as large as the observed one,
+    counting itself. Where a row's terms or sum overflow, the ratio comes
+    from its terms scaled by the largest, each in [0, 1].
+
+    Returns (e, p) as K-vectors, or floats for a single original. A row of
+    equal statistics gives (1.0, 1.0). p <= 1/e holds, up to rounding.
     """
-
-    original: float
-    resampled: np.ndarray
-    temperature: float = 0.0
-
-    def __post_init__(self):
-        resampled = np.atleast_1d(np.asarray(self.resampled, dtype=float))
-        if resampled.ndim != 1 or resampled.size < 1:
-            raise MalformedValue("resampled statistics must form a nonempty 1-d vector")
-        if not np.isfinite(resampled).all() or not math.isfinite(self.original):
-            raise MalformedValue("permutation statistics must be finite")
-        if math.isnan(self.temperature) or self.temperature < 0.0:
-            raise MalformedValue(f"temperature must be >= 0, got {self.temperature!r}")
-        object.__setattr__(self, "resampled", resampled)
-
-
-def soft_rank_evalue(perm: PermutationStatistics) -> tuple[float, float]:
-    """Soft-rank e-value and classical rank p-value of a permutation test.
-
-    With statistics L_0 (observed) and L_1..L_B (resampled), each is
-    shifted by the overall minimum and transformed by
-    (exp(r*z) - 1) / r (or z itself at r = 0). The e-value is the
-    transformed observed statistic over the average transformed
-    statistic; the p-value is the share of statistics at least as large
-    as the observed one, counting the observed itself.
-
-    Returns (e, p). If all statistics are equal there is no evidence
-    either way and (1.0, 1.0) is returned. p <= 1/e always holds.
-    """
-    values = np.concatenate(([perm.original], perm.resampled))
-    shifted = values - values.min()
-    r = perm.temperature
-    if r > 0.0:
-        transformed = np.expm1(r * shifted) / r
-    else:
-        transformed = shifted
-    count = values.size
-    p = float(np.count_nonzero(values >= values[0])) / count
-    total = float(transformed.sum())
-    if total == 0.0:
-        return 1.0, 1.0
-    e = count * float(transformed[0]) / total
-    assert e == 0.0 or p <= 1.0 / e
-    return e, p
+    observed = np.asarray(original, dtype=float)
+    resampled = np.asarray(resampled, dtype=float)
+    if observed.ndim > 1 or resampled.ndim != 2 or resampled.shape[0] != observed.size:
+        raise MalformedValue("resampled statistics must form one row per observed statistic")
+    if resampled.size < 1:
+        raise MalformedValue("permutation statistics must be nonempty")
+    if not (np.isfinite(observed).all() and np.isfinite(resampled).all()):
+        raise MalformedValue("permutation statistics must be finite")
+    if not 0.0 <= temperature < math.inf:
+        raise MalformedValue(f"temperature must be finite and >= 0, got {temperature!r}")
+    values = np.concatenate((observed.reshape(-1, 1), resampled), axis=1)
+    shifted = values - values.min(axis=1, keepdims=True)
+    r = float(temperature)
+    transformed = np.expm1(r * shifted) / r if r > 0.0 else shifted
+    count = values.shape[1]
+    p = np.count_nonzero(values >= values[:, :1], axis=1) / count
+    top, total = count * transformed[:, 0], transformed.sum(axis=1)
+    overflow = ~(np.isfinite(top) & np.isfinite(total))
+    if overflow.any():
+        # exp(r (x - max)) * -expm1(-r z), on halves so that no shift overflows
+        half = values[overflow] / 2.0
+        low, high = half.min(axis=1, keepdims=True), half.max(axis=1, keepdims=True)
+        if r > 0.0:
+            terms = np.exp(r * (half - high) * 2.0) * -np.expm1(-r * (half - low) * 2.0)
+        else:
+            terms = (half - low) / (high - low)
+        top[overflow], total[overflow] = count * terms[:, 0], terms.sum(axis=1)
+    e = np.where(total == 0.0, 1.0, top / total)
+    p[total == 0.0] = 1.0
+    # p * e is 1 at a tie for the row maximum, where the sum's rounding may tip it past
+    assert (p * e <= 1.0 + 1e-12).all()
+    return (float(e[0]), float(p[0])) if observed.ndim == 0 else (e, p)
 
 
 @dataclass(frozen=True)

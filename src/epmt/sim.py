@@ -204,16 +204,13 @@ def generate_microarray_replicate(scenario: MicroarrayScenario, rng: np.random.G
     s_sq = sigma2 * rng.chisquare(df, k_total) / df
 
     if scenario.refit_hyperparameters:
-        df_prior_hat, s2_prior_hat = fit_limma_hyperparameters(s_sq, df)
+        model = ModeratedTModel(var_factor, df, *fit_limma_hyperparameters(s_sq, df), gamma=0.0)
+        t_tilde = moderated_t(beta_hat, s_sq, model)
+        model = replace(model, gamma=fit_gamma(t_tilde, model))
     else:
-        df_prior_hat, s2_prior_hat = scenario.df_prior, scenario.s2_prior
-    model = ModeratedTModel(var_factor, df, df_prior_hat, s2_prior_hat, gamma=0.0)
-    t_tilde = moderated_t(beta_hat, s_sq, model)
-    if scenario.refit_hyperparameters:
-        gamma_hat = fit_gamma(t_tilde, model)
-    else:
-        gamma_hat = scenario.effect_var_ratio
-    e = moderated_t_evalue(t_tilde, replace(model, gamma=gamma_hat))
+        model = ModeratedTModel(var_factor, df, scenario.df_prior, scenario.s2_prior, gamma=scenario.effect_var_ratio)
+        t_tilde = moderated_t(beta_hat, s_sq, model)
+    e = moderated_t_evalue(t_tilde, model)
 
     # independent location arm for the p-values
     z = rng.standard_normal(k_total) + np.where(is_null, 0.0, ZSHIFT_PER_EFFECT * scenario.effect)

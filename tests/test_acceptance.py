@@ -24,7 +24,6 @@ from scipy import integrate
 from epmt.calib import Calibrator
 from epmt.constructors import (
     ModeratedTModel,
-    PermutationStatistics,
     moderated_t,
     moderated_t_evalue,
     soft_rank_evalue,
@@ -279,12 +278,7 @@ def test_criterion_10_soft_rank_validity():
     ok = True
     for r in (0.0, 0.5, 1.0):
         losses = rng.standard_normal((trials, 20))
-        es = np.empty(trials)
-        ps = np.empty(trials)
-        for i in range(trials):
-            es[i], ps[i] = soft_rank_evalue(
-                PermutationStatistics(losses[i, 0], losses[i, 1:], r)
-            )
+        es, ps = soft_rank_evalue(losses[:, 0], losses[:, 1:], r)
         mean = es.mean()
         se = es.std(ddof=1) / np.sqrt(trials)
         holds = int((ps * es <= 1.0 + 1e-12).sum())

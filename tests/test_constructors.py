@@ -10,13 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, special, stats
 
 from epmt.calib import BadLambda, Calibrator, shift_evalue
 from epmt.constructors import (
     GAMMA_GRID,
     ModeratedTModel,
-    PermutationStatistics,
     _gamma_scores,
     _log_evalue,
     _trigamma_inverse,
@@ -85,35 +86,33 @@ def within_table_bounds(got: float, want: str) -> bool:
 
 
 def test_soft_rank_linear_case():
-    e, p = soft_rank_evalue(PermutationStatistics(2.0, [0.0, 1.0], 0.0))
+    e, p = soft_rank_evalue(2.0, [[0.0, 1.0]], 0.0)
     assert e == pytest.approx(2.0)
     assert p == pytest.approx(1.0 / 3.0)
 
 
 def test_soft_rank_exponential_case():
     # r=1, original 1, resampled [0]: transformed [e-1, 0] -> E = 2, P = 1/2
-    e, p = soft_rank_evalue(PermutationStatistics(1.0, [0.0], 1.0))
+    e, p = soft_rank_evalue(1.0, [[0.0]], 1.0)
     assert e == pytest.approx(2.0)
     assert p == pytest.approx(0.5)
 
 
 def test_soft_rank_all_equal_is_uninformative():
-    e, p = soft_rank_evalue(PermutationStatistics(1.0, [1.0, 1.0, 1.0], 0.7))
+    e, p = soft_rank_evalue(1.0, [[1.0, 1.0, 1.0]], 0.7)
     assert (e, p) == (1.0, 1.0)
 
 
 def test_soft_rank_observed_minimum():
-    e, p = soft_rank_evalue(PermutationStatistics(0.0, [1.0, 2.0], 0.0))
+    e, p = soft_rank_evalue(0.0, [[1.0, 2.0]], 0.0)
     assert e == 0.0
     assert p == 1.0
 
 
 def test_soft_rank_sharpness_concentrates():
     # higher temperature pushes more of the e-value onto the top statistic
-    perm0 = PermutationStatistics(3.0, [0.0, 1.0, 2.0], 0.0)
-    perm2 = PermutationStatistics(3.0, [0.0, 1.0, 2.0], 2.0)
-    e0, _ = soft_rank_evalue(perm0)
-    e2, _ = soft_rank_evalue(perm2)
+    e0, _ = soft_rank_evalue(3.0, [[0.0, 1.0, 2.0]], 0.0)
+    e2, _ = soft_rank_evalue(3.0, [[0.0, 1.0, 2.0]], 2.0)
     assert e2 > e0
 
 
@@ -123,28 +122,77 @@ def test_soft_rank_validity_under_exchangeability(temperature):
     rng = np.random.default_rng(2024)
     trials = 20_000
     b = 19
-    evals = np.empty(trials)
-    for i in range(trials):
-        values = rng.standard_normal(b + 1)
-        e, p = soft_rank_evalue(
-            PermutationStatistics(values[0], values[1:], temperature)
-        )
-        evals[i] = e
-        assert e == 0.0 or p <= 1.0 / e + 1e-12
+    values = rng.standard_normal((trials, b + 1))
+    evals, p = soft_rank_evalue(values[:, 0], values[:, 1:], temperature)
+    with np.errstate(divide="ignore"):
+        assert ((evals == 0.0) | (p <= 1.0 / evals + 1e-12)).all()
     mean = evals.mean()
     se = evals.std(ddof=1) / np.sqrt(trials)
     assert abs(mean - 1.0) < 4.0 * se, f"r={temperature}: mean {mean}, se {se}"
 
 
+@pytest.mark.parametrize(
+    "original, resampled, temperature, want",
+    [
+        # temperature times spread past about 709 - log(B + 1): expm1, or count * t0, overflows
+        (1000.0, [0.0, 500.0], 1.0, (3.0, 1.0 / 3.0)),
+        (709.0, [0.0, 700.0], 1.0, (3.0 / (1.0 + math.exp(-9.0)), 1.0 / 3.0)),
+        (709.0, [0.0] + [709.0] * 19, 1.0, (1.05, 20.0 / 21.0)),
+        # a spread past the float maximum, in the linear limit and above it
+        (1e308, [-1e308, 0.0], 0.0, (2.0, 1.0 / 3.0)),
+        (1e308, [-1e308, 0.0], 1.0, (3.0, 1.0 / 3.0)),
+        # a tie for the row maximum, where the rounded sum tips e past 1 / p
+        (2.0, [2.0, 2.0, 2.0, 2.0, 1.0], 3.0, (1.2, 5.0 / 6.0)),
+    ],
+)
+def test_soft_rank_overflow_and_ties_give_the_exact_ratio(original, resampled, temperature, want):
+    e, p = soft_rank_evalue(original, [resampled], temperature)
+    assert (e, p) == pytest.approx(want, rel=1e-12)
+
+
+# rows of tied small integers, continuous values whose spread overflows
+# expm1 at r = 1, and rows of one repeated value
+SOFT_RANK_ROWS = st.integers(1, 8).flatmap(
+    lambda b: st.lists(
+        st.one_of(
+            st.lists(st.integers(0, 3).map(float), min_size=b + 1, max_size=b + 1),
+            st.lists(st.floats(-1e3, 1e3), min_size=b + 1, max_size=b + 1),
+            st.floats(-1e3, 1e3).map(lambda v: [v] * (b + 1)),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(SOFT_RANK_ROWS, st.sampled_from([0.0, 0.5, 1.0]))
+def test_soft_rank_rows_match_one_row_calls(rows, temperature):
+    """Row i of a K-row call is the one-row call on row i, bit for bit."""
+    values = np.array(rows)
+    e, p = soft_rank_evalue(values[:, 0], values[:, 1:], temperature)
+    assert e.shape == p.shape == (len(rows),)
+    for i, row in enumerate(values):
+        one = soft_rank_evalue(row[0], row[None, 1:], temperature)
+        assert np.array([e[i], p[i]]).tobytes() == np.array(one).tobytes()
+
+
 def test_permutation_statistics_validation():
-    with pytest.raises(MalformedValue):
-        PermutationStatistics(1.0, [], 0.0)
-    with pytest.raises(MalformedValue):
-        PermutationStatistics(np.inf, [1.0], 0.0)
-    with pytest.raises(MalformedValue):
-        PermutationStatistics(1.0, [np.nan], 0.0)
-    with pytest.raises(MalformedValue):
-        PermutationStatistics(1.0, [1.0], -0.5)
+    for original, resampled, temperature in [
+        (1.0, [[]], 0.0),
+        ([], np.empty((0, 3)), 0.0),
+        (np.inf, [[1.0]], 0.0),
+        (1.0, [[np.nan]], 0.0),
+        (1.0, [[np.inf, 1.0]], 0.0),
+        (1.0, [[1.0]], -0.5),
+        (1.0, [[1.0]], np.inf),
+        (1.0, [[1.0]], np.nan),
+        ([1.0, 2.0], [[1.0]], 0.0),
+        ([[1.0]], [[1.0]], 0.0),
+        (1.0, [1.0, 2.0], 0.0),
+    ]:
+        with pytest.raises(MalformedValue):
+            soft_rank_evalue(original, resampled, temperature)
 
 
 # ---------------------------------------------------------------- moderated t

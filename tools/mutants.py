@@ -218,6 +218,22 @@ MUTANTS = [
     # fit_gamma's strict >: a point that only ties the best score so far, or
     # the null-only model's 0, does not win
     Mutant("fit-gamma-tie-takes-later", CONSTRUCTORS, "score > best_score", "score >= best_score", CONSTRUCTOR_TESTS),
+    # soft-rank shifts each row by its own minimum, and a row whose terms or
+    # sum overflow takes the max-scaled terms
+    Mutant(
+        "soft-rank-global-minimum",
+        CONSTRUCTORS,
+        "values.min(axis=1, keepdims=True)",
+        "values.min()",
+        CONSTRUCTOR_TESTS,
+    ),
+    Mutant(
+        "soft-rank-overflow-unscaled",
+        CONSTRUCTORS,
+        "overflow = ~(np.isfinite(top) & np.isfinite(total))",
+        "overflow = np.zeros(top.shape, dtype=bool)",
+        CONSTRUCTOR_TESTS,
+    ),
     Mutant(
         "child-rng-keys-swapped",
         SIM,
