@@ -26,7 +26,7 @@ from .core import MalformedValue
 _FLOAT_MAX = np.finfo(float).max
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def soft_rank_evalue(original, resampled, temperature: float = 0.0):
     """Soft-rank e-values and classical rank p-values of K permutation tests.
 
@@ -36,11 +36,12 @@ def soft_rank_evalue(original, resampled, temperature: float = 0.0):
     its minimum and transformed by (exp(r*z) - 1) / r, or z at r = 0. The
     e-value is the transformed observed statistic over the row's mean; the
     p-value is the row's share at least as large as the observed one,
-    counting itself. Where a row's terms or sum overflow, the ratio comes
-    from its terms scaled by the largest, each in [0, 1].
+    counting itself. The ratio is taken from the terms scaled by the
+    row's largest, each in [0, 1], so that no temperature or spread
+    overflows.
 
-    Returns (e, p) as K-vectors, or floats for a single original. A row of
-    equal statistics gives (1.0, 1.0). p <= 1/e holds, up to rounding.
+    Returns (e, p) as K-vectors. A row of equal statistics gives
+    (1.0, 1.0). p <= 1/e holds, up to rounding.
     """
     observed = np.asarray(original, dtype=float)
     resampled = np.asarray(resampled, dtype=float)
@@ -53,27 +54,22 @@ def soft_rank_evalue(original, resampled, temperature: float = 0.0):
     if not 0.0 <= temperature < math.inf:
         raise MalformedValue(f"temperature must be finite and >= 0, got {temperature!r}")
     values = np.concatenate((observed.reshape(-1, 1), resampled), axis=1)
-    shifted = values - values.min(axis=1, keepdims=True)
-    r = float(temperature)
-    transformed = np.expm1(r * shifted) / r if r > 0.0 else shifted
     count = values.shape[1]
     p = np.count_nonzero(values >= values[:, :1], axis=1) / count
-    top, total = count * transformed[:, 0], transformed.sum(axis=1)
-    overflow = ~(np.isfinite(top) & np.isfinite(total))
-    if overflow.any():
-        # exp(r (x - max)) * -expm1(-r z), on halves so that no shift overflows
-        half = values[overflow] / 2.0
-        low, high = half.min(axis=1, keepdims=True), half.max(axis=1, keepdims=True)
-        if r > 0.0:
-            terms = np.exp(r * (half - high) * 2.0) * -np.expm1(-r * (half - low) * 2.0)
-        else:
-            terms = (half - low) / (high - low)
-        top[overflow], total[overflow] = count * terms[:, 0], terms.sum(axis=1)
-    e = np.where(total == 0.0, 1.0, top / total)
-    p[total == 0.0] = 1.0
+    low, high = values.min(axis=1, keepdims=True), values.max(axis=1, keepdims=True)
+    r = float(temperature)
+    if r > 0.0:
+        # (exp(r z) - 1) / r times r exp(-r z_max); an overflowed z counts as its limit
+        terms = np.exp(r * (values - high)) * -np.expm1(-r * (values - low))
+    else:
+        # on halves, so that a spread past the float maximum stays finite
+        half_spread = high / 2.0 - low / 2.0
+        terms = (values / 2.0 - low / 2.0) / np.where(half_spread > 0.0, half_spread, 1.0)
+    total = terms.sum(axis=1)
+    e = np.where(total == 0.0, 1.0, count * terms[:, 0] / total)
     # p * e is 1 at a tie for the row maximum, where the sum's rounding may tip it past
     assert (p * e <= 1.0 + 1e-12).all()
-    return (float(e[0]), float(p[0])) if observed.ndim == 0 else (e, p)
+    return e, p
 
 
 @dataclass(frozen=True)

@@ -86,33 +86,33 @@ def within_table_bounds(got: float, want: str) -> bool:
 
 
 def test_soft_rank_linear_case():
-    e, p = soft_rank_evalue(2.0, [[0.0, 1.0]], 0.0)
+    (e,), (p,) = soft_rank_evalue(2.0, [[0.0, 1.0]], 0.0)
     assert e == pytest.approx(2.0)
     assert p == pytest.approx(1.0 / 3.0)
 
 
 def test_soft_rank_exponential_case():
     # r=1, original 1, resampled [0]: transformed [e-1, 0] -> E = 2, P = 1/2
-    e, p = soft_rank_evalue(1.0, [[0.0]], 1.0)
+    (e,), (p,) = soft_rank_evalue(1.0, [[0.0]], 1.0)
     assert e == pytest.approx(2.0)
     assert p == pytest.approx(0.5)
 
 
 def test_soft_rank_all_equal_is_uninformative():
-    e, p = soft_rank_evalue(1.0, [[1.0, 1.0, 1.0]], 0.7)
+    (e,), (p,) = soft_rank_evalue(1.0, [[1.0, 1.0, 1.0]], 0.7)
     assert (e, p) == (1.0, 1.0)
 
 
 def test_soft_rank_observed_minimum():
-    e, p = soft_rank_evalue(0.0, [[1.0, 2.0]], 0.0)
+    (e,), (p,) = soft_rank_evalue(0.0, [[1.0, 2.0]], 0.0)
     assert e == 0.0
     assert p == 1.0
 
 
 def test_soft_rank_sharpness_concentrates():
     # higher temperature pushes more of the e-value onto the top statistic
-    e0, _ = soft_rank_evalue(3.0, [[0.0, 1.0, 2.0]], 0.0)
-    e2, _ = soft_rank_evalue(3.0, [[0.0, 1.0, 2.0]], 2.0)
+    (e0,), _ = soft_rank_evalue(3.0, [[0.0, 1.0, 2.0]], 0.0)
+    (e2,), _ = soft_rank_evalue(3.0, [[0.0, 1.0, 2.0]], 2.0)
     assert e2 > e0
 
 
@@ -146,7 +146,7 @@ def test_soft_rank_validity_under_exchangeability(temperature):
     ],
 )
 def test_soft_rank_overflow_and_ties_give_the_exact_ratio(original, resampled, temperature, want):
-    e, p = soft_rank_evalue(original, [resampled], temperature)
+    (e,), (p,) = soft_rank_evalue(original, [resampled], temperature)
     assert (e, p) == pytest.approx(want, rel=1e-12)
 
 

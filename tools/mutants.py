@@ -218,8 +218,8 @@ MUTANTS = [
     # fit_gamma's strict >: a point that only ties the best score so far, or
     # the null-only model's 0, does not win
     Mutant("fit-gamma-tie-takes-later", CONSTRUCTORS, "score > best_score", "score >= best_score", CONSTRUCTOR_TESTS),
-    # soft-rank shifts each row by its own minimum, and a row whose terms or
-    # sum overflow takes the max-scaled terms
+    # soft-rank shifts each row by its own minimum and scales its terms by
+    # the largest, so that none overflows
     Mutant(
         "soft-rank-global-minimum",
         CONSTRUCTORS,
@@ -230,8 +230,8 @@ MUTANTS = [
     Mutant(
         "soft-rank-overflow-unscaled",
         CONSTRUCTORS,
-        "overflow = ~(np.isfinite(top) & np.isfinite(total))",
-        "overflow = np.zeros(top.shape, dtype=bool)",
+        "np.exp(r * (values - high))",
+        "np.exp(r * (values - low))",
         CONSTRUCTOR_TESTS,
     ),
     Mutant(
